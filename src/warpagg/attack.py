@@ -3,20 +3,29 @@
 Each branch warps the input so its embedding moves away from the original
 image and every previously generated branch, stopping once the minimum
 embedding distance reaches the configured threshold (or the iteration cap,
-which is flagged rather than treated as failure). Displacements are clipped
-per coordinate to a fixed radius so faces stay plausible.
+which is flagged rather than treated as failure). After every sign step a
+projection maps the moved landmarks back into the allowed set: by default
+each coordinate of the displacement is clipped to a fixed radius so faces
+stay plausible.
+
+One iteration is one fused step (:func:`attack_step`): a single TPS fit and
+grid kernel warp the image, a single embedder forward embeds it, and both
+keep what their backward passes need. The loop tests the stopping rule on
+that step's embedding and only then runs the backward for the next sign
+step, so each iteration costs one fit, one forward and one backward.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .embedder import ToyEmbedder, embed, embed_input_grad
+from .embedder import ToyEmbedder, embed, embed_with_vjp
 from .imaging import Image, resize_bilinear, resize_bilinear_vjp
-from .tps import warp_image, warp_vjp
+from .tps import warp_with_vjp
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +66,29 @@ class ManipulatedFace:
     hit_max_iters: bool = False
 
 
+@dataclass(frozen=True)
+class AttackStep:
+    """The warp -> resize -> embed chain evaluated at one set of moved
+    landmarks, holding what its backward pass reuses."""
+
+    image: Image                  # the warped face at the input's size
+    z: np.ndarray                 # its embedding
+    backward: Callable[[np.ndarray], np.ndarray]  # cotangent on z -> (L,2)
+
+    def distances(self, peers: np.ndarray) -> np.ndarray:
+        """Embedding distance to every peer, (K,)."""
+        return np.linalg.norm(peers - self.z, axis=1)
+
+    def grad(self, peers: np.ndarray) -> np.ndarray:
+        """Gradient of the summed distances to ``peers`` w.r.t. the moved
+        landmarks, (L,2); distances of exactly zero contribute a zero
+        subgradient."""
+        diffs = self.z[None, :] - peers
+        dists = np.linalg.norm(diffs, axis=1)
+        scale = np.where(dists > _ZERO_DIST, 1.0 / np.maximum(dists, _ZERO_DIST), 0.0)
+        return self.backward((diffs * scale[:, None]).sum(axis=0))
+
+
 def delta_from_landmarks(points: np.ndarray, fraction: float = 0.05) -> float:
     """Clip radius as a fraction of the landmark bounding-box width."""
     points = np.asarray(points, dtype=np.float64)
@@ -66,22 +98,42 @@ def delta_from_landmarks(points: np.ndarray, fraction: float = 0.05) -> float:
     return fraction * width
 
 
-def _embed_warped(emb: ToyEmbedder, warped: Image) -> np.ndarray:
+def _embedder_input(emb: ToyEmbedder, image: Image) -> Image:
     eh, ew = emb.input_size
-    if (warped.height, warped.width) != (eh, ew):
-        warped = resize_bilinear(warped, ew, eh)
-    return embed(emb, warped)
+    return image if (image.height, image.width) == (eh, ew) else resize_bilinear(image, ew, eh)
+
+
+def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
+                points_moved: np.ndarray, lam: float = 1e-6) -> AttackStep:
+    """Warp ``img`` so ``points`` move to ``points_moved`` and embed it: one
+    TPS fit, one grid kernel and one embedder forward, kept for the backward."""
+    warped, warp_back = warp_with_vjp(img, points, points_moved, lam)
+    resized = _embedder_input(emb, warped)
+    z, embed_back = embed_with_vjp(emb, resized)
+
+    def backward(cot_z: np.ndarray) -> np.ndarray:
+        g_pixels = embed_back(cot_z)
+        if resized is not warped:
+            eh, ew = emb.input_size
+            g_pixels = resize_bilinear_vjp(warped, ew, eh, g_pixels)
+        return warp_back(g_pixels)
+
+    return AttackStep(warped, z, backward)
+
+
+def _peer_array(peer_embeddings: np.ndarray) -> np.ndarray:
+    peers = np.atleast_2d(np.asarray(peer_embeddings, dtype=np.float64))
+    if peers.shape[0] == 0:
+        raise ValueError("peer set must be nonempty")
+    return peers
 
 
 def attack_cost(emb: ToyEmbedder, img: Image, points: np.ndarray,
                 points_moved: np.ndarray, peer_embeddings: np.ndarray,
                 lam: float = 1e-6) -> float:
     """Sum of embedding distances from the candidate warp to every peer."""
-    peers = np.atleast_2d(np.asarray(peer_embeddings, dtype=np.float64))
-    if peers.shape[0] == 0:
-        raise ValueError("peer set must be nonempty")
-    z = _embed_warped(emb, warp_image(img, points, points_moved, lam))
-    return float(np.linalg.norm(peers - z, axis=1).sum())
+    peers = _peer_array(peer_embeddings)
+    return float(attack_step(emb, img, points, points_moved, lam).distances(peers).sum())
 
 
 def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
@@ -92,21 +144,8 @@ def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
     Chains the embedding input gradient through the warp VJP; distances of
     exactly zero contribute a zero subgradient.
     """
-    peers = np.atleast_2d(np.asarray(peer_embeddings, dtype=np.float64))
-    if peers.shape[0] == 0:
-        raise ValueError("peer set must be nonempty")
-    warped = warp_image(img, points, points_moved, lam)
-    eh, ew = emb.input_size
-    resized = warped if (warped.height, warped.width) == (eh, ew) else resize_bilinear(warped, ew, eh)
-    z = embed(emb, resized)
-    diffs = z[None, :] - peers
-    dists = np.linalg.norm(diffs, axis=1)
-    scale = np.where(dists > _ZERO_DIST, 1.0 / np.maximum(dists, _ZERO_DIST), 0.0)
-    cot_z = (diffs * scale[:, None]).sum(axis=0)
-    g_pixels = embed_input_grad(emb, resized, cot_z)
-    if resized is not warped:
-        g_pixels = resize_bilinear_vjp(warped, ew, eh, g_pixels)
-    return warp_vjp(img, points, points_moved, g_pixels, lam)
+    peers = _peer_array(peer_embeddings)
+    return attack_step(emb, img, points, points_moved, lam).grad(peers)
 
 
 def fgsm_step(points_moved: np.ndarray, grad: np.ndarray, step_size: float) -> np.ndarray:
@@ -121,51 +160,55 @@ def clip_displacement(points_moved: np.ndarray, points: np.ndarray,
 
 
 def generate_adversarial_set(emb: ToyEmbedder, img: Image, points: np.ndarray,
-                             cfg: AttackConfig, on_step=None) -> list[ManipulatedFace]:
+                             cfg: AttackConfig, on_step=None,
+                             project=None) -> list[ManipulatedFace]:
     """Generate ``cfg.branches`` manipulated faces, each separated from the
     original and all earlier branches by at least the distance threshold
-    (or flagged after ``max_iters``)."""
-    return _generate(emb, img, points, cfg, _raw_update, on_step)
+    (or flagged after ``max_iters``).
 
+    ``project(points, stepped)`` maps every sign-stepped set of landmarks
+    back into the allowed set; the default clips each displacement
+    coordinate to ``cfg.clip_radius``. ``on_step(branch, iteration, cost)``,
+    when given, is called after every step with the summed peer distance.
+    """
+    if project is None:
+        def project(base, stepped):
+            return clip_displacement(stepped, base, cfg.clip_radius)
 
-def _raw_update(points, points_moved, grad, cfg, context) -> np.ndarray:
-    stepped = fgsm_step(points_moved, grad, cfg.step_size)
-    return clip_displacement(stepped, points, cfg.clip_radius)
-
-
-def _generate(emb: ToyEmbedder, img: Image, points: np.ndarray,
-              cfg: AttackConfig, update, on_step, context=None) -> list[ManipulatedFace]:
     points = np.asarray(points, dtype=np.float64)
-    peer_z = [_embed_warped(emb, img)]
+    peer_z = [embed(emb, _embedder_input(emb, img))]
     faces: list[ManipulatedFace] = []
     for k in range(cfg.branches):
-        peers = np.stack(peer_z)
-        moved = points.copy()
-        warped = warp_image(img, points, moved, cfg.tps_lambda)
-        z = _embed_warped(emb, warped)
-        iters = 0
-        flagged = False
-        while float(np.linalg.norm(peers - z, axis=1).min()) < cfg.distance_threshold:
-            if iters >= cfg.max_iters:
-                flagged = True
-                logger.warning("branch %d hit max_iters=%d", k, cfg.max_iters)
-                break
-            g = cost_grad(emb, img, points, moved, peers, cfg.tps_lambda)
-            moved = update(points, moved, g, cfg, context)
-            warped = warp_image(img, points, moved, cfg.tps_lambda)
-            z = _embed_warped(emb, warped)
-            iters += 1
-            if on_step is not None:
-                on_step(k, iters, float(np.linalg.norm(peers - z, axis=1).sum()))
-        faces.append(
-            ManipulatedFace(
-                image=warped,
-                control_source=points.copy(),
-                control_target=moved,
-                displacement=moved - points,
-                iterations_used=iters,
-                hit_max_iters=flagged,
-            )
-        )
+        face, z = _run_branch(emb, img, points, np.stack(peer_z), cfg, project, on_step, k)
+        faces.append(face)
         peer_z.append(z)
     return faces
+
+
+def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndarray,
+                cfg: AttackConfig, project, on_step, k: int) -> tuple[ManipulatedFace, np.ndarray]:
+    moved = points.copy()
+    step = attack_step(emb, img, points, moved, cfg.tps_lambda)
+    iters = 0
+    flagged = False
+    while float(step.distances(peers).min()) < cfg.distance_threshold:
+        if iters >= cfg.max_iters:
+            flagged = True
+            logger.warning("branch %d hit max_iters=%d", k, cfg.max_iters)
+            break
+        g = step.grad(peers)
+        del step  # release its grid kernel before the next one is built
+        moved = project(points, fgsm_step(moved, g, cfg.step_size))
+        step = attack_step(emb, img, points, moved, cfg.tps_lambda)
+        iters += 1
+        if on_step is not None:
+            on_step(k, iters, float(step.distances(peers).sum()))
+    face = ManipulatedFace(
+        image=step.image,
+        control_source=points.copy(),
+        control_target=moved,
+        displacement=moved - points,
+        iterations_used=iters,
+        hit_max_iters=flagged,
+    )
+    return face, step.z

@@ -12,6 +12,7 @@ landmark-space loss trains the network end to end.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,7 @@ from .imaging import Image, from_pixel, to_pixel
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
+_HEADER_BYTES = 12  # magic, then the manifest length as little-endian uint32
 
 _CHANNELS = {"enc1": 4, "enc2": 8, "mid": 8, "dec1": 8}
 
@@ -104,22 +106,33 @@ class ToyDetector:
             object.__setattr__(self, "params", _init_params(self.num_landmarks, self.seed))
 
 
+def _layer_shapes(num_landmarks: int) -> dict[str, tuple[int, int]]:
+    """(out channels, in channels) of every 3x3 conv layer, in init order."""
+    c = _CHANNELS
+    return {
+        "enc1": (c["enc1"], 1),
+        "enc2": (c["enc2"], c["enc1"]),
+        "mid": (c["mid"], c["enc2"]),
+        "dec1": (c["dec1"], c["mid"] + c["enc2"]),
+        "out": (num_landmarks, c["dec1"] + c["enc1"]),
+    }
+
+
+def _param_shapes(num_landmarks: int) -> dict[str, tuple[int, ...]]:
+    shapes = {}
+    for name, (cout, cin) in _layer_shapes(num_landmarks).items():
+        shapes[f"{name}.w"] = (cout, cin, 3, 3)
+        shapes[f"{name}.b"] = (cout,)
+    return shapes
+
+
 def _init_params(num_landmarks: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-
-    def conv_init(cout, cin, std=None):
-        std = std if std is not None else 1.0 / np.sqrt(cin * 9)
-        return (
-            rng.normal(0.0, std, (cout, cin, 3, 3)).astype(np.float32),
-            np.zeros(cout, dtype=np.float32),
-        )
-
     p = {}
-    p["enc1.w"], p["enc1.b"] = conv_init(_CHANNELS["enc1"], 1)
-    p["enc2.w"], p["enc2.b"] = conv_init(_CHANNELS["enc2"], _CHANNELS["enc1"])
-    p["mid.w"], p["mid.b"] = conv_init(_CHANNELS["mid"], _CHANNELS["enc2"])
-    p["dec1.w"], p["dec1.b"] = conv_init(_CHANNELS["dec1"], _CHANNELS["mid"] + _CHANNELS["enc2"])
-    p["out.w"], p["out.b"] = conv_init(num_landmarks, _CHANNELS["dec1"] + _CHANNELS["enc1"], std=0.01)
+    for name, (cout, cin) in _layer_shapes(num_landmarks).items():
+        std = 0.01 if name == "out" else 1.0 / np.sqrt(cin * 9)
+        p[f"{name}.w"] = rng.normal(0.0, std, (cout, cin, 3, 3)).astype(np.float32)
+        p[f"{name}.b"] = np.zeros(cout, dtype=np.float32)
     # start with low, near-uniform response so untrained decodes sit mid-image
     p["out.b"] -= 4.0
     return p
@@ -226,14 +239,18 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def soft_argmax_vjp(heat: np.ndarray, d_landmarks: np.ndarray) -> np.ndarray:
-    """Cotangent on the heatmaps for a cotangent on the decoded landmarks."""
+    """Cotangent on the heatmaps for a cotangent on the decoded landmarks.
+
+    A 1-pixel axis decodes to the constant 0 (see :func:`from_pixel`), so its
+    cotangent contributes nothing.
+    """
     heat = np.asarray(heat, dtype=np.float64)
     n, h, w = heat.shape
     pts, mass = soft_argmax(heat)
     pix = to_pixel(pts, w, h)
     d = np.asarray(d_landmarks, dtype=np.float64)
-    dxs = d[:, 0] * 2.0 / (w - 1)
-    dys = d[:, 1] * 2.0 / (h - 1)
+    dxs = d[:, 0] * (2.0 / (w - 1) if w > 1 else 0.0)
+    dys = d[:, 1] * (2.0 / (h - 1) if h > 1 else 0.0)
     us = np.arange(h, dtype=np.float64)
     vs = np.arange(w, dtype=np.float64)
     gx = (vs[None, None, :] - pix[:, 0, None, None]) * (dxs / mass)[:, None, None]
@@ -274,32 +291,56 @@ def checkpoint_bytes(det: ToyDetector, meta: dict | None = None) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<I", len(mbytes)) + mbytes + payload
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_checkpoint(blob: bytes) -> tuple[ToyDetector, dict]:
+    """Inverse of :func:`checkpoint_bytes`; returns (detector, meta).
+
+    Bytes that are not exactly such a checkpoint (short or wrong header,
+    unreadable or incomplete manifest, tensors that do not fit the detector
+    architecture, a payload of the wrong length) raise
+    :class:`CheckpointFormatError`.
+    """
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad magic; not a detector checkpoint")
-    (mlen,) = struct.unpack("<I", blob[8:12])
+    if len(blob) < _HEADER_BYTES:
+        raise CheckpointFormatError(f"shorter than the {_HEADER_BYTES}-byte header")
+    (mlen,) = struct.unpack("<I", blob[8:_HEADER_BYTES])
     try:
-        manifest = json.loads(blob[12 : 12 + mlen].decode("utf-8"))
+        manifest = json.loads(blob[_HEADER_BYTES : _HEADER_BYTES + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"unreadable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointFormatError("manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointFormatError(f"unsupported format version {manifest.get('format_version')}")
+    missing = sorted({"input_size", "num_landmarks", "seed", "tensors"} - manifest.keys())
+    if missing:
+        raise CheckpointFormatError(f"manifest lacks {', '.join(missing)}")
+    num_landmarks, input_size = manifest["num_landmarks"], manifest["input_size"]
+    if not (_is_int(num_landmarks) and num_landmarks >= 1 and _is_int(manifest["seed"])
+            and isinstance(input_size, list) and len(input_size) == 2
+            and all(_is_int(v) and v >= 1 for v in input_size)):
+        raise CheckpointFormatError("manifest fields have the wrong type or range")
+    shapes = _param_shapes(num_landmarks)
+    if manifest["tensors"] != [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]:
+        raise CheckpointFormatError("tensor list does not match the detector architecture")
     params = {}
-    offset = 12 + mlen
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        end = offset + 4 * count
+    offset = _HEADER_BYTES + mlen
+    for name in sorted(shapes):
+        end = offset + 4 * math.prod(shapes[name])
         if end > len(blob):
             raise CheckpointFormatError("payload shorter than manifest promises")
-        params[entry["name"]] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape).copy()
+        params[name] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shapes[name]).copy()
         offset = end
-    det = ToyDetector(
-        num_landmarks=manifest["num_landmarks"],
-        input_size=tuple(manifest["input_size"]),
-        seed=manifest["seed"],
-        params=params,
-    )
+    if offset != len(blob):
+        raise CheckpointFormatError(f"{len(blob) - offset} bytes after the payload")
+    try:
+        det = ToyDetector(num_landmarks, tuple(input_size), manifest["seed"], params)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"invalid detector settings: {exc}") from None
     return det, manifest.get("meta", {})
 
 

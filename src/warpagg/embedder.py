@@ -1,7 +1,9 @@
 """Pluggable face-embedding interface with a deterministic toy network.
 
 The embedder maps an image to a unit-norm identity vector and exposes the
-analytic gradient of any embedding-space direction w.r.t. the input pixels.
+analytic gradient of any embedding-space direction w.r.t. the input pixels:
+:func:`embed_with_vjp` runs the forward once and returns a backward that
+reuses its activations; :func:`embed` and :func:`embed_input_grad` wrap it.
 Weights are fixed pseudo-random functions of the seed; nothing is trained.
 The stack is conv3x3 -> tanh -> avgpool4 -> conv3x3 -> tanh -> avgpool4 ->
 affine -> l2-normalize, smooth everywhere so finite-difference checks are
@@ -103,33 +105,44 @@ class ToyEmbedder:
         return {"t1": t1, "t2": t2, "p2shape": p2.shape, "y": y, "norm": norm}
 
 
-def embed(e: ToyEmbedder, img: Image) -> np.ndarray:
-    """Unit-norm identity vector for the image."""
-    e._check(img)
-    cache = e._forward(img)
-    return cache["y"] / cache["norm"]
+def embed_with_vjp(e: ToyEmbedder, img: Image):
+    """One forward pass that keeps its activations.
 
-
-def embed_input_grad(e: ToyEmbedder, img: Image, cotangent: np.ndarray) -> np.ndarray:
-    """d <cotangent, embed(img)> / d img, shape (H, W)."""
+    Returns ``(z, vjp)``: the unit-norm identity vector and a function mapping
+    a cotangent on z (n_z,) to d <cotangent, z> / d img, shape (H, W).
+    """
     e._check(img)
-    cot = np.asarray(cotangent, dtype=np.float64)
-    if cot.shape != (e.n_z,):
-        raise ValueError(f"cotangent must have shape ({e.n_z},)")
     w = e.weights
     c = e._forward(img)
     y, norm = c["y"], c["norm"]
     z = y / norm
-    gy = (cot - (cot @ z) * z) / norm
-    gfeat = w["pw"].T @ gy
-    gp2 = gfeat.reshape(c["p2shape"])
-    gt2 = _avgpool_grad(gp2, 4)
-    ga2 = gt2 * (1.0 - c["t2"] ** 2)
-    gp1 = _conv3_same_input_grad(ga2, w["c2w"], 4)
-    gt1 = _avgpool_grad(gp1, 4)
-    ga1 = gt1 * (1.0 - c["t1"] ** 2)
-    gx = _conv3_same_input_grad(ga1, w["c1w"], 1)
-    return 2.0 * gx[0]
+
+    def vjp(cotangent: np.ndarray) -> np.ndarray:
+        cot = np.asarray(cotangent, dtype=np.float64)
+        if cot.shape != (e.n_z,):
+            raise ValueError(f"cotangent must have shape ({e.n_z},)")
+        gy = (cot - (cot @ z) * z) / norm
+        gfeat = w["pw"].T @ gy
+        gp2 = gfeat.reshape(c["p2shape"])
+        gt2 = _avgpool_grad(gp2, 4)
+        ga2 = gt2 * (1.0 - c["t2"] ** 2)
+        gp1 = _conv3_same_input_grad(ga2, w["c2w"], 4)
+        gt1 = _avgpool_grad(gp1, 4)
+        ga1 = gt1 * (1.0 - c["t1"] ** 2)
+        gx = _conv3_same_input_grad(ga1, w["c1w"], 1)
+        return 2.0 * gx[0]
+
+    return z, vjp
+
+
+def embed(e: ToyEmbedder, img: Image) -> np.ndarray:
+    """Unit-norm identity vector for the image."""
+    return embed_with_vjp(e, img)[0]
+
+
+def embed_input_grad(e: ToyEmbedder, img: Image, cotangent: np.ndarray) -> np.ndarray:
+    """d <cotangent, embed(img)> / d img, shape (H, W)."""
+    return embed_with_vjp(e, img)[1](cotangent)
 
 
 def embedding_distance(z1: np.ndarray, z2: np.ndarray) -> float:

@@ -10,11 +10,11 @@ family before clipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import attack as _attack
-from .attack import AttackConfig, ManipulatedFace
+from .attack import AttackConfig, ManipulatedFace, generate_adversarial_set
 from .embedder import ToyEmbedder
 from .imaging import Image
 
@@ -89,8 +89,9 @@ def _ibug68_membership() -> np.ndarray:
     return mem
 
 
-# Synthetic 12-point layout (matches warpagg.synthetic): right brow {0,1},
-# left brow {2,3}, right eye {4,5}, left eye {6,7}, nose {8,9}, mouth {10,11}.
+# Synthetic 12-point layout (the order of the benchmark's 12-point template in
+# perfbench/workloads.py): right brow {0,1}, left brow {2,3}, right eye {4,5},
+# left eye {6,7}, nose {8,9}, mouth {10,11}.
 _SYNTHETIC_MEMBERSHIP = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], dtype=np.intp)
 
 _SCHEMES = {
@@ -265,8 +266,5 @@ def generate_grouped_adversarial_set(emb: ToyEmbedder, img: Image,
     if points.shape[0] != groups.membership.shape[0]:
         raise ValueError("landmark count does not match the group scheme")
 
-    def update(base, moved, grad, cfg_, _context):
-        stepped = _attack.fgsm_step(moved, grad, cfg_.step_size)
-        return _project_and_clip(base, stepped, groups, cfg_.clip_radius)
-
-    return _attack._generate(emb, img, points, cfg, update, on_step)
+    project = partial(_project_and_clip, groups=groups, radius=cfg.clip_radius)
+    return generate_adversarial_set(emb, img, points, cfg, on_step, project)

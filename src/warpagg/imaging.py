@@ -140,7 +140,8 @@ def load_image(path) -> Image:
                 raise PgmDataError(f"non-integer sample {tok!r}") from None
     if samples.min() < 0 or samples.max() > maxval:
         raise PgmDataError("sample value exceeds maxval")
-    return Image(samples.reshape(height, width) / maxval)
+    samples /= maxval  # in place: no second full-size float64 raster
+    return Image(samples.reshape(height, width))
 
 
 def save_image(img: Image, path) -> None:

@@ -6,11 +6,19 @@ The kernel is U(r) = r^2 log r^2 with U(0) = 0. A fit maps source points to
 target points; warping is backward: the output image samples the input
 through the spline fitted from the *manipulated* landmarks back to the
 originals, so landmark content ends up at its manipulated location.
+
+The warp and its gradient share one step: :func:`warp_with_vjp` fits the
+spline once and builds the grid kernel once (squared distances s, log s and
+the features U = s log s), samples the image and its slopes, and returns the
+warped image with a backward that reuses all of it, including the fitted
+system for the adjoint solve and log s for the kernel derivative
+2 (log s + 1). :func:`warp_image` is the plain path: the same fit and grid
+kernel, no slopes, and no log s kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +43,8 @@ class TpsTransform:
     affine: np.ndarray
     kernel_weights: np.ndarray
     regularization: float
+    # the (L+3, L+3) matrix the fit solved; the warp's adjoint solve reuses it
+    system: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _kernel_sq(s: np.ndarray) -> np.ndarray:
@@ -51,9 +61,16 @@ def _kernel_dcoef(s: np.ndarray) -> np.ndarray:
     return np.where(s > _TINY_SQ, c, 0.0)
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
+def _pairwise_sq(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances (N, M) between the rows of a (N,2) and b (M,2), built
+    per axis in place (into ``out`` when given) so no (N, M, 2) difference
+    array is ever held."""
+    s = np.subtract(a[:, None, 0], b[None, :, 0], out=out)
+    s *= s
+    dy = a[:, None, 1] - b[None, :, 1]
+    dy *= dy
+    s += dy
+    return s
 
 
 def _system_matrix(cpts: np.ndarray, lam: float) -> np.ndarray:
@@ -67,14 +84,33 @@ def _system_matrix(cpts: np.ndarray, lam: float) -> np.ndarray:
     return a
 
 
-def _features(pts: np.ndarray, cpts: np.ndarray) -> np.ndarray:
-    """Feature matrix [U(|p-c_j|^2) ... 1 x y], shape (N, L+3)."""
-    n = pts.shape[0]
-    phi = np.empty((n, cpts.shape[0] + 3))
-    phi[:, : cpts.shape[0]] = _kernel_sq(_pairwise_sq(pts, cpts))
-    phi[:, cpts.shape[0]] = 1.0
-    phi[:, cpts.shape[0] + 1 :] = pts
-    return phi
+def _features(pts: np.ndarray, cpts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix [U(|p-c_j|^2) ... 1 x y], shape (N, L+3), and log s of
+    the same squared distances, shape (N, L).
+
+    s is built inside the feature matrix and turned into U = s log s there,
+    so a caller that drops log s holds one (N, L+3) array and nothing else.
+    Where s is (numerically) zero the feature is 0 and log s is set to -1, so
+    the kernel-derivative coefficient 2 (log s + 1) is exactly 0 there too.
+    """
+    n, m = pts.shape[0], cpts.shape[0]
+    phi = np.empty((n, m + 3))
+    kern = _pairwise_sq(pts, cpts, out=phi[:, :m])
+    near = kern <= _TINY_SQ
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log(kern)
+        kern *= log_s
+    if near.any():
+        kern[near] = 0.0
+        log_s[near] = -1.0
+    phi[:, m] = 1.0
+    phi[:, m + 1 :] = pts
+    return phi, log_s
+
+
+def _params(t: TpsTransform) -> np.ndarray:
+    """Stacked spline parameters (L+3, 2): kernel weights, then the affine part."""
+    return np.vstack([t.kernel_weights, t.affine.T])
 
 
 def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTransform:
@@ -88,6 +124,8 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
     dst = np.asarray(target, dtype=np.float64)
     if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
         raise ValueError("source and target must both have shape (L, 2)")
+    if not (np.all(np.isfinite(src)) and np.all(np.isfinite(dst))):
+        raise ValueError("control points must be finite")
     n = src.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 control points, got {n}")
@@ -105,6 +143,7 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
                 affine=sol[n:].T.copy(),
                 kernel_weights=sol[:n].copy(),
                 regularization=attempt_lam,
+                system=a,
             )
     raise DegenerateControlPointsError(
         "control points are collinear or coincident; spline system is singular"
@@ -114,8 +153,7 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
 def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
     """Apply the fitted mapping to points (N,2) -> (N,2)."""
     pts = np.asarray(pts, dtype=np.float64)
-    params = np.vstack([t.kernel_weights, t.affine.T])
-    return _features(pts, t.control_points) @ params
+    return _features(pts, t.control_points)[0] @ _params(t)
 
 
 def eval_tps_point_jacobian(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
@@ -153,57 +191,62 @@ def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
     return eval_tps(t, predicted)
 
 
+def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
+                  lam: float = DEFAULT_LAMBDA):
+    """:func:`warp_image` together with its backward w.r.t. ``points_moved``.
+
+    Returns ``(warped, vjp)``; ``vjp(cotangent)`` maps a cotangent on the
+    warped pixels (H, W) to the gradient of <cotangent, warped> w.r.t. the
+    moved landmarks, shape (L, 2). It chains the bilinear sampling slopes
+    with both dependencies of the spline on the moved landmarks: the feature
+    kernels at the evaluation grid, and the interpolation system itself
+    (adjoint solve of the same symmetric matrix; the right-hand side does not
+    depend on the moved points). The warp's one fit and one grid kernel are
+    held until ``vjp`` is dropped.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    t = fit_tps(points_moved, pts, lam)
+    cpts = t.control_points
+    n = cpts.shape[0]
+    grid = normalized_grid(img.width, img.height)
+    phi, log_s = _features(grid, cpts)
+    params = _params(t)
+    vals, grads = sample_grid(img.data, phi @ params, with_grad=True)
+    warped = Image(np.clip(vals.reshape(img.height, img.width), 0.0, 1.0))
+
+    def vjp(cotangent: np.ndarray) -> np.ndarray:
+        cot = np.asarray(cotangent, dtype=np.float64).ravel()
+        if cot.size != grid.shape[0]:
+            raise ValueError("cotangent must match image dimensions")
+        q = cot[:, None] * grads  # (Npix, 2): d objective / d sampled location
+
+        # Direct term: kernel features depend on the moved control points.
+        m1 = log_s + 1.0
+        m1 *= 2.0                      # kernel-derivative coefficient 2 (log s + 1)
+        m1 *= q @ t.kernel_weights.T   # (Npix, L)
+        grad = cpts * m1.sum(axis=0)[:, None] - m1.T @ grid
+
+        # Adjoint term: parameters solve A(moved) params = rhs.
+        v = phi.T @ q  # (L+3, 2) = d objective / d params
+        lam_adj = np.linalg.solve(t.system, v)  # A is symmetric
+        m = -lam_adj @ params.T  # (L+3, L+3) = d objective / d A
+
+        # Kernel block: A_ij = U(|c_i - c_j|^2) for i != j.
+        coef_cc = _kernel_dcoef(_pairwise_sq(cpts, cpts))
+        np.fill_diagonal(coef_cc, 0.0)
+        w2 = (m[:n, :n] + m[:n, :n].T) * coef_cc
+        grad += cpts * w2.sum(axis=1)[:, None] - w2 @ cpts
+
+        # Border blocks: columns/rows (1, x, y); only x and y vary.
+        grad[:, 0] += m[:n, n + 1] + m[n + 1, :n]
+        grad[:, 1] += m[:n, n + 2] + m[n + 2, :n]
+        return grad
+
+    return warped, vjp
+
+
 def warp_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
              cotangent: np.ndarray, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     """Gradient of <cotangent, warp_image(img, points, points_moved)> w.r.t.
-    ``points_moved``, shape (L, 2).
-
-    Chains the bilinear sampling gradient with both dependencies of the
-    spline on the moved landmarks: the feature kernels at the evaluation
-    grid, and the interpolation system itself (adjoint solve of the same
-    symmetric matrix; the right-hand side does not depend on the moved
-    points).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    moved = np.asarray(points_moved, dtype=np.float64)
-    cot = np.asarray(cotangent, dtype=np.float64).ravel()
-    if cot.size != img.width * img.height:
-        raise ValueError("cotangent must match image dimensions")
-    n = moved.shape[0]
-
-    t = fit_tps(moved, pts, lam)
-    cpts = t.control_points
-    grid = normalized_grid(img.width, img.height)
-    phi = _features(grid, cpts)
-    params = np.vstack([t.kernel_weights, t.affine.T])  # (L+3, 2)
-    src = phi @ params
-    _, grads = sample_grid(img.data, src, with_grad=True)
-    q = cot[:, None] * grads  # (Npix, 2): d objective / d sampled location
-
-    # Direct term: kernel features depend on the moved control points.
-    diff = grid[:, None, :] - cpts[None, :, :]  # (Npix, L, 2)
-    s = np.einsum("pjk,pjk->pj", diff, diff)
-    coef = _kernel_dcoef(s)
-    qw = q @ t.kernel_weights.T  # (Npix, L)
-    m1 = qw * coef
-    col = m1.sum(axis=0)
-    grad = cpts * col[:, None] - m1.T @ grid
-
-    # Adjoint term: parameters solve A(moved) params = rhs.
-    v = phi.T @ q  # (L+3, 2) = d objective / d params
-    a = _system_matrix(cpts, t.regularization)
-    lam_adj = np.linalg.solve(a, v)  # A is symmetric
-    m = -lam_adj @ params.T  # (L+3, L+3) = d objective / d A
-
-    # Kernel block: A_ij = U(|c_i - c_j|^2) for i != j.
-    s_cc = _pairwise_sq(cpts, cpts)
-    coef_cc = _kernel_dcoef(s_cc)
-    np.fill_diagonal(coef_cc, 0.0)
-    w2 = (m[:n, :n] + m[:n, :n].T) * coef_cc
-    row = w2.sum(axis=1)
-    grad += cpts * row[:, None] - w2 @ cpts
-
-    # Border blocks: columns/rows (1, x, y); only x and y vary.
-    grad[:, 0] += m[:n, n + 1] + m[n + 1, :n]
-    grad[:, 1] += m[:n, n + 2] + m[n + 2, :n]
-    return grad
+    ``points_moved``, shape (L, 2); see :func:`warp_with_vjp`."""
+    return warp_with_vjp(img, points, points_moved, lam)[1](cotangent)

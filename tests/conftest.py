@@ -25,3 +25,15 @@ def ring_landmarks(count: int = 8, radius: float = 0.55, seed: int | None = None
     if seed is not None:
         pts = pts + np.random.default_rng(seed).uniform(-0.08, 0.08, pts.shape)
     return pts
+
+
+def base_shape_12() -> np.ndarray:
+    """Symmetric face-like layout matching the 'synthetic' scheme order."""
+    return np.array([
+        [-0.42, -0.45], [-0.18, -0.45],   # right brow
+        [0.18, -0.45], [0.42, -0.45],     # left brow
+        [-0.40, -0.15], [-0.20, -0.15],   # right eye
+        [0.20, -0.15], [0.40, -0.15],     # left eye
+        [0.0, -0.10], [0.0, 0.15],        # nose
+        [-0.22, 0.42], [0.22, 0.42],      # mouth
+    ])

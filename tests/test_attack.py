@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_image, ring_landmarks
+import warpagg.tps as tps_mod
+from conftest import base_shape_12, blob_image, ring_landmarks
 from warpagg.attack import (
     AttackConfig,
     attack_cost,
+    attack_step,
     clip_displacement,
     cost_grad,
     delta_from_landmarks,
@@ -14,8 +16,22 @@ from warpagg.attack import (
     generate_adversarial_set,
 )
 from warpagg.embedder import ToyEmbedder, embed, embedding_distance
-from warpagg.imaging import Image
+from warpagg.groups import assign_groups, generate_grouped_adversarial_set
+from warpagg.imaging import Image, resize_bilinear
 from warpagg.tps import warp_image
+
+# cost_grad on the seeded case of TestCostGrad.test_golden_values, as computed
+# by the three-pass warp_image/embed/warp_vjp implementation it replaced.
+GOLDEN_COST_GRAD = np.array([
+    [0.6419004180512282, -0.03958508529177533],
+    [-0.16802850071812558, 0.26539069753229394],
+    [0.07400692647445642, -0.002314030101770323],
+    [-0.0749854579404233, 0.012531847475955656],
+    [-0.01711624079929562, 0.08729182034355303],
+    [-0.020494205326861283, 0.04450489503414998],
+    [-0.193791130372344, -0.13472980532486684],
+    [0.7033767595744268, -0.8245275956037501],
+])
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +100,12 @@ class TestCostGrad:
             denom = max(abs(fd), abs(g[i, axis]), 1e-8)
             assert abs(g[i, axis] - fd) / denom < 2e-2
 
+    def test_golden_values(self, emb, img, pts):
+        moved = pts + np.random.default_rng(4).uniform(-0.03, 0.03, pts.shape)
+        peers = np.stack([embed(emb, img), embed(emb, blob_image(32, seed=13))])
+        g = cost_grad(emb, img, pts, moved, peers)
+        assert np.max(np.abs(g - GOLDEN_COST_GRAD)) < 1e-12
+
     def test_additive_over_peers(self, emb, img, pts):
         rng = np.random.default_rng(3)
         moved = pts + rng.uniform(-0.03, 0.03, pts.shape)
@@ -93,6 +115,64 @@ class TestCostGrad:
         g_a = cost_grad(emb, img, pts, moved, za[None])
         g_b = cost_grad(emb, img, pts, moved, zb[None])
         assert np.max(np.abs(g_ab - (g_a + g_b))) < 1e-8
+
+
+class TestAttackStep:
+    def test_image_and_embedding_match_the_plain_path(self, emb, pts):
+        # 64 px face into a 32 px embedder exercises the resize and its VJP
+        img = blob_image(64, seed=18)
+        moved = pts + np.random.default_rng(5).uniform(-0.04, 0.04, pts.shape)
+        step = attack_step(emb, img, pts, moved)
+        plain = warp_image(img, pts, moved)
+        assert np.array_equal(step.image.data, plain.data)
+        assert np.array_equal(step.z, embed(emb, resize_bilinear(plain, 32, 32)))
+
+    def test_grad_is_cost_grad(self, emb, img, pts):
+        moved = pts + np.random.default_rng(6).uniform(-0.03, 0.03, pts.shape)
+        peers = np.stack([embed(emb, img), embed(emb, blob_image(32, seed=19))])
+        step = attack_step(emb, img, pts, moved)
+        assert np.array_equal(step.grad(peers), cost_grad(emb, img, pts, moved, peers))
+        assert float(step.distances(peers).sum()) == attack_cost(emb, img, pts, moved, peers)
+
+
+class TestWorkPerIteration:
+    """Each iteration of either attack fits the spline once and runs the
+    embedder forward once (the step's backward reuses both)."""
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["raw", "grouped"])
+    def test_one_fit_and_one_forward_per_iteration(self, emb, img, pts, grouped, monkeypatch):
+        counts = {"fit": 0, "forward": 0}
+        real_fit, real_forward = tps_mod.fit_tps, ToyEmbedder._forward
+
+        def fit(*args, **kwargs):
+            counts["fit"] += 1
+            return real_fit(*args, **kwargs)
+
+        def forward(self, image):
+            counts["forward"] += 1
+            return real_forward(self, image)
+
+        monkeypatch.setattr(tps_mod, "fit_tps", fit)
+        monkeypatch.setattr(ToyEmbedder, "_forward", forward)
+        marks = []
+
+        def on_step(branch, _iteration, _cost):
+            marks.append((branch, counts["fit"], counts["forward"]))
+
+        # tau = 2 is out of reach for unit embeddings, so every branch runs all iterations
+        cfg = AttackConfig(branches=2, distance_threshold=2.0, max_iters=3)
+        if grouped:
+            groups = assign_groups(12, "synthetic")
+            generate_grouped_adversarial_set(emb, img, base_shape_12(), groups, cfg, on_step)
+        else:
+            generate_adversarial_set(emb, img, pts, cfg, on_step)
+        per_iter = [(f1 - f0, e1 - e0) for (k0, f0, e0), (k1, f1, e1) in zip(marks, marks[1:])
+                    if k0 == k1]
+        assert len(per_iter) == cfg.branches * (cfg.max_iters - 1)
+        assert set(per_iter) == {(1, 1)}
+        # plus one fit and forward to start each branch, and one forward for the original
+        assert counts == {"fit": cfg.branches * (cfg.max_iters + 1),
+                          "forward": 1 + cfg.branches * (cfg.max_iters + 1)}
 
 
 class TestStepAndClip:

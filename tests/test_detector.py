@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import blob_image
 from warpagg.detector import (
@@ -88,6 +93,23 @@ class TestSoftArgmax:
     def test_negative_map_rejected(self):
         with pytest.raises(ValueError):
             soft_argmax(np.full((1, 4, 4), -1.0))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 6), (2, 6, 1), (1, 1, 1)])
+    def test_vjp_one_pixel_axis(self, shape):
+        # the collapsed axis decodes to the constant 0, so its cotangent is 0
+        rng = np.random.default_rng(6)
+        heat = rng.uniform(0.05, 1.0, shape)
+        n, h, w = shape
+        collapsed = 0 if w == 1 else 1
+        d_pts = np.zeros((n, 2))
+        d_pts[:, collapsed] = rng.normal(size=n)
+        assert np.array_equal(soft_argmax_vjp(heat, d_pts), np.zeros(shape))
+        d_pts = rng.normal(size=(n, 2))
+        cot = soft_argmax_vjp(heat, d_pts)
+        assert np.all(np.isfinite(cot))
+        keep = d_pts.copy()
+        keep[:, collapsed] = 0.0
+        assert np.array_equal(cot, soft_argmax_vjp(heat, keep))
 
     def test_vjp_finite_difference(self):
         rng = np.random.default_rng(3)
@@ -218,3 +240,86 @@ class TestCheckpoint:
         blob = checkpoint_bytes(det16)
         with pytest.raises(CheckpointFormatError):
             parse_checkpoint(blob[: len(blob) - 8])
+
+
+def _manifest_blob(manifest: dict, payload: bytes) -> bytes:
+    m = json.dumps(manifest).encode("utf-8")
+    return b"WAGGDET1" + struct.pack("<I", len(m)) + m + payload
+
+
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    (mlen,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12 : 12 + mlen]), blob[12 + mlen :]
+
+
+_SMALL_BLOB = checkpoint_bytes(ToyDetector(num_landmarks=2, input_size=(8, 8), seed=1))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_MANIFEST_KEYS = ["format_version", "input_size", "num_landmarks", "seed", "tensors", "meta"]
+
+
+@st.composite
+def _damaged_checkpoints(draw) -> bytes:
+    blob = _SMALL_BLOB
+    kind = draw(st.sampled_from(["random", "truncate", "flip", "append", "manifest"]))
+    if kind == "random":
+        return draw(st.sampled_from([b"", b"WAGGDET1"])) + draw(st.binary(max_size=40))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1 :]
+    if kind == "append":
+        return blob + draw(st.binary(min_size=1, max_size=8))
+    manifest, payload = _split(blob)
+    for key in draw(st.sets(st.sampled_from(_MANIFEST_KEYS))):
+        del manifest[key]
+    manifest.update(draw(st.dictionaries(st.sampled_from(_MANIFEST_KEYS), _JSON, max_size=2)))
+    return _manifest_blob(manifest, payload)
+
+
+class TestCheckpointBoundary:
+    def test_header_shorter_than_twelve_bytes(self):
+        for blob in (b"WAGGDET1", b"WAGGDET1\x05\x00"):
+            with pytest.raises(CheckpointFormatError, match="header"):
+                parse_checkpoint(blob)
+
+    @pytest.mark.parametrize("key", ["tensors", "num_landmarks", "input_size", "seed"])
+    def test_missing_manifest_key(self, det16, key):
+        manifest, payload = _split(checkpoint_bytes(det16))
+        del manifest[key]
+        with pytest.raises(CheckpointFormatError, match=key):
+            parse_checkpoint(_manifest_blob(manifest, payload))
+
+    def test_bytes_after_payload(self, det16):
+        with pytest.raises(CheckpointFormatError, match="after the payload"):
+            parse_checkpoint(checkpoint_bytes(det16) + b"\x00")
+
+    def test_tensor_list_must_fit_the_architecture(self, det16):
+        manifest, payload = _split(checkpoint_bytes(det16))
+        # same byte count, transposed weight shape
+        entry = next(e for e in manifest["tensors"] if e["name"] == "enc2.w")
+        entry["shape"] = [4, 8, 3, 3]
+        with pytest.raises(CheckpointFormatError, match="architecture"):
+            parse_checkpoint(_manifest_blob(manifest, payload))
+
+    def test_bad_settings_are_format_errors(self, det16):
+        manifest, payload = _split(checkpoint_bytes(det16))
+        manifest["input_size"] = [18, 16]
+        with pytest.raises(CheckpointFormatError):
+            parse_checkpoint(_manifest_blob(manifest, payload))
+
+    @given(_damaged_checkpoints())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_format_errors_escape(self, blob):
+        try:
+            det, _ = parse_checkpoint(blob)
+        except CheckpointFormatError:
+            return
+        # what parses is a complete detector: every tensor present, float32
+        assert sorted(det.params) == sorted(ToyDetector(det.num_landmarks, seed=0).params)
+        assert all(v.dtype == np.float32 for v in det.params.values())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import blob_image
+from conftest import base_shape_12, blob_image
 from warpagg.attack import AttackConfig
 from warpagg.embedder import ToyEmbedder, embed, embedding_distance
 from warpagg.groups import (
@@ -17,17 +17,6 @@ from warpagg.groups import (
     validate_structure,
 )
 
-
-def base_shape_12() -> np.ndarray:
-    """Symmetric face-like layout matching the 'synthetic' scheme order."""
-    return np.array([
-        [-0.42, -0.45], [-0.18, -0.45],   # right brow
-        [0.18, -0.45], [0.42, -0.45],     # left brow
-        [-0.40, -0.15], [-0.20, -0.15],   # right eye
-        [0.20, -0.15], [0.40, -0.15],     # left eye
-        [0.0, -0.10], [0.0, 0.15],        # nose
-        [-0.22, 0.42], [0.22, 0.42],      # mouth
-    ])
 
 
 class TestAssignGroups:

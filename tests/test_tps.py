@@ -5,12 +5,14 @@ from conftest import blob_image, ring_landmarks
 from warpagg.imaging import Image, normalized_grid, sample_grid
 from warpagg.tps import (
     DegenerateControlPointsError,
+    _pairwise_sq,
     eval_tps,
     eval_tps_point_jacobian,
     fit_tps,
     invert_landmarks,
     warp_image,
     warp_vjp,
+    warp_with_vjp,
 )
 
 
@@ -66,6 +68,17 @@ class TestFitEval:
         with pytest.raises(DegenerateControlPointsError):
             fit_tps(src, src + 0.01, lam=0.0)
 
+    @pytest.mark.parametrize("which", ["source", "target"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, which, bad):
+        pts = ring_landmarks(8, seed=8)
+        broken = pts.copy()
+        broken[3, 1] = bad
+        src, dst = (broken, pts) if which == "source" else (pts, broken)
+        with pytest.raises(ValueError, match="finite") as info:
+            fit_tps(src, dst, lam=1e-6)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_near_coincident_recovers_with_ridge(self):
         pts = ring_landmarks(8, seed=8)
         src = np.vstack([pts, pts[0] + 1e-13])
@@ -88,6 +101,29 @@ class TestFitEval:
             fm = eval_tps(t, probes - e)
             fd = (fp - fm) / (2 * h)
             assert np.max(np.abs(jac[:, :, axis] - fd)) < 1e-6
+
+
+class TestPairwiseSq:
+    def test_matches_einsum_bitwise(self):
+        rng = np.random.default_rng(40)
+        grid = normalized_grid(37, 29)
+        cpts = np.vstack([rng.uniform(-1, 1, (11, 2)), grid[[0, 100, 500]]])
+        diff = grid[:, None, :] - cpts[None, :, :]
+        expected = np.einsum("ijk,ijk->ij", diff, diff)
+        got = _pairwise_sq(grid, cpts)
+        assert np.array_equal(got, expected)
+        # control points sitting on grid nodes give an exact zero there
+        assert got[0, 11] == 0.0 and got[100, 12] == 0.0 and got[500, 13] == 0.0
+        assert np.count_nonzero(got == 0.0) == 3
+
+    def test_writes_into_a_strided_block(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.uniform(-1, 1, (50, 2)), rng.uniform(-1, 1, (7, 2))
+        buf = np.full((50, 10), -1.0)
+        out = _pairwise_sq(a, b, out=buf[:, :7])
+        assert np.shares_memory(out, buf)
+        assert np.array_equal(buf[:, :7], _pairwise_sq(a, b))
+        assert np.all(buf[:, 7:] == -1.0)
 
 
 class TestWarpImage:
@@ -151,6 +187,51 @@ class TestInvertLandmarks:
         probes = rng.uniform(-0.5, 0.5, (40, 2))
         recovered = invert_landmarks(pts, moved, eval_tps(fwd, probes), lam=0.0)
         assert np.max(np.abs(recovered - probes)) < 1e-3
+
+
+class TestWarpWithVjp:
+    @pytest.fixture(scope="class")
+    def case(self):
+        img = blob_image(48, seed=50)
+        rng = np.random.default_rng(51)
+        pts = ring_landmarks(9, radius=0.5, seed=51)
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        return img, pts, moved, rng.normal(size=(48, 48))
+
+    def test_image_equals_warp_image_bitwise(self, case):
+        img, pts, moved, _ = case
+        warped, _ = warp_with_vjp(img, pts, moved)
+        assert np.max(np.abs(moved - pts)) > 0.0
+        assert np.array_equal(warped.data, warp_image(img, pts, moved).data)
+
+    def test_backward_reusable_and_equal_to_warp_vjp(self, case):
+        img, pts, moved, cot = case
+        _, vjp = warp_with_vjp(img, pts, moved)
+        first = vjp(cot)
+        assert np.array_equal(vjp(cot), first)
+        assert np.array_equal(first, warp_vjp(img, pts, moved, cot))
+
+    def test_one_fit_per_step(self, case, monkeypatch):
+        import warpagg.tps as tps_mod
+
+        img, pts, moved, cot = case
+        calls = []
+        real_fit = tps_mod.fit_tps
+
+        def fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(tps_mod, "fit_tps", fit)
+        _, vjp = warp_with_vjp(img, pts, moved)
+        vjp(cot)
+        assert len(calls) == 1
+
+    def test_wrong_cotangent_size(self, case):
+        img, pts, moved, _ = case
+        _, vjp = warp_with_vjp(img, pts, moved)
+        with pytest.raises(ValueError):
+            vjp(np.zeros((47, 48)))
 
 
 class TestWarpVjp:
