@@ -214,7 +214,7 @@ def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
     bound = translation_fraction * NORMALIZED_WIDTH
     mirrored_from = {gb: ga for ga, gb in groups.mirror_pairs}
     for _ in range(max_attempts):
-        sims: list[GroupSimilarity | None] = [None] * groups.count
+        sims: dict[int, GroupSimilarity] = {}
         drawn: dict[int, tuple[float, np.ndarray]] = {}
         for gid in range(groups.count):
             if gid in mirrored_from:
@@ -227,9 +227,7 @@ def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
             scale, offset = drawn[ga]
             mirrored = np.array([-offset[0], offset[1]])
             sims[gb] = GroupSimilarity(scale, group_mean(base[groups.indices(gb)]) + mirrored)
-        result = [s for s in sims if s is not None]
-        if len(result) != groups.count:
-            raise RuntimeError("internal error: incomplete transform set")
+        result = [sims[gid] for gid in range(groups.count)]
         if validate_structure(groups, base, apply_groups(base, groups, result)):
             return result
     raise StructureSamplingError(

@@ -128,6 +128,12 @@ def load_image(path) -> Image:
         dtype = np.uint8 if bpp == 1 else np.dtype(">u2")
         samples = np.frombuffer(raster[:need], dtype=dtype).astype(np.float64)
     else:
+        # each sample is at least one digit after one delimiter byte, so a
+        # payload this short cannot hold the header's width*height samples
+        if len(buf) - end < 2 * count:
+            raise PgmTruncatedError(
+                f"expected {count} samples, payload has only {len(buf) - end} bytes"
+            )
         samples = np.empty(count, dtype=np.float64)
         for k in range(count):
             try:
@@ -138,6 +144,8 @@ def load_image(path) -> Image:
                 samples[k] = int(tok)
             except ValueError:
                 raise PgmDataError(f"non-integer sample {tok!r}") from None
+            except OverflowError:
+                raise PgmDataError("sample value exceeds maxval") from None
     if samples.min() < 0 or samples.max() > maxval:
         raise PgmDataError("sample value exceeds maxval")
     samples /= maxval  # in place: no second full-size float64 raster

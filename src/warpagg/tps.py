@@ -7,13 +7,23 @@ target points; warping is backward: the output image samples the input
 through the spline fitted from the *manipulated* landmarks back to the
 originals, so landmark content ends up at its manipulated location.
 
+The grid kernel is laid out control-point-major: the transposed features
+[U; 1; x; y] are (L+3, Npix) and log s is (L, Npix), so every elementwise
+pass runs over long contiguous rows. On the pixel grid the squared
+distances are separable, s[j, r W + c] = dx^2[j, c] + dy^2[j, r], and are
+written by one broadcast add of the two small per-axis factors. The mapped
+grid is one GEMM, (params^T @ phi^T)^T.
+
 The warp and its gradient share one step: :func:`warp_with_vjp` fits the
 spline once and builds the grid kernel once (squared distances s, log s and
 the features U = s log s), samples the image and its slopes, and returns the
-warped image with a backward that reuses all of it, including the fitted
-system for the adjoint solve and log s for the kernel derivative
-2 (log s + 1). :func:`warp_image` is the plain path: the same fit and grid
-kernel, no slopes, and no log s kept.
+warped image with a backward that reuses all of it. The backward is two
+GEMMs over the grid kernel: the direct term contracts log s with six
+per-pixel rows Y = [q; q x; q y] (q the cotangent on the sampled location),
+folding the kernel derivative 2 (log s + 1) into 2 (log_s @ Y^T + sum_p Y);
+the adjoint term is phi^T @ q^T, solved against the fit's stored system
+matrix. Neither allocates an (L, Npix) temporary. :func:`warp_image` is the plain path: the same
+fit and grid kernel, no slopes, and no log s kept.
 """
 
 from __future__ import annotations
@@ -61,15 +71,19 @@ def _kernel_dcoef(s: np.ndarray) -> np.ndarray:
     return np.where(s > _TINY_SQ, c, 0.0)
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances (N, M) between the rows of a (N,2) and b (M,2), built
-    per axis in place (into ``out`` when given) so no (N, M, 2) difference
-    array is ever held."""
-    s = np.subtract(a[:, None, 0], b[None, :, 0], out=out)
-    s *= s
-    dy = a[:, None, 1] - b[None, :, 1]
-    dy *= dy
-    s += dy
+def _axis_sq(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(v - c_j)^2 for every control coordinate c_j (L,) against the
+    coordinates ``v`` (any shape S), shape (L, *S)."""
+    d = v[None] - c.reshape((-1,) + (1,) * v.ndim)
+    d *= d
+    return d
+
+
+def _pairwise_sq(cpts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distances (L, N) from the control points (L,2) to the points
+    (N,2), built per axis so no (L, N, 2) difference array is ever held."""
+    s = _axis_sq(cpts[:, 0], pts[:, 0])
+    s += _axis_sq(cpts[:, 1], pts[:, 1])
     return s
 
 
@@ -84,33 +98,57 @@ def _system_matrix(cpts: np.ndarray, lam: float) -> np.ndarray:
     return a
 
 
-def _features(pts: np.ndarray, cpts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix [U(|p-c_j|^2) ... 1 x y], shape (N, L+3), and log s of
-    the same squared distances, shape (N, L).
+def _features(cpts: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed feature matrix [U(|p-c_j|^2) ...; 1; x; y], shape (L+3, N),
+    and log s of the same squared distances, shape (L, N).
 
-    s is built inside the feature matrix and turned into U = s log s there,
-    so a caller that drops log s holds one (N, L+3) array and nothing else.
-    Where s is (numerically) zero the feature is 0 and log s is set to -1, so
-    the kernel-derivative coefficient 2 (log s + 1) is exactly 0 there too.
+    The points are given by their coordinates ``x`` and ``y``, two arrays
+    that broadcast to one shape S with N = prod(S) elements, taken in
+    row-major order. For a list of points they are the (N,) columns; for the
+    pixel grid they are the (1, W) row and (H, 1) column axes, and then
+    s = dx^2 + dy^2 is one broadcast add of two small per-axis factors,
+    written into the top block of the feature matrix and turned into
+    U = s log s there. Where s is (numerically) zero the feature is 0 and
+    log s is set to -1, so the kernel-derivative coefficient 2 (log s + 1)
+    is exactly 0 there too.
     """
-    n, m = pts.shape[0], cpts.shape[0]
-    phi = np.empty((n, m + 3))
-    kern = _pairwise_sq(pts, cpts, out=phi[:, :m])
-    near = kern <= _TINY_SQ
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    m = cpts.shape[0]
+    phi_t = np.empty((m + 3, int(np.prod(shape))))
+    kern = phi_t[:m]
+    np.add(_axis_sq(cpts[:, 0], x), _axis_sq(cpts[:, 1], y), out=kern.reshape((m, *shape)))
+    # a mask only when some point sits on a control point
+    near = kern <= _TINY_SQ if kern.min(initial=np.inf) <= _TINY_SQ else None
     with np.errstate(divide="ignore", invalid="ignore"):
         log_s = np.log(kern)
         kern *= log_s
-    if near.any():
+    if near is not None:
         kern[near] = 0.0
         log_s[near] = -1.0
-    phi[:, m] = 1.0
-    phi[:, m + 1 :] = pts
-    return phi, log_s
+    phi_t[m] = 1.0
+    phi_t[m + 1].reshape(shape)[...] = x
+    phi_t[m + 2].reshape(shape)[...] = y
+    return phi_t, log_s
+
+
+def _grid_features(cpts: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_features` at every pixel center of a (height, width) raster,
+    in :func:`normalized_grid` order, from its x and y axes."""
+    grid = normalized_grid(width, height)
+    return _features(cpts, grid[:width, 0][None, :], grid[::width, 1][:, None])
 
 
 def _params(t: TpsTransform) -> np.ndarray:
     """Stacked spline parameters (L+3, 2): kernel weights, then the affine part."""
     return np.vstack([t.kernel_weights, t.affine.T])
+
+
+def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
+    """Mapped points (N, 2) from the parameters (L+3, 2) and the transposed
+    features (L+3, N). The product is formed as (2, N) and returned as its
+    transposed view; at 256 px with L=68 the (N, 2) product
+    ``phi_t.T @ params`` takes about three times as long."""
+    return (params.T @ phi_t).T
 
 
 def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTransform:
@@ -153,7 +191,12 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
 def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
     """Apply the fitted mapping to points (N,2) -> (N,2)."""
     pts = np.asarray(pts, dtype=np.float64)
-    return _features(pts, t.control_points)[0] @ _params(t)
+    phi_t, _ = _features(t.control_points, pts[:, 0], pts[:, 1])
+    # Products this small run in a BLAS small-matrix kernel whose summation
+    # order follows the operand layout. The row-major (N, L+3) operand, one
+    # small copy, keeps mapped landmarks bitwise equal to the point-major
+    # evaluation phi @ params.
+    return np.ascontiguousarray(phi_t.T) @ _params(t)
 
 
 def eval_tps_point_jacobian(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
@@ -175,8 +218,9 @@ def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
     spline-mapped location in the input (clamped bilinear sampling).
     """
     t = fit_tps(points_moved, points, lam)
-    grid = normalized_grid(img.width, img.height)
-    src = eval_tps(t, grid)
+    # one expression, so the grid kernel is freed before sampling starts and
+    # the peak memory is the kernel's alone
+    src = _mapped(_params(t), _grid_features(t.control_points, img.width, img.height)[0])
     vals, _ = sample_grid(img.data, src)
     return Image(np.clip(vals.reshape(img.height, img.width), 0.0, 1.0))
 
@@ -208,26 +252,34 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
     t = fit_tps(points_moved, pts, lam)
     cpts = t.control_points
     n = cpts.shape[0]
-    grid = normalized_grid(img.width, img.height)
-    phi, log_s = _features(grid, cpts)
+    phi_t, log_s = _grid_features(cpts, img.width, img.height)
     params = _params(t)
-    vals, grads = sample_grid(img.data, phi @ params, with_grad=True)
+    vals, grads = sample_grid(img.data, _mapped(params, phi_t), with_grad=True)
     warped = Image(np.clip(vals.reshape(img.height, img.width), 0.0, 1.0))
 
     def vjp(cotangent: np.ndarray) -> np.ndarray:
         cot = np.asarray(cotangent, dtype=np.float64).ravel()
-        if cot.size != grid.shape[0]:
+        if cot.size != phi_t.shape[1]:
             raise ValueError("cotangent must match image dimensions")
-        q = cot[:, None] * grads  # (Npix, 2): d objective / d sampled location
+        # (2, Npix) rows: d objective / d sampled location
+        q = np.multiply(cot, grads.T, order="C")
 
-        # Direct term: kernel features depend on the moved control points.
-        m1 = log_s + 1.0
-        m1 *= 2.0                      # kernel-derivative coefficient 2 (log s + 1)
-        m1 *= q @ t.kernel_weights.T   # (Npix, L)
-        grad = cpts * m1.sum(axis=0)[:, None] - m1.T @ grid
+        # Direct term: kernel features depend on the moved control points,
+        # d U_jp / d c_j = 2 (log s_jp + 1) (c_j - p). With Y = [q; q x; q y]
+        # the pixel sums of 2 (log s + 1) Y are 2 (log_s @ Y^T + sum_p Y), and
+        # contracting them with the kernel weights gives both parts. Y is
+        # kept in contiguous rows: sum_p along a row is pairwise, and the
+        # error of a plain running sum, shared by every control point, would
+        # be amplified by the kernel weights.
+        y = np.concatenate([q, q * phi_t[n + 1], q * phi_t[n + 2]])  # (6, Npix)
+        z = log_s @ y.T
+        z += y.sum(axis=1)
+        z *= 2.0
+        z = np.einsum("jko,jo->jk", z.reshape(n, 3, 2), t.kernel_weights)  # (L, 3)
+        grad = cpts * z[:, :1] - z[:, 1:]
 
         # Adjoint term: parameters solve A(moved) params = rhs.
-        v = phi.T @ q  # (L+3, 2) = d objective / d params
+        v = phi_t @ q.T  # (L+3, 2) = d objective / d params
         lam_adj = np.linalg.solve(t.system, v)  # A is symmetric
         m = -lam_adj @ params.T  # (L+3, L+3) = d objective / d A
 

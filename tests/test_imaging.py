@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conftest import blob_image
 from warpagg.imaging import (
     Image,
     PgmDataError,
+    PgmError,
     PgmHeaderError,
     PgmTruncatedError,
     PgmUnsupportedError,
@@ -113,6 +116,87 @@ class TestPgmIO:
         save_image(img, f)
         back = load_image(f)
         assert np.max(np.abs(back.data - img.data)) < 1 / 255
+
+
+@st.composite
+def _damaged_pgms(draw) -> bytes:
+    """Small valid P2/P5 files, then damaged: truncated, a flipped byte, huge
+    or non-positive dimensions, a bad maxval, an out-of-range sample,
+    comments between header fields, or random bytes."""
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.sampled_from([1, 9, 255, 256, 65535]))
+    samples = draw(st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height))
+    if magic == b"P2":
+        tokens = [str(v).encode() for v in samples]
+    kind = draw(st.sampled_from(["truncate", "flip", "dims", "maxval", "sample", "comment", "random"]))
+    fields = [str(width).encode(), str(height).encode(), str(maxval).encode()]
+    if kind == "dims":
+        fields[draw(st.integers(0, 1))] = str(draw(st.sampled_from([0, -1, 4000, 65535, 10**30]))).encode()
+    elif kind == "maxval":
+        fields[2] = draw(st.sampled_from([b"0", b"-1", b"65536", b"1e3", b"x", b"9" * 30]))
+    elif kind == "sample" and magic == b"P2":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from([b"-1", b"9" * 400, b"1.5", b"\xff"]))
+    seps = [b"\n", b" ", b"\n"]
+    if kind == "comment":
+        seps[draw(st.integers(0, 2))] = draw(st.sampled_from([b"\n# note\n", b" #\n", b"#x"]))
+    if magic == b"P2":
+        payload = b" ".join(tokens) + b"\n"
+    elif maxval < 256:
+        payload = bytes(samples)
+    else:
+        payload = b"".join(v.to_bytes(2, "big") for v in samples)
+    blob = magic + seps[0] + fields[0] + seps[1] + fields[1] + seps[2] + fields[2] + b"\n" + payload
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        i = draw(st.integers(0, len(blob) - 1))
+        return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1 :]
+    if kind == "random":
+        return draw(st.sampled_from([b"", b"P2", b"P5\n"])) + draw(st.binary(max_size=60))
+    return blob
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pgm") / "fuzz.pgm"
+
+
+def _load_traced(path):
+    """load_image(path) or the PgmError it raised, and the peak bytes it
+    allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        return load_image(path), tracemalloc.get_traced_memory()[1]
+    except PgmError as err:
+        return err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPgmBoundary:
+    @pytest.mark.parametrize("dims", [b"4000 4000", b"65535 65535"])
+    def test_p2_short_payload_raises_before_allocating(self, tmp_path, dims):
+        f = tmp_path / "huge.pgm"
+        f.write_bytes(b"P2 " + dims + b" 255\n0 1\n")
+        result, peak = _load_traced(f)
+        assert isinstance(result, PgmTruncatedError)
+        assert peak < 2**20
+
+    def test_p2_sample_too_large_for_a_float(self, tmp_path):
+        f = tmp_path / "big.pgm"
+        f.write_bytes(b"P2\n1 1\n255\n" + b"9" * 400 + b"\n")
+        with pytest.raises(PgmDataError):
+            load_image(f)
+
+    @given(_damaged_pgms())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_pgm_errors_escape(self, fuzz_path, blob):
+        fuzz_path.write_bytes(blob)
+        result, peak = _load_traced(fuzz_path)
+        assert isinstance(result, (Image, PgmError))
+        # a file under 1 KB never costs more than a few MB to reject or read
+        assert peak < 4 * 2**20
 
 
 class TestCoordinates:
