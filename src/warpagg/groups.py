@@ -9,7 +9,7 @@ family before clipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -31,33 +31,53 @@ class SemanticGroups:
     """Partition of landmark indices into facial-region groups.
 
     ``mirror_pairs`` lists (right, left) group ids whose transforms must be
-    x-mirrors of each other when sampling known transforms; ``vertical_pairs``
-    lists (upper, lower) group ids whose bounding boxes must stay vertically
-    separated.
+    x-mirrors of each other when sampling known transforms, each group in at
+    most one pair; ``vertical_pairs`` lists (upper, lower) group ids whose
+    bounding boxes must stay vertically separated. A pair names two distinct
+    ids in 0..count-1.
     """
 
     count: int
     membership: np.ndarray
     mirror_pairs: tuple[tuple[int, int], ...] = ()
     vertical_pairs: tuple[tuple[int, int], ...] = ()
+    # read-only landmark indices of each group, built once
+    _indices: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mem = np.asarray(self.membership, dtype=np.intp)
         if mem.ndim != 1:
             raise ValueError("membership must be a flat index array")
-        ids, sizes = np.unique(mem, return_counts=True)
-        if not np.array_equal(ids, np.arange(self.count)):
+        # ids are range-checked first, so the count array stays count long
+        if not (mem.size and mem.min() >= 0 and mem.max() < self.count):
+            raise ValueError("membership must cover group ids 0..count-1")
+        sizes = np.bincount(mem, minlength=self.count)
+        if not sizes.all():
             raise ValueError("membership must cover group ids 0..count-1")
         if sizes.min() < 2:
             raise ValueError("every group needs at least 2 landmarks")
+        for name in ("mirror_pairs", "vertical_pairs"):
+            for a, b in getattr(self, name):
+                if not (0 <= a < self.count and 0 <= b < self.count):
+                    raise ValueError(f"{name} entry {(a, b)} names a group id outside 0..{self.count - 1}")
+                if a == b:
+                    raise ValueError(f"{name} entry {(a, b)} pairs a group with itself")
+        mirrored = [gid for pair in self.mirror_pairs for gid in pair]
+        if len(set(mirrored)) != len(mirrored):
+            raise ValueError(f"mirror_pairs {self.mirror_pairs} put a group in more than one pair")
         object.__setattr__(self, "membership", mem)
+        # a stable sort lists each group's landmarks in ascending order
+        order = np.argsort(mem, kind="stable")
+        order.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        object.__setattr__(self, "_indices", tuple(order[a:b] for a, b in zip([0, *ends], ends)))
 
     @property
     def sizes(self) -> np.ndarray:
         return np.bincount(self.membership, minlength=self.count)
 
     def indices(self, gid: int) -> np.ndarray:
-        return np.flatnonzero(self.membership == gid)
+        return self._indices[gid]
 
 
 @dataclass(frozen=True)

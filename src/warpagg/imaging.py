@@ -182,11 +182,16 @@ def from_pixel(pts, width: int, height: int) -> np.ndarray:
     return out
 
 
-def normalized_grid(width: int, height: int) -> np.ndarray:
-    """Normalized coordinates of every pixel center, row-major, shape (H*W, 2)."""
+def grid_axes(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized x of every pixel column (W,) and y of every pixel row (H,)."""
     xs = from_pixel(np.stack([np.arange(width, dtype=np.float64), np.zeros(width)], axis=-1), width, height)[:, 0]
     ys = from_pixel(np.stack([np.zeros(height), np.arange(height, dtype=np.float64)], axis=-1), width, height)[:, 1]
-    gx, gy = np.meshgrid(xs, ys)
+    return xs, ys
+
+
+def normalized_grid(width: int, height: int) -> np.ndarray:
+    """Normalized coordinates of every pixel center, row-major, shape (H*W, 2)."""
+    gx, gy = np.meshgrid(*grid_axes(width, height))
     return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 

@@ -43,6 +43,40 @@ class TestAssignGroups:
             SemanticGroups(count=2, membership=np.array([0, 0, 1]))
 
 
+    @pytest.mark.parametrize("count,membership", [
+        (3, [0, 0, 2, 2]),
+        (2, [-1, -1, 0, 0, 1, 1]),
+        (2, [0, 0, 1, 1, 2, 2]),
+        (2, [0, 0, 1, 1, 10**12]),
+        (0, []),
+    ], ids=["gap", "negative", "beyond-count", "huge-id", "empty"])
+    def test_membership_must_cover_ids(self, count, membership):
+        with pytest.raises(ValueError, match="cover group ids"):
+            SemanticGroups(count=count, membership=np.array(membership, dtype=np.intp))
+
+
+class TestPairValidation:
+    @pytest.mark.parametrize("pairs,message", [
+        (dict(mirror_pairs=((0, 1), (1, 2))), "more than one pair"),
+        (dict(mirror_pairs=((0, 5),)), "outside 0..4"),
+        (dict(vertical_pairs=((0, 7),)), "outside 0..4"),
+        (dict(mirror_pairs=((2, 2),)), "with itself"),
+        (dict(vertical_pairs=((-1, 2),)), "outside 0..4"),
+    ], ids=["chained-mirror", "mirror-out-of-range", "vertical-out-of-range", "mirror-self", "vertical-negative"])
+    def test_bad_pairs_rejected_when_built(self, pairs, message):
+        membership = assign_groups(68, "ibug68").membership
+        with pytest.raises(ValueError, match=message):
+            SemanticGroups(count=5, membership=membership, **pairs)
+
+    @pytest.mark.parametrize("scheme,length", [("ibug68", 68), ("synthetic", 12)])
+    def test_indices_are_read_only_and_partition(self, scheme, length):
+        g = assign_groups(length, scheme)
+        for gid in range(g.count):
+            idx = g.indices(gid)
+            assert np.array_equal(idx, np.flatnonzero(g.membership == gid))
+            assert idx is g.indices(gid) and not idx.flags.writeable
+
+
 class TestGroupMean:
     def test_simple_mean(self):
         assert np.allclose(group_mean(np.array([[0.0, 0.0], [2.0, 0.0]])), [1.0, 0.0])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import warpagg.tps as tps_mod
 from conftest import blob_image, ring_landmarks
 from warpagg.imaging import Image, normalized_grid, sample_grid
 from warpagg.tps import (
@@ -173,22 +176,33 @@ def _oracle_warp_with_vjp(img, pts, moved, lam):
     return phi, log_s, warped, vjp
 
 
+def _case_id(case):
+    width, height, count = case
+    size = f"{width}px" if width == height else f"{width}x{height}px"
+    return f"{size}-L{count}"
+
+
 class TestGridKernelOracle:
     """The control-point-major grid kernel against the point-major oracle:
-    the same bits forward, the re-associated backward within 1e-12."""
+    the same bits forward, the re-associated backward within 1e-12. The
+    non-square rasters end in a shorter row band of :func:`warp_image`."""
 
-    @pytest.fixture(scope="class", params=[(32, 8), (48, 9), (256, 68)], ids=lambda c: f"{c[0]}px-L{c[1]}")
+    @pytest.fixture(scope="class", params=[(32, 32, 8), (48, 48, 9), (256, 256, 68), (250, 97, 20), (300, 130, 68)],
+                    ids=_case_id)
     def case(self, request):
-        size, count = request.param
-        rng = np.random.default_rng(size + count)
-        img = blob_image(size, seed=size)
+        width, height, count = request.param
+        rng = np.random.default_rng(width + count)
+        img = Image(blob_image(max(width, height), seed=width).data[:height, :width])
         pts = rng.uniform(-0.7, 0.7, (count, 2))
         moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
-        # two control points sitting exactly on pixel centers
-        grid = normalized_grid(size, size)
+        # three control points sitting exactly on pixel centers, the third in
+        # the bottom row and so in the last band
+        grid = normalized_grid(width, height)
         nodes = rng.choice(grid.shape[0], 2, replace=False)
-        moved[:2] = grid[nodes]
-        cot = rng.normal(size=(size, size))
+        last_row = grid.shape[0] - width + np.arange(width)
+        nodes = np.append(nodes, np.setdiff1d(last_row, nodes)[width // 3])
+        moved[:3] = grid[nodes]
+        cot = rng.normal(size=(height, width))
         oracle = _oracle_warp_with_vjp(img, pts, moved, 1e-6)
         return img, pts, moved, cot, nodes, oracle
 
@@ -198,11 +212,13 @@ class TestGridKernelOracle:
         assert phi_t.shape == (moved.shape[0] + 3, img.width * img.height)
         assert np.array_equal(phi_t, phi.T)
         assert np.array_equal(log_s_t, log_s.T)
-        assert phi_t[0, nodes[0]] == 0.0 and phi_t[1, nodes[1]] == 0.0
-        assert log_s_t[0, nodes[0]] == -1.0 and log_s_t[1, nodes[1]] == -1.0
+        for j, node in enumerate(nodes):
+            assert phi_t[j, node] == 0.0 and log_s_t[j, node] == -1.0
 
     def test_images_bitwise(self, case):
         img, pts, moved, _, _, (_, _, warped, _) = case
+        if img.width != img.height:
+            assert img.height % max(1, tps_mod._BAND_PIXELS // img.width) != 0  # a ragged last band
         assert np.array_equal(warp_image(img, pts, moved, lam=1e-6).data, warped)
         assert np.array_equal(warp_with_vjp(img, pts, moved, lam=1e-6)[0].data, warped)
 
@@ -233,6 +249,21 @@ class TestWarpImage:
         pts = ring_landmarks(6, seed=12)
         out = warp_image(img, pts, pts + np.array([0.1, 0.05]), lam=1e-6)
         assert np.max(np.abs(out.data - 0.6)) < 1e-9
+
+    def test_peak_memory_stays_below_half_a_kernel_block(self):
+        # one (L, Npix) float64 block at 256 px/L=68 is 35.7 MB
+        rng = np.random.default_rng(70)
+        img = blob_image(256, seed=70)
+        pts = rng.uniform(-0.7, 0.7, (68, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        warp_image(img, pts, moved)
+        tracemalloc.start()
+        try:
+            warp_image(img, pts, moved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_dot_centroid_tracks_displacement(self):
         # bright 3x3 dot at image center, 5 spread control points
@@ -299,6 +330,18 @@ class TestWarpWithVjp:
         assert np.max(np.abs(moved - pts)) > 0.0
         assert np.array_equal(warped.data, warp_image(img, pts, moved).data)
 
+    # 40 px/L=30 and 64 px/L=68 take BLAS's small-matrix GEMM over the whole
+    # grid, 256 px/L=68 its blocked GEMM; warp_image multiplies one row band
+    # at a time
+    @pytest.mark.parametrize("size,count", [(40, 30), (64, 68), (256, 68)])
+    def test_image_equals_warp_image_bitwise_per_gemm_kernel(self, size, count):
+        rng = np.random.default_rng(size + count)
+        img = blob_image(size, seed=size)
+        pts = rng.uniform(-0.7, 0.7, (count, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        warped, _ = warp_with_vjp(img, pts, moved)
+        assert np.array_equal(warped.data, warp_image(img, pts, moved).data)
+
     def test_backward_reusable_and_equal_to_warp_vjp(self, case):
         img, pts, moved, cot = case
         _, vjp = warp_with_vjp(img, pts, moved)
@@ -307,8 +350,6 @@ class TestWarpWithVjp:
         assert np.array_equal(first, warp_vjp(img, pts, moved, cot))
 
     def test_one_fit_per_step(self, case, monkeypatch):
-        import warpagg.tps as tps_mod
-
         img, pts, moved, cot = case
         calls = []
         real_fit = tps_mod.fit_tps
