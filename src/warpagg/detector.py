@@ -6,7 +6,9 @@ positive so the weighted-mean decode is always defined).
 Parameters are stored float32 (the checkpoint payload dtype); all math runs
 in float64. The backward pass returns analytic parameter gradients for a
 cotangent on the heatmaps, chainable with the soft-argmax Jacobian so a
-landmark-space loss trains the network end to end.
+landmark-space loss trains the network end to end. The conv and pool layers
+and their adjoints come from :mod:`warpagg.layers`, the toolkit the
+embedder uses too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import Image, from_pixel, to_pixel
+from .layers import avgpool, avgpool_grad, conv3, conv3_input_grad
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
@@ -36,37 +39,10 @@ class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not parse as a known detector checkpoint."""
 
 
-def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """3x3 same-pad convolution via an im2col GEMM; returns (out, cols)."""
-    cin, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * 9)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
-    return out.T.reshape(w.shape[0], h, wd), cols
-
-
-def _conv3_backward(g: np.ndarray, cols: np.ndarray, w: np.ndarray, cin: int):
-    """Gradients of a _conv3 layer: (d weight, d bias, d input)."""
-    cout, h, wd = g.shape
-    gm = g.reshape(cout, h * wd)
-    gw = (gm @ cols).reshape(w.shape)
-    gb = g.sum(axis=(1, 2))
-    dcols = (gm.T @ w.reshape(cout, -1)).reshape(h, wd, cin, 3, 3)
-    buf = np.zeros((cin, h + 2, wd + 2))
-    for dy in range(3):
-        for dx in range(3):
-            buf[:, dy : dy + h, dx : dx + wd] += dcols[:, :, :, dy, dx].transpose(2, 0, 1)
-    return gw, gb, buf[:, 1 : 1 + h, 1 : 1 + wd]
-
-
-def _pool2(x: np.ndarray) -> np.ndarray:
-    c, h, wd = x.shape
-    return x.reshape(c, h // 2, 2, wd // 2, 2).mean(axis=(2, 4))
-
-
-def _pool2_backward(g: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) / 4.0
+def _conv3_backward(g: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    """Gradients of a conv3 layer: (d weight, d bias, d input)."""
+    gw = (g.reshape(g.shape[0], -1) @ cols).reshape(w.shape)
+    return gw, g.sum(axis=(1, 2)), conv3_input_grad(g, w)
 
 
 def _up2(x: np.ndarray) -> np.ndarray:
@@ -98,6 +74,8 @@ class ToyDetector:
 
     def __post_init__(self) -> None:
         h, w = self.input_size
+        if h < 1 or w < 1:
+            raise ValueError(f"input size must be positive, got {h}x{w}")
         if h % 4 or w % 4:
             raise ValueError("input size must be divisible by 4 (two 2x pools)")
         if self.num_landmarks < 1:
@@ -151,19 +129,19 @@ def forward_cached(det: ToyDetector, img: Image):
     _check_input(det, img)
     p = {k: v.astype(np.float64) for k, v in det.params.items()}
     x = img.data[None]
-    a1, cols1 = _conv3(x, p["enc1.w"], p["enc1.b"])
+    a1, cols1 = conv3(x, p["enc1.w"], p["enc1.b"])
     e1 = np.tanh(a1)
-    p1 = _pool2(e1)
-    a2, cols2 = _conv3(p1, p["enc2.w"], p["enc2.b"])
+    p1 = avgpool(e1, 2)
+    a2, cols2 = conv3(p1, p["enc2.w"], p["enc2.b"])
     e2 = np.tanh(a2)
-    p2 = _pool2(e2)
-    am, colsm = _conv3(p2, p["mid.w"], p["mid.b"])
+    p2 = avgpool(e2, 2)
+    am, colsm = conv3(p2, p["mid.w"], p["mid.b"])
     m = np.tanh(am)
     c1 = np.concatenate([_up2(m), e2], axis=0)
-    ad, colsd = _conv3(c1, p["dec1.w"], p["dec1.b"])
+    ad, colsd = conv3(c1, p["dec1.w"], p["dec1.b"])
     d1 = np.tanh(ad)
     c2 = np.concatenate([_up2(d1), e1], axis=0)
-    pre, colso = _conv3(c2, p["out.w"], p["out.b"])
+    pre, colso = conv3(c2, p["out.w"], p["out.b"])
     heat = np.logaddexp(0.0, pre)
     cache = {
         "p64": p, "e1": e1, "e2": e2, "m": m, "d1": d1, "pre": pre,
@@ -190,28 +168,22 @@ def detector_backward(det: ToyDetector, cache: dict, cotangent: np.ndarray) -> d
     grads: dict[str, np.ndarray] = {}
 
     gpre = cot * _sigmoid(cache["pre"])
-    n_dec1, n_enc1 = _CHANNELS["dec1"], _CHANNELS["enc1"]
-    n_mid, n_enc2 = _CHANNELS["mid"], _CHANNELS["enc2"]
-    grads["out.w"], grads["out.b"], gc2 = _conv3_backward(
-        gpre, cache["colso"], p["out.w"], n_dec1 + n_enc1)
+    n_dec1, n_mid = _CHANNELS["dec1"], _CHANNELS["mid"]
+    grads["out.w"], grads["out.b"], gc2 = _conv3_backward(gpre, cache["colso"], p["out.w"])
     gd1 = _up2_backward(gc2[:n_dec1])
     ge1_skip = gc2[n_dec1:]
     gad = gd1 * (1.0 - cache["d1"] ** 2)
-    grads["dec1.w"], grads["dec1.b"], gc1 = _conv3_backward(
-        gad, cache["colsd"], p["dec1.w"], n_mid + n_enc2)
+    grads["dec1.w"], grads["dec1.b"], gc1 = _conv3_backward(gad, cache["colsd"], p["dec1.w"])
     gm = _up2_backward(gc1[:n_mid])
     ge2_skip = gc1[n_mid:]
     gam = gm * (1.0 - cache["m"] ** 2)
-    grads["mid.w"], grads["mid.b"], gp2 = _conv3_backward(
-        gam, cache["colsm"], p["mid.w"], n_enc2)
-    ge2 = _pool2_backward(gp2) + ge2_skip
+    grads["mid.w"], grads["mid.b"], gp2 = _conv3_backward(gam, cache["colsm"], p["mid.w"])
+    ge2 = avgpool_grad(gp2, 2) + ge2_skip
     ga2 = ge2 * (1.0 - cache["e2"] ** 2)
-    grads["enc2.w"], grads["enc2.b"], gp1 = _conv3_backward(
-        ga2, cache["cols2"], p["enc2.w"], n_enc1)
-    ge1 = _pool2_backward(gp1) + ge1_skip
+    grads["enc2.w"], grads["enc2.b"], gp1 = _conv3_backward(ga2, cache["cols2"], p["enc2.w"])
+    ge1 = avgpool_grad(gp1, 2) + ge1_skip
     ga1 = ge1 * (1.0 - cache["e1"] ** 2)
-    grads["enc1.w"], grads["enc1.b"], _ = _conv3_backward(
-        ga1, cache["cols1"], p["enc1.w"], 1)
+    grads["enc1.w"], grads["enc1.b"], _ = _conv3_backward(ga1, cache["cols1"], p["enc1.w"])
     return grads
 
 
@@ -224,6 +196,8 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     heat = np.asarray(heat, dtype=np.float64)
     if heat.ndim != 3:
         raise ValueError("heatmap stack must have shape (L, H, W)")
+    if not np.isfinite(heat).all():
+        raise ValueError("heatmaps must be finite")
     if heat.min() < 0:
         raise ValueError("heatmaps must be nonnegative")
     n, h, w = heat.shape

@@ -7,7 +7,8 @@ reuses its activations; :func:`embed` and :func:`embed_input_grad` wrap it.
 Weights are fixed pseudo-random functions of the seed; nothing is trained.
 The stack is conv3x3 -> tanh -> avgpool4 -> conv3x3 -> tanh -> avgpool4 ->
 affine -> l2-normalize, smooth everywhere so finite-difference checks are
-clean.
+clean. The conv and pool layers and their adjoints come from
+:mod:`warpagg.layers`, the toolkit the detector uses too.
 """
 
 from __future__ import annotations
@@ -17,45 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import Image
-
-
-def _conv3_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 same-padding convolution; x (Cin,H,W), w (Cout,Cin,3,3)."""
-    cin, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.empty((w.shape[0], h, wd))
-    for o in range(w.shape[0]):
-        acc = np.zeros((h, wd))
-        for i in range(cin):
-            for dy in range(3):
-                for dx in range(3):
-                    acc += w[o, i, dy, dx] * xp[i, dy : dy + h, dx : dx + wd]
-        out[o] = acc + b[o]
-    return out
-
-
-def _conv3_same_input_grad(g: np.ndarray, w: np.ndarray, cin: int) -> np.ndarray:
-    """Adjoint of :func:`_conv3_same` w.r.t. the input."""
-    cout, h, wd = g.shape
-    gp = np.pad(g, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((cin, h, wd))
-    for o in range(cout):
-        for i in range(cin):
-            for dy in range(3):
-                for dx in range(3):
-                    # forward read offset (dy-1, dx-1) scatters back reversed
-                    out[i] += w[o, i, dy, dx] * gp[o, 2 - dy : 2 - dy + h, 2 - dx : 2 - dx + wd]
-    return out
-
-
-def _avgpool(x: np.ndarray, k: int) -> np.ndarray:
-    c, h, wd = x.shape
-    return x.reshape(c, h // k, k, wd // k, k).mean(axis=(2, 4))
-
-
-def _avgpool_grad(g: np.ndarray, k: int) -> np.ndarray:
-    c, h, wd = g.shape
-    return np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k)
+from .layers import avgpool, avgpool_grad, conv3, conv3_input_grad
 
 
 @dataclass(frozen=True)
@@ -69,6 +32,10 @@ class ToyEmbedder:
 
     def __post_init__(self) -> None:
         h, w = self.input_size
+        if h < 1 or w < 1:
+            raise ValueError(f"input size must be positive, got {h}x{w}")
+        if self.n_z < 1:
+            raise ValueError(f"n_z must be at least 1, got {self.n_z}")
         if h % 16 or w % 16:
             raise ValueError("input size must be divisible by 16 (two 4x pools)")
         rng = np.random.default_rng(self.seed)
@@ -93,12 +60,10 @@ class ToyEmbedder:
     def _forward(self, img: Image) -> dict:
         w = self.weights
         x = (2.0 * img.data - 1.0)[None]
-        a1 = _conv3_same(x, w["c1w"], w["c1b"])
-        t1 = np.tanh(a1)
-        p1 = _avgpool(t1, 4)
-        a2 = _conv3_same(p1, w["c2w"], w["c2b"])
-        t2 = np.tanh(a2)
-        p2 = _avgpool(t2, 4)
+        t1 = np.tanh(conv3(x, w["c1w"], w["c1b"])[0])
+        p1 = avgpool(t1, 4)
+        t2 = np.tanh(conv3(p1, w["c2w"], w["c2b"])[0])
+        p2 = avgpool(t2, 4)
         feat = p2.ravel()
         y = w["pw"] @ feat + w["pb"]
         norm = float(np.linalg.norm(y))
@@ -124,12 +89,12 @@ def embed_with_vjp(e: ToyEmbedder, img: Image):
         gy = (cot - (cot @ z) * z) / norm
         gfeat = w["pw"].T @ gy
         gp2 = gfeat.reshape(c["p2shape"])
-        gt2 = _avgpool_grad(gp2, 4)
+        gt2 = avgpool_grad(gp2, 4)
         ga2 = gt2 * (1.0 - c["t2"] ** 2)
-        gp1 = _conv3_same_input_grad(ga2, w["c2w"], 4)
-        gt1 = _avgpool_grad(gp1, 4)
+        gp1 = conv3_input_grad(ga2, w["c2w"])
+        gt1 = avgpool_grad(gp1, 4)
         ga1 = gt1 * (1.0 - c["t1"] ** 2)
-        gx = _conv3_same_input_grad(ga1, w["c1w"], 1)
+        gx = conv3_input_grad(ga1, w["c1w"])
         return 2.0 * gx[0]
 
     return z, vjp

@@ -57,6 +57,14 @@ class TestForward:
         with pytest.raises(ValueError):
             predict_heatmaps(det16, blob_image(32))
 
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ToyDetector(3, (0, 0))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ToyDetector(3, (-16, 16))
+
 
 class TestSoftArgmax:
     def test_one_hot(self):
@@ -93,6 +101,18 @@ class TestSoftArgmax:
     def test_negative_map_rejected(self):
         with pytest.raises(ValueError):
             soft_argmax(np.full((1, 4, 4), -1.0))
+
+    def test_nan_map_rejected(self):
+        heat = np.ones((2, 4, 4))
+        heat[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            soft_argmax(heat)
+
+    def test_inf_map_rejected(self):
+        heat = np.ones((2, 4, 4))
+        heat[0, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            soft_argmax(heat)
 
     @pytest.mark.parametrize("shape", [(2, 1, 6), (2, 6, 1), (1, 1, 1)])
     def test_vjp_one_pixel_axis(self, shape):

@@ -45,25 +45,49 @@ class TestEmbed:
             embed(emb, blob_image(16))
 
 
+class TestConstruct:
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ToyEmbedder(input_size=(0, 0))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ToyEmbedder(input_size=(-16, 16))
+
+    def test_zero_n_z_rejected(self):
+        with pytest.raises(ValueError, match="n_z"):
+            ToyEmbedder(n_z=0)
+
+
+def _check_finite_differences(emb, img):
+    size = img.height
+    rng = np.random.default_rng(2)
+    cot = rng.normal(size=emb.n_z)
+    g = embed_input_grad(emb, img, cot)
+    h = 1e-6
+    pix = [(int(a), int(b)) for a, b in rng.integers(2, size - 2, size=(50, 2))]
+    for y, x in pix:
+        up = img.data.copy()
+        up[y, x] += h
+        dn = img.data.copy()
+        dn[y, x] -= h
+        fd = (cot @ embed(emb, Image(up)) - cot @ embed(emb, Image(dn))) / (2 * h)
+        denom = max(abs(fd), abs(g[y, x]), 1e-10)
+        assert abs(g[y, x] - fd) / denom < 1e-3
+
+
 class TestInputGrad:
     def test_zero_cotangent(self, emb, img32):
+        # exactly zero, not merely small: the attack's sign step needs sign(0) == 0
         g = embed_input_grad(emb, img32, np.zeros(emb.n_z))
-        assert np.allclose(g, 0.0)
+        assert np.array_equal(g, np.zeros((32, 32)))
 
     def test_finite_differences(self, emb, img32):
-        rng = np.random.default_rng(2)
-        cot = rng.normal(size=emb.n_z)
-        g = embed_input_grad(emb, img32, cot)
-        h = 1e-6
-        pix = [(int(a), int(b)) for a, b in rng.integers(2, 30, size=(50, 2))]
-        for y, x in pix:
-            up = img32.data.copy()
-            up[y, x] += h
-            dn = img32.data.copy()
-            dn[y, x] -= h
-            fd = (cot @ embed(emb, Image(up)) - cot @ embed(emb, Image(dn))) / (2 * h)
-            denom = max(abs(fd), abs(g[y, x]), 1e-10)
-            assert abs(g[y, x] - fd) / denom < 1e-3
+        _check_finite_differences(emb, img32)
+
+    def test_finite_differences_64px(self):
+        # the embedder size of the paper-scale attack
+        _check_finite_differences(ToyEmbedder(seed=0, input_size=(64, 64)), blob_image(64, seed=1))
 
     def test_linearity_in_cotangent(self, emb, img32):
         rng = np.random.default_rng(3)
