@@ -13,6 +13,15 @@ grid kernel warp the image, a single embedder forward embeds it, and both
 keep what their backward passes need. The loop tests the stopping rule on
 that step's embedding and only then runs the backward for the next sign
 step, so each iteration costs one fit, one forward and one backward.
+
+The step warps only the pixels the embedder reads: the source rows and
+columns that the bilinear resize to the embedder's input gathers (every
+pixel when the face already has that size). Each warped pixel is bitwise the
+full warp's, and the resize reads the same pixels with the same weights, so
+the embedding is exactly the one of the resized full warp. The step keeps no
+full-size face; once a branch stops, its grid kernel is released and one
+banded :func:`~warpagg.tps.warp_image` at the final control points makes
+``ManipulatedFace.image``.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
-from .imaging import Image, resize_bilinear, resize_bilinear_vjp
-from .tps import warp_with_vjp
+from .imaging import Image, resize_bilinear, resize_stencil
+from .tps import warp_image, warp_with_vjp
 
 logger = logging.getLogger(__name__)
 
@@ -69,11 +78,15 @@ class ManipulatedFace:
 @dataclass(frozen=True)
 class AttackStep:
     """The warp -> resize -> embed chain evaluated at one set of moved
-    landmarks, holding what its backward pass reuses."""
+    landmarks, holding what its backward pass reuses.
 
-    image: Image                  # the warped face at the input's size
-    z: np.ndarray                 # its embedding
+    The step warps only the pixels the embedder's resize reads (see
+    :func:`attack_step`), so it holds the warped face only when the
+    embedder reads every pixel at the face's own size."""
+
+    z: np.ndarray                 # the warped face's embedding
     backward: Callable[[np.ndarray], np.ndarray]  # cotangent on z -> (L,2)
+    image: Image | None = None    # the warped face, when every pixel was warped
 
     def distances(self, peers: np.ndarray) -> np.ndarray:
         """Embedding distance to every peer, (K,)."""
@@ -106,19 +119,20 @@ def _embedder_input(emb: ToyEmbedder, image: Image) -> Image:
 def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
                 points_moved: np.ndarray, lam: float = 1e-6) -> AttackStep:
     """Warp ``img`` so ``points`` move to ``points_moved`` and embed it: one
-    TPS fit, one grid kernel and one embedder forward, kept for the backward."""
-    warped, warp_back = warp_with_vjp(img, points, points_moved, lam)
-    resized = _embedder_input(emb, warped)
-    z, embed_back = embed_with_vjp(emb, resized)
+    TPS fit, one grid kernel and one embedder forward, kept for the backward.
+
+    Only the source rows and columns that the resize to the embedder's input
+    reads are warped; the embedding is bitwise the one of the resized full
+    warp, and the backward runs over those pixels alone."""
+    eh, ew = emb.input_size
+    st = resize_stencil(img.width, img.height, ew, eh)
+    warped, warp_back = warp_with_vjp(img, points, points_moved, lam, st.rows, st.cols)
+    z, embed_back = embed_with_vjp(emb, st.resize(warped))
 
     def backward(cot_z: np.ndarray) -> np.ndarray:
-        g_pixels = embed_back(cot_z)
-        if resized is not warped:
-            eh, ew = emb.input_size
-            g_pixels = resize_bilinear_vjp(warped, ew, eh, g_pixels)
-        return warp_back(g_pixels)
+        return warp_back(st.vjp(embed_back(cot_z)))
 
-    return AttackStep(warped, z, backward)
+    return AttackStep(z, backward, warped if st.identity else None)
 
 
 def _peer_array(peer_embeddings: np.ndarray) -> np.ndarray:
@@ -203,12 +217,16 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
         iters += 1
         if on_step is not None:
             on_step(k, iters, float(step.distances(peers).sum()))
+    z, image = step.z, step.image
+    del step  # release its grid kernel before the final warp
+    if image is None:
+        image = warp_image(img, points, moved, cfg.tps_lambda)
     face = ManipulatedFace(
-        image=step.image,
+        image=image,
         control_source=points.copy(),
         control_target=moved,
         displacement=moved - points,
         iterations_used=iters,
         hit_max_iters=flagged,
     )
-    return face, step.z
+    return face, z

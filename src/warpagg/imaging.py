@@ -195,24 +195,51 @@ def normalized_grid(width: int, height: int) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
-def _gather_bilinear(data: np.ndarray, px: np.ndarray, py: np.ndarray, with_grad: bool):
-    """Sample at continuous pixel coords with clamp-to-edge; optional d/d(px,py)."""
-    h, w = data.shape
-    pxc = np.clip(px, 0.0, w - 1.0)
-    pyc = np.clip(py, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(pxc).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(pyc).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = pxc - x0
-    fy = pyc - y0
+def _axis_stencil(p: np.ndarray, n: int):
+    """The clamp-to-edge bilinear stencil along one axis of ``n`` pixels at
+    continuous pixel coordinates ``p``: the clamped coordinate, the two
+    pixels it lies between and the weight of the second one."""
+    pc = np.clip(p, 0.0, n - 1.0)
+    i0 = np.clip(np.floor(pc).astype(np.intp), 0, max(n - 2, 0))
+    i1 = np.minimum(i0 + 1, n - 1)
+    return pc, i0, i1, pc - i0
+
+
+def _blend(data: np.ndarray, x0, x1, y0, y1, fx, fy):
+    """Bilinear values from the stencil's four corners (arrays that broadcast
+    to one shape), returned with the corner intensities."""
     ia = data[y0, x0]
     ib = data[y0, x1]
     ic = data[y1, x0]
     id_ = data[y1, x1]
     top = ia + fx * (ib - ia)
     bot = ic + fx * (id_ - ic)
-    val = top + fy * (bot - top)
+    return top + fy * (bot - top), (ia, ib, ic, id_)
+
+
+def _scatter(out: np.ndarray, x0, x1, y0, y1, fx, fy, c: np.ndarray) -> None:
+    """Adjoint of :func:`_blend` w.r.t. ``data``: add the cotangents ``c``
+    onto the four corners of each sample, in sample order."""
+    np.add.at(out, (y0, x0), c * (1 - fx) * (1 - fy))
+    np.add.at(out, (y0, x1), c * fx * (1 - fy))
+    np.add.at(out, (y1, x0), c * (1 - fx) * fy)
+    np.add.at(out, (y1, x1), c * fx * fy)
+
+
+def _cotangent(cotangent, shape: tuple[int, ...]) -> np.ndarray:
+    """``cotangent`` as a float64 array of ``shape``, which it must fit in size."""
+    c = np.asarray(cotangent, dtype=np.float64)
+    if c.size != int(np.prod(shape)):
+        raise ValueError(f"cotangent must have shape {shape}, got {c.shape}")
+    return c.reshape(shape)
+
+
+def _gather_bilinear(data: np.ndarray, px: np.ndarray, py: np.ndarray, with_grad: bool):
+    """Sample at continuous pixel coords with clamp-to-edge; optional d/d(px,py)."""
+    h, w = data.shape
+    pxc, x0, x1, fx = _axis_stencil(px, w)
+    pyc, y0, y1, fy = _axis_stencil(py, h)
+    val, (ia, ib, ic, id_) = _blend(data, x0, x1, y0, y1, fx, fy)
     if not with_grad:
         return val, None, None
 
@@ -272,35 +299,95 @@ def sample_grid_vjp_image(data: np.ndarray, pts: np.ndarray, cotangent: np.ndarr
     onto the four pixels supporting each sample."""
     h, w = data.shape
     pix = to_pixel(pts, w, h)
-    pxc = np.clip(pix[:, 0], 0.0, w - 1.0)
-    pyc = np.clip(pix[:, 1], 0.0, h - 1.0)
-    x0 = np.clip(np.floor(pxc).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(pyc).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = pxc - x0
-    fy = pyc - y0
-    c = np.asarray(cotangent, dtype=np.float64).ravel()
+    _, x0, x1, fx = _axis_stencil(pix[:, 0], w)
+    _, y0, y1, fy = _axis_stencil(pix[:, 1], h)
     out = np.zeros_like(data)
-    np.add.at(out, (y0, x0), c * (1 - fx) * (1 - fy))
-    np.add.at(out, (y0, x1), c * fx * (1 - fy))
-    np.add.at(out, (y1, x0), c * (1 - fx) * fy)
-    np.add.at(out, (y1, x1), c * fx * fy)
+    _scatter(out, x0, x1, y0, y1, fx, fy, _cotangent(cotangent, (pix.shape[0],)))
     return out
+
+
+@dataclass(frozen=True)
+class ResizeStencil:
+    """:func:`resize_bilinear` of a raster to (height, width), held as one
+    stencil per axis over the source rows and columns it reads.
+
+    ``rows`` and ``cols`` are those source rows and columns, ascending; a
+    *support raster* holds just them, shape (len(rows), len(cols)). Output
+    row r blends support rows ``y[0][r]`` and ``y[1][r]`` with weight
+    ``y[2][r]``, output column c support columns ``x[0][c]`` and ``x[1][c]``
+    with ``x[2][c]``. A same-size resize is the identity: its support is
+    every row and column (``slice(None)``) and it has no stencil.
+    """
+
+    width: int
+    height: int
+    rows: np.ndarray | slice
+    cols: np.ndarray | slice
+    x: tuple | None = None
+    y: tuple | None = None
+
+    @property
+    def identity(self) -> bool:
+        return self.x is None
+
+    def resize(self, support: Image) -> Image:
+        """The resized image from the support raster."""
+        if self.identity:
+            return support
+        (x0, x1, fx), (y0, y1, fy) = self.x, self.y
+        val, _ = _blend(support.data, x0, x1, y0[:, None], y1[:, None], fx, fy[:, None])
+        return Image(np.clip(val, 0.0, 1.0))
+
+    def vjp(self, cotangent: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`resize`: a cotangent on the (height, width)
+        output to one on the support raster."""
+        c = _cotangent(cotangent, (self.height, self.width))
+        if self.identity:
+            return c.copy()
+        (x0, x1, fx), (y0, y1, fy) = self.x, self.y
+        out = np.zeros((len(self.rows), len(self.cols)))
+        _scatter(out, x0, x1, y0[:, None], y1[:, None], fx, fy[:, None], c)
+        return out
+
+
+def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> ResizeStencil:
+    """The stencil of :func:`resize_bilinear` from (src_height, src_width) to
+    (height, width).
+
+    The output pixel centers are mapped to source pixel coordinates as
+    :func:`to_pixel` maps them, one axis at a time, and take the clamp and
+    floor of :func:`sample_grid`, so the stencil reads the same pixels with
+    the same weights.
+    """
+    if (width, height) == (src_width, src_height):
+        return ResizeStencil(width, height, slice(None), slice(None))
+    axes = []
+    for v, n in zip(grid_axes(width, height), (src_width, src_height)):
+        _, i0, i1, f = _axis_stencil((v + 1.0) * ((n - 1) / 2.0), n)
+        # a mask, not np.union1d: the first sort in a process maps about
+        # 1.6 MB of numpy's sorting code
+        read = np.zeros(n, dtype=bool)
+        read[i0] = read[i1] = True
+        at = np.cumsum(read) - 1  # each source pixel's index in the support
+        axes.append((np.flatnonzero(read), (at[i0], at[i1], f)))
+    (cols, x), (rows, y) = axes
+    return ResizeStencil(width, height, rows, cols, x, y)
 
 
 def resize_bilinear(img: Image, width: int, height: int) -> Image:
     """Resample to (width, height) by bilinear sampling at the new pixel centers."""
     if width == img.width and height == img.height:
         return Image(img.data.copy())
-    grid = normalized_grid(width, height)
-    vals, _ = sample_grid(img.data, grid)
-    return Image(np.clip(vals.reshape(height, width), 0.0, 1.0))
+    st = resize_stencil(img.width, img.height, width, height)
+    return st.resize(Image(img.data[np.ix_(st.rows, st.cols)]))
 
 
 def resize_bilinear_vjp(img: Image, width: int, height: int, cotangent: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`resize_bilinear` w.r.t. the source image."""
-    if width == img.width and height == img.height:
-        return np.asarray(cotangent, dtype=np.float64).copy()
-    grid = normalized_grid(width, height)
-    return sample_grid_vjp_image(img.data, grid, cotangent)
+    st = resize_stencil(img.width, img.height, width, height)
+    g = st.vjp(cotangent)
+    if st.identity:
+        return g
+    out = np.zeros_like(img.data)
+    out[np.ix_(st.rows, st.cols)] = g
+    return out

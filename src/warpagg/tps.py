@@ -42,6 +42,15 @@ sum in another order: at 256 px with L=68 the gradient then sits 7e-12
 (relative) from the point-major reference that the tests hold it to within
 1e-12, against 3e-13 for the full-range GEMMs, although both orders are
 equally accurate against a long-double evaluation.
+
+:func:`warp_with_vjp` also warps a sub-grid: the pixels of chosen output rows
+and columns, by default every row and column. Its kernel is
+``_features(cpts, xs[cols][None, :], ys[rows][:, None])``, the separable
+build over the chosen axes, and each warped pixel is bitwise the one
+:func:`warp_image` gives, since every kernel entry and every mapped
+coordinate is computed on its own. The attack step warps just the rows and
+columns its resize to the embedder reads (a quarter of the pixels from
+256 px to 64 px), so its kernel and its backward shrink with them.
 """
 
 from __future__ import annotations
@@ -157,13 +166,6 @@ def _features(cpts: np.ndarray, x: np.ndarray, y: np.ndarray,
     return phi_t, log_s
 
 
-def _grid_features(cpts: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_features` at every pixel center of a (height, width) raster,
-    in :func:`normalized_grid` order, from its x and y axes."""
-    xs, ys = grid_axes(width, height)
-    return _features(cpts, xs[None, :], ys[:, None])
-
-
 def _params(t: TpsTransform) -> np.ndarray:
     """Stacked spline parameters (L+3, 2): kernel weights, then the affine part."""
     return np.vstack([t.kernel_weights, t.affine.T])
@@ -179,7 +181,8 @@ def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
 
 def _banded_mapped_grid(t: TpsTransform, width: int, height: int) -> np.ndarray:
     """The mapped pixel grid (Npix, 2) of ``t``, as :func:`_mapped` over
-    :func:`_grid_features` gives it, built one band of whole rows at a time.
+    :func:`_features` of every pixel gives it, built one band of whole rows
+    at a time.
 
     A band has ``max(1, _BAND_PIXELS // width)`` rows. :func:`_features`
     writes each band's kernel into one pair of buffers that every band
@@ -288,31 +291,37 @@ def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
 
 
 def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
-                  lam: float = DEFAULT_LAMBDA):
-    """:func:`warp_image` together with its backward w.r.t. ``points_moved``.
+                  lam: float = DEFAULT_LAMBDA, rows=slice(None), cols=slice(None)):
+    """:func:`warp_image` together with its backward w.r.t. ``points_moved``,
+    on the pixels of the given output ``rows`` and ``cols``.
 
-    Returns ``(warped, vjp)``; ``vjp(cotangent)`` maps a cotangent on the
-    warped pixels (H, W) to the gradient of <cotangent, warped> w.r.t. the
-    moved landmarks, shape (L, 2). It chains the bilinear sampling slopes
-    with both dependencies of the spline on the moved landmarks: the feature
-    kernels at the evaluation grid, and the interpolation system itself
-    (adjoint solve of the same symmetric matrix; the right-hand side does not
-    depend on the moved points). The warp's one fit and one grid kernel are
-    held until ``vjp`` is dropped.
+    Returns ``(warped, vjp)``. ``warped`` is the (len(rows), len(cols))
+    raster of those pixels of :func:`warp_image`'s output, bitwise; by
+    default every row and column, so the whole warped image. ``vjp(cotangent)``
+    maps a cotangent on ``warped`` to the gradient of <cotangent, warped>
+    w.r.t. the moved landmarks, shape (L, 2). It chains the bilinear sampling
+    slopes with both dependencies of the spline on the moved landmarks: the
+    feature kernels at the evaluated pixels, and the interpolation system
+    itself (adjoint solve of the same symmetric matrix; the right-hand side
+    does not depend on the moved points). The warp's one fit and one grid
+    kernel are held until ``vjp`` is dropped.
     """
     pts = np.asarray(points, dtype=np.float64)
     t = fit_tps(points_moved, pts, lam)
     cpts = t.control_points
     n = cpts.shape[0]
-    phi_t, log_s = _grid_features(cpts, img.width, img.height)
+    xs, ys = grid_axes(img.width, img.height)
+    xs, ys = xs[cols], ys[rows]
+    phi_t, log_s = _features(cpts, xs[None, :], ys[:, None])
     params = _params(t)
     vals, grads = sample_grid(img.data, _mapped(params, phi_t), with_grad=True)
-    warped = Image(np.clip(vals.reshape(img.height, img.width), 0.0, 1.0))
+    shape = (ys.size, xs.size)
+    warped = Image(np.clip(vals.reshape(shape), 0.0, 1.0))
 
     def vjp(cotangent: np.ndarray) -> np.ndarray:
         cot = np.asarray(cotangent, dtype=np.float64).ravel()
         if cot.size != phi_t.shape[1]:
-            raise ValueError("cotangent must match image dimensions")
+            raise ValueError(f"cotangent must match the warped raster's shape {shape}")
         # (2, Npix) rows: d objective / d sampled location
         q = np.multiply(cot, grads.T, order="C")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,13 +121,64 @@ class TestCostGrad:
 
 class TestAttackStep:
     def test_image_and_embedding_match_the_plain_path(self, emb, pts):
-        # 64 px face into a 32 px embedder exercises the resize and its VJP
+        # 64 px face into a 32 px embedder: the step warps only the pixels
+        # the resize reads and holds no face; the branch's face comes from
+        # one final warp at its last control points
         img = blob_image(64, seed=18)
         moved = pts + np.random.default_rng(5).uniform(-0.04, 0.04, pts.shape)
         step = attack_step(emb, img, pts, moved)
-        plain = warp_image(img, pts, moved)
-        assert np.array_equal(step.image.data, plain.data)
-        assert np.array_equal(step.z, embed(emb, resize_bilinear(plain, 32, 32)))
+        assert step.image is None
+        assert np.array_equal(step.z, embed(emb, resize_bilinear(warp_image(img, pts, moved), 32, 32)))
+        # a projection that adds a fixed shift moves the branch off its start
+        cfg = AttackConfig(branches=1, distance_threshold=2.0, max_iters=2)
+        face = generate_adversarial_set(emb, img, pts, cfg,
+                                        project=lambda base, stepped: stepped + 0.004)[0]
+        assert np.max(np.abs(face.displacement)) > 0.0
+        assert np.array_equal(face.image.data, warp_image(img, pts, face.control_target).data)
+
+    def test_same_size_step_keeps_the_warped_face(self, emb, img, pts):
+        moved = pts + np.random.default_rng(7).uniform(-0.04, 0.04, pts.shape)
+        step = attack_step(emb, img, pts, moved)
+        assert np.array_equal(step.image.data, warp_image(img, pts, moved).data)
+        assert np.array_equal(step.z, embed(emb, step.image))
+
+    # (raster height, width), control points, (embedder height, width)
+    @pytest.mark.parametrize("size,count,net", [
+        ((256, 256), 68, (64, 64)),
+        ((64, 64), 8, (32, 32)),
+        ((40, 40), 8, (32, 32)),   # neighbouring outputs share source columns
+        ((24, 24), 8, (32, 32)),   # upsampling reads every pixel
+        ((50, 70), 8, (32, 48)),
+    ], ids=["256-L68-to-64", "64-to-32", "40-to-32", "24-to-32", "50x70-to-32x48"])
+    def test_embedding_equals_the_full_warp(self, size, count, net):
+        (h, w), (eh, ew) = size, net
+        rng = np.random.default_rng(h + w + count)
+        img = Image(blob_image(max(h, w), seed=count).data[:h, :w])
+        pts = rng.uniform(-0.7, 0.7, (count, 2)) if count > 8 else ring_landmarks(count, 0.5, seed=h)
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        emb = ToyEmbedder(seed=0, input_size=net)
+        step = attack_step(emb, img, pts, moved)
+        assert np.array_equal(step.z, embed(emb, resize_bilinear(warp_image(img, pts, moved), ew, eh)))
+
+    def test_paper_scale_step_peak_memory(self):
+        # 256 px face, 68 points, 64 px embedder: the step's grid kernel
+        # covers the 128 x 128 pixels the resize reads, about 18 MB; over
+        # the whole raster the step peaks at about 81 MB
+        emb = ToyEmbedder(seed=0, input_size=(64, 64))
+        rng = np.random.default_rng(80)
+        img = blob_image(256, seed=80)
+        pts = rng.uniform(-0.7, 0.7, (68, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        peers = embed(emb, resize_bilinear(img, 64, 64))[None]
+        attack_step(emb, img, pts, moved).grad(peers)
+        tracemalloc.start()
+        try:
+            g = attack_step(emb, img, pts, moved).grad(peers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(g != 0.0)
+        assert peak < 32e6
 
     def test_grad_is_cost_grad(self, emb, img, pts):
         moved = pts + np.random.default_rng(6).uniform(-0.03, 0.03, pts.shape)

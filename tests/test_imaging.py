@@ -19,6 +19,7 @@ from warpagg.imaging import (
     normalized_grid,
     resize_bilinear,
     resize_bilinear_vjp,
+    resize_stencil,
     sample_grid,
     sample_grid_vjp_image,
     save_image,
@@ -308,3 +309,60 @@ class TestGridVjpAndResize:
             dn = float((resize_bilinear(Image(bumped), 6, 6).data * cot).sum())
             fd = (up - dn) / (2 * h)
             assert grad[y, x] == pytest.approx(fd, abs=1e-6)
+
+    def test_scatter_rejects_a_wrong_cotangent_size(self):
+        pts = normalized_grid(64, 64)
+        with pytest.raises(ValueError, match=r"\(4096,\)"):
+            sample_grid_vjp_image(blob_image(16, seed=11).data, pts, np.zeros((2, 4096)))
+
+    @pytest.mark.parametrize("src", [128, 64], ids=["resize", "same-size"])
+    def test_resize_vjp_rejects_a_wrong_cotangent_shape(self, src):
+        with pytest.raises(ValueError, match=r"\(64, 64\)"):
+            resize_bilinear_vjp(blob_image(src, seed=12), 64, 64, np.zeros((63, 64)))
+
+
+# (source width, height, resized width, height)
+RESIZES = [(256, 256, 64, 64), (64, 64, 32, 32), (40, 40, 32, 32), (24, 24, 32, 32),
+           (70, 50, 48, 32), (1, 5, 4, 3), (3, 3, 1, 1)]
+
+
+class TestResizeStencil:
+    """The separable resize reads exactly the rows and columns it names and
+    gives the bits of the generic sampler over the resized pixel grid."""
+
+    @pytest.mark.parametrize("sw,sh,w,h", RESIZES)
+    def test_bitwise_equal_to_the_sampler(self, sw, sh, w, h):
+        rng = np.random.default_rng(sw + sh + w)
+        data = rng.uniform(0.0, 1.0, (sh, sw))
+        cot = rng.normal(size=(h, w))
+        vals, _ = sample_grid(data, normalized_grid(w, h))
+        assert np.array_equal(resize_bilinear(Image(data), w, h).data, np.clip(vals.reshape(h, w), 0.0, 1.0))
+        assert np.array_equal(resize_bilinear_vjp(Image(data), w, h, cot),
+                              sample_grid_vjp_image(data, normalized_grid(w, h), cot))
+
+    @pytest.mark.parametrize("sw,sh,w,h", RESIZES)
+    def test_support_is_what_the_resize_reads(self, sw, sh, w, h):
+        st = resize_stencil(sw, sh, w, h)
+        data = np.random.default_rng(sw * sh).uniform(0.0, 1.0, (sh, sw))
+        cot = np.ones((h, w))
+        # every pixel with a nonzero weight is in the support; a neighbour
+        # read with weight 0 (an output sitting on a source pixel) is too
+        weighted = resize_bilinear_vjp(Image(data), w, h, cot) != 0.0
+        assert np.all(np.diff(st.rows) > 0) and np.all(np.diff(st.cols) > 0)
+        assert np.all(np.isin(np.flatnonzero(weighted.any(axis=1)), st.rows))
+        assert np.all(np.isin(np.flatnonzero(weighted.any(axis=0)), st.cols))
+        # pixels off the support do not change the resized image
+        blanked = np.zeros_like(data)
+        blanked[np.ix_(st.rows, st.cols)] = data[np.ix_(st.rows, st.cols)]
+        assert np.array_equal(resize_bilinear(Image(blanked), w, h).data, resize_bilinear(Image(data), w, h).data)
+
+    def test_paper_scale_support_is_a_quarter_of_the_raster(self):
+        st = resize_stencil(256, 256, 64, 64)
+        assert (st.rows.size, st.cols.size) == (128, 128)
+
+    def test_same_size_is_the_identity(self):
+        img = blob_image(16, seed=13)
+        st = resize_stencil(16, 16, 16, 16)
+        assert st.resize(img) is img
+        cot = np.arange(256.0).reshape(16, 16)
+        assert np.array_equal(st.vjp(cot), cot)

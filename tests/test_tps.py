@@ -5,10 +5,17 @@ import pytest
 
 import warpagg.tps as tps_mod
 from conftest import blob_image, ring_landmarks
-from warpagg.imaging import Image, normalized_grid, sample_grid
+from warpagg.imaging import (
+    Image,
+    grid_axes,
+    normalized_grid,
+    resize_bilinear_vjp,
+    resize_stencil,
+    sample_grid,
+)
 from warpagg.tps import (
     DegenerateControlPointsError,
-    _grid_features,
+    _features,
     _pairwise_sq,
     eval_tps,
     eval_tps_point_jacobian,
@@ -122,6 +129,13 @@ class TestPairwiseSq:
         assert np.count_nonzero(got == 0.0) == 3
 
 
+def _grid_features(cpts, width, height, rows=slice(None), cols=slice(None)):
+    """The control-point-major kernel at the pixel centers of ``rows`` x
+    ``cols`` of a (height, width) raster, as the warp builds it."""
+    xs, ys = grid_axes(width, height)
+    return _features(cpts, xs[cols][None, :], ys[rows][:, None])
+
+
 def _oracle_features(pts, cpts):
     """Grid kernel in the point-major layout: features [U ... 1 x y] (N, L+3)
     and log s (N, L), with U = 0 and log s = -1 where s <= 1e-30."""
@@ -144,17 +158,20 @@ def _oracle_features(pts, cpts):
     return phi, log_s
 
 
-def _oracle_warp_with_vjp(img, pts, moved, lam):
-    """Warped raster and its VJP w.r.t. the moved points, written term by
-    term over (Npix, L) arrays: kernel derivative 2 (log s + 1) per pixel and
-    control point, then the adjoint solve through the fitted system."""
+def _oracle_warp_with_vjp(img, pts, moved, lam, rows=slice(None), cols=slice(None)):
+    """Warped raster at the pixels of ``rows`` x ``cols`` (by default every
+    pixel) and its VJP w.r.t. the moved points, written term by term over
+    (Npix, L) arrays: kernel derivative 2 (log s + 1) per pixel and control
+    point, then the adjoint solve through the fitted system."""
     t = fit_tps(moved, pts, lam)
     cpts, n = t.control_points, t.control_points.shape[0]
-    grid = normalized_grid(img.width, img.height)
+    grid = normalized_grid(img.width, img.height).reshape(img.height, img.width, 2)[rows][:, cols]
+    shape = grid.shape[:2]
+    grid = grid.reshape(-1, 2)
     phi, log_s = _oracle_features(grid, cpts)
     params = np.vstack([t.kernel_weights, t.affine.T])
     vals, grads = sample_grid(img.data, phi @ params, with_grad=True)
-    warped = np.clip(vals.reshape(img.height, img.width), 0.0, 1.0)
+    warped = np.clip(vals.reshape(shape), 0.0, 1.0)
 
     def vjp(cotangent):
         q = cotangent.ravel()[:, None] * grads
@@ -235,6 +252,64 @@ class TestGridKernelOracle:
         expected = oracle_vjp(cot)
         got = warp_with_vjp(img, pts, moved, lam=1e-6)[1](cot)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestSubGridKernel:
+    """The warp on the rows and columns a resize reads (the attack step's
+    warp) against the point-major oracle on the same pixels, and its
+    gradient against the full warp's."""
+
+    # (width, height, L, resize width, resize height)
+    @pytest.fixture(scope="class", params=[(256, 256, 68, 64, 64), (64, 64, 9, 32, 32),
+                                           (40, 40, 8, 32, 32), (250, 97, 20, 48, 32)],
+                    ids=lambda c: f"{c[0]}x{c[1]}px-L{c[2]}-to-{c[3]}x{c[4]}")
+    def case(self, request):
+        width, height, count, rw, rh = request.param
+        rng = np.random.default_rng(width + height + count)
+        img = Image(blob_image(max(width, height), seed=count).data[:height, :width])
+        pts = rng.uniform(-0.7, 0.7, (count, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        st = resize_stencil(width, height, rw, rh)
+        # the first control point sits on the nearest warped pixel center,
+        # the second (when the resize skips columns) on a skipped one
+        xs, ys = grid_axes(width, height)
+        r, c = np.argmin(np.abs(ys[st.rows] - moved[0, 1])), np.argmin(np.abs(xs[st.cols] - moved[0, 0]))
+        moved[0] = xs[st.cols[c]], ys[st.rows[r]]
+        skipped = np.setdiff1d(np.arange(width), st.cols)
+        if skipped.size:
+            moved[1] = xs[skipped[np.argmin(np.abs(xs[skipped] - moved[1, 0]))]], moved[1, 1]
+        cot = rng.normal(size=(rh, rw))
+        oracle = _oracle_warp_with_vjp(img, pts, moved, 1e-6, st.rows, st.cols)
+        return img, pts, moved, st, cot, r * st.cols.size + c, oracle
+
+    def test_features_bitwise(self, case):
+        img, _, moved, st, _, node, (phi, log_s, _, _) = case
+        phi_t, log_s_t = _grid_features(moved, img.width, img.height, st.rows, st.cols)
+        assert phi_t.shape == (moved.shape[0] + 3, st.rows.size * st.cols.size)
+        assert np.array_equal(phi_t, phi.T)
+        assert np.array_equal(log_s_t, log_s.T)
+        assert phi_t[0, node] == 0.0 and log_s_t[0, node] == -1.0
+
+    def test_image_is_the_full_warp_at_those_pixels(self, case):
+        img, pts, moved, st, _, _, _ = case
+        sub, _ = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)
+        assert np.array_equal(sub.data, warp_image(img, pts, moved).data[np.ix_(st.rows, st.cols)])
+
+    def test_vjp_within_1e12(self, case):
+        img, pts, moved, st, cot, _, (_, _, _, oracle_vjp) = case
+        g_sub = st.vjp(cot)
+        expected = oracle_vjp(g_sub)
+        got = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)[1](g_sub)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_gradient_signs_match_the_full_warp(self, case):
+        # the two paths sum the pixels in different orders, so only the
+        # signs, which the attack's step reads, are compared
+        img, pts, moved, st, cot, _, _ = case
+        got = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)[1](st.vjp(cot))
+        full = warp_vjp(img, pts, moved, resize_bilinear_vjp(img, st.width, st.height, cot))
+        assert np.all(full != 0.0)
+        assert np.array_equal(np.sign(got), np.sign(full))
 
 
 class TestWarpImage:
