@@ -19,21 +19,31 @@ columns that the bilinear resize to the embedder's input gathers (every
 pixel when the face already has that size). Each warped pixel is bitwise the
 full warp's, and the resize reads the same pixels with the same weights, so
 the embedding is exactly the one of the resized full warp. The step keeps no
-full-size face; once a branch stops, its grid kernel is released and one
-banded :func:`~warpagg.tps.warp_image` at the final control points makes
+full-size face; once a branch stops, one banded
+:func:`~warpagg.tps.warp_image` at the final control points makes
 ``ManipulatedFace.image``.
+
+Each branch allocates one grid-kernel pair, (L+3, N) and (L, N) over the N
+pixels a step warps, and every step of the branch builds its kernel into
+it, so a paper-scale branch does not allocate and free about 18 MB per
+iteration. A step built into the pair is valid until the next step is
+built into it; the loop drops each step before building the next. The
+pair is released when the branch returns, after its final warp: released
+before it, the next branch faulted about 8 MB of its pair in again (at
+256 px with L=68).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
-from .imaging import Image, resize_bilinear, resize_stencil
+from .imaging import Image, ResizeStencil, resize_bilinear, resize_stencil
 from .tps import warp_image, warp_with_vjp
 
 logger = logging.getLogger(__name__)
@@ -116,17 +126,27 @@ def _embedder_input(emb: ToyEmbedder, image: Image) -> Image:
     return image if (image.height, image.width) == (eh, ew) else resize_bilinear(image, ew, eh)
 
 
+def _stencil(emb: ToyEmbedder, img: Image) -> ResizeStencil:
+    """The resize from ``img`` to the embedder's input."""
+    eh, ew = emb.input_size
+    return resize_stencil(img.width, img.height, ew, eh)
+
+
 def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
-                points_moved: np.ndarray, lam: float = 1e-6) -> AttackStep:
+                points_moved: np.ndarray, lam: float = 1e-6,
+                kernel: tuple[np.ndarray, np.ndarray] | None = None) -> AttackStep:
     """Warp ``img`` so ``points`` move to ``points_moved`` and embed it: one
     TPS fit, one grid kernel and one embedder forward, kept for the backward.
 
     Only the source rows and columns that the resize to the embedder's input
     reads are warped; the embedding is bitwise the one of the resized full
-    warp, and the backward runs over those pixels alone."""
-    eh, ew = emb.input_size
-    st = resize_stencil(img.width, img.height, ew, eh)
-    warped, warp_back = warp_with_vjp(img, points, points_moved, lam, st.rows, st.cols)
+    warp, and the backward runs over those pixels alone. ``kernel``, a
+    C-contiguous pair (L+3, N) and (L, N) over the N pixels the step warps,
+    receives the grid kernel instead of fresh arrays; the step's backward
+    reads it, so the step is valid only until the next step is built into
+    the same pair."""
+    st = _stencil(emb, img)
+    warped, warp_back = warp_with_vjp(img, points, points_moved, lam, st.rows, st.cols, kernel)
     z, embed_back = embed_with_vjp(emb, st.resize(warped))
 
     def backward(cot_z: np.ndarray) -> np.ndarray:
@@ -202,7 +222,10 @@ def generate_adversarial_set(emb: ToyEmbedder, img: Image, points: np.ndarray,
 def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndarray,
                 cfg: AttackConfig, project, on_step, k: int) -> tuple[ManipulatedFace, np.ndarray]:
     moved = points.copy()
-    step = attack_step(emb, img, points, moved, cfg.tps_lambda)
+    # every step of the branch builds its grid kernel into this one pair
+    n, npix = len(points), math.prod(_stencil(emb, img).support_shape)
+    kernel = np.empty((n + 3, npix)), np.empty((n, npix))
+    step = attack_step(emb, img, points, moved, cfg.tps_lambda, kernel)
     iters = 0
     flagged = False
     while float(step.distances(peers).min()) < cfg.distance_threshold:
@@ -211,14 +234,14 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
             logger.warning("branch %d hit max_iters=%d", k, cfg.max_iters)
             break
         g = step.grad(peers)
-        del step  # release its grid kernel before the next one is built
+        del step  # the next step overwrites its grid kernel
         moved = project(points, fgsm_step(moved, g, cfg.step_size))
-        step = attack_step(emb, img, points, moved, cfg.tps_lambda)
+        step = attack_step(emb, img, points, moved, cfg.tps_lambda, kernel)
         iters += 1
         if on_step is not None:
             on_step(k, iters, float(step.distances(peers).sum()))
     z, image = step.z, step.image
-    del step  # release its grid kernel before the final warp
+    del step
     if image is None:
         image = warp_image(img, points, moved, cfg.tps_lambda)
     face = ManipulatedFace(

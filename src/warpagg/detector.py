@@ -9,6 +9,13 @@ cotangent on the heatmaps, chainable with the soft-argmax Jacobian so a
 landmark-space loss trains the network end to end. The conv and pool layers
 and their adjoints come from :mod:`warpagg.layers`, the toolkit the
 embedder uses too.
+
+The forward cache holds the activations and each conv layer's input
+(``x``, ``p1``, ``p2``, ``c1``, ``c2``), not its (H*W, Cin*9) im2col
+matrix: at 64 px with 68 maps that is 3 MB instead of 8. The backward
+rebuilds each matrix with :func:`warpagg.layers.im2col`, the same call the
+forward made, so the gradients are bitwise those of a cached matrix, and
+the forward alone frees every matrix as soon as its GEMM is done.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import Image, from_pixel, to_pixel
-from .layers import avgpool, avgpool_grad, conv3, conv3_input_grad
+from .layers import avgpool, avgpool_grad, conv3, conv3_input_grad, im2col
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
@@ -125,28 +132,27 @@ def _check_input(det: ToyDetector, img: Image) -> None:
 
 
 def forward_cached(det: ToyDetector, img: Image):
-    """Forward pass returning (heatmaps, cache for the backward pass)."""
+    """Forward pass returning (heatmaps, cache for the backward pass).
+
+    The cache holds every conv layer's input, not its im2col matrix;
+    :func:`detector_backward` rebuilds each matrix when it needs it.
+    """
     _check_input(det, img)
     p = {k: v.astype(np.float64) for k, v in det.params.items()}
     x = img.data[None]
-    a1, cols1 = conv3(x, p["enc1.w"], p["enc1.b"])
-    e1 = np.tanh(a1)
+    e1 = np.tanh(conv3(x, p["enc1.w"], p["enc1.b"])[0])
     p1 = avgpool(e1, 2)
-    a2, cols2 = conv3(p1, p["enc2.w"], p["enc2.b"])
-    e2 = np.tanh(a2)
+    e2 = np.tanh(conv3(p1, p["enc2.w"], p["enc2.b"])[0])
     p2 = avgpool(e2, 2)
-    am, colsm = conv3(p2, p["mid.w"], p["mid.b"])
-    m = np.tanh(am)
+    m = np.tanh(conv3(p2, p["mid.w"], p["mid.b"])[0])
     c1 = np.concatenate([_up2(m), e2], axis=0)
-    ad, colsd = conv3(c1, p["dec1.w"], p["dec1.b"])
-    d1 = np.tanh(ad)
+    d1 = np.tanh(conv3(c1, p["dec1.w"], p["dec1.b"])[0])
     c2 = np.concatenate([_up2(d1), e1], axis=0)
-    pre, colso = conv3(c2, p["out.w"], p["out.b"])
+    pre = conv3(c2, p["out.w"], p["out.b"])[0]
     heat = np.logaddexp(0.0, pre)
     cache = {
         "p64": p, "e1": e1, "e2": e2, "m": m, "d1": d1, "pre": pre,
-        "cols1": cols1, "cols2": cols2, "colsm": colsm, "colsd": colsd,
-        "colso": colso,
+        "x": x, "p1": p1, "p2": p2, "c1": c1, "c2": c2,
     }
     return heat, cache
 
@@ -167,23 +173,27 @@ def detector_backward(det: ToyDetector, cache: dict, cotangent: np.ndarray) -> d
     p = cache["p64"]
     grads: dict[str, np.ndarray] = {}
 
+    def layer(name: str, g: np.ndarray, inp: str) -> np.ndarray:
+        grads[f"{name}.w"], grads[f"{name}.b"], gin = _conv3_backward(g, im2col(cache[inp]), p[f"{name}.w"])
+        return gin
+
     gpre = cot * _sigmoid(cache["pre"])
     n_dec1, n_mid = _CHANNELS["dec1"], _CHANNELS["mid"]
-    grads["out.w"], grads["out.b"], gc2 = _conv3_backward(gpre, cache["colso"], p["out.w"])
+    gc2 = layer("out", gpre, "c2")
     gd1 = _up2_backward(gc2[:n_dec1])
     ge1_skip = gc2[n_dec1:]
     gad = gd1 * (1.0 - cache["d1"] ** 2)
-    grads["dec1.w"], grads["dec1.b"], gc1 = _conv3_backward(gad, cache["colsd"], p["dec1.w"])
+    gc1 = layer("dec1", gad, "c1")
     gm = _up2_backward(gc1[:n_mid])
     ge2_skip = gc1[n_mid:]
     gam = gm * (1.0 - cache["m"] ** 2)
-    grads["mid.w"], grads["mid.b"], gp2 = _conv3_backward(gam, cache["colsm"], p["mid.w"])
+    gp2 = layer("mid", gam, "p2")
     ge2 = avgpool_grad(gp2, 2) + ge2_skip
     ga2 = ge2 * (1.0 - cache["e2"] ** 2)
-    grads["enc2.w"], grads["enc2.b"], gp1 = _conv3_backward(ga2, cache["cols2"], p["enc2.w"])
+    gp1 = layer("enc2", ga2, "p1")
     ge1 = avgpool_grad(gp1, 2) + ge1_skip
     ga1 = ge1 * (1.0 - cache["e1"] ** 2)
-    grads["enc1.w"], grads["enc1.b"], _ = _conv3_backward(ga1, cache["cols1"], p["enc1.w"])
+    layer("enc1", ga1, "x")
     return grads
 
 

@@ -330,6 +330,13 @@ class ResizeStencil:
     def identity(self) -> bool:
         return self.x is None
 
+    @property
+    def support_shape(self) -> tuple[int, int]:
+        """Shape of the support raster."""
+        if self.identity:
+            return self.height, self.width
+        return len(self.rows), len(self.cols)
+
     def resize(self, support: Image) -> Image:
         """The resized image from the support raster."""
         if self.identity:
@@ -345,7 +352,7 @@ class ResizeStencil:
         if self.identity:
             return c.copy()
         (x0, x1, fx), (y0, y1, fy) = self.x, self.y
-        out = np.zeros((len(self.rows), len(self.cols)))
+        out = np.zeros(self.support_shape)
         _scatter(out, x0, x1, y0[:, None], y1[:, None], fx, fy[:, None], c)
         return out
 

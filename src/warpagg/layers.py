@@ -1,9 +1,12 @@
 """The conv/pool toolkit shared by the embedder and the detector.
 
 All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
-convolution as one im2col GEMM; :func:`conv3_input_grad` is its adjoint
-w.r.t. the input as nine shifted GEMMs; :func:`avgpool` and
-:func:`avgpool_grad` are a non-overlapping k x k mean pool and its adjoint.
+convolution as one GEMM over the (H*W, Cin*9) matrix :func:`im2col`
+builds, with the bias added in place; it returns that matrix too, and a
+caller that keeps only the input can rebuild it bitwise with
+:func:`im2col`. :func:`conv3_input_grad` is its adjoint w.r.t. the input as
+nine shifted GEMMs; :func:`avgpool` and :func:`avgpool_grad` are a
+non-overlapping k x k mean pool and its adjoint.
 """
 
 from __future__ import annotations
@@ -19,16 +22,25 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+def im2col(x: np.ndarray) -> np.ndarray:
+    """The im2col matrix of a 3x3 same-pad convolution over x (Cin,H,W),
+    shape (H*W, Cin*9): row r*W + c holds the 3x3 patch of every input
+    channel around pixel (r, c)."""
+    cin, h, wd = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(_pad1(x), (3, 3), axis=(1, 2))
+    return win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * 9)
+
+
 def conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """3x3 same-pad convolution; x (Cin,H,W), w (Cout,Cin,3,3), b (Cout,).
 
-    Returns (out (Cout,H,W), cols (H*W, Cin*9)); cols is the im2col matrix
-    the weight gradient is taken against.
+    Returns (out (Cout,H,W), cols (H*W, Cin*9)); cols is :func:`im2col` of
+    ``x``, the matrix the weight gradient is taken against.
     """
-    cin, h, wd = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(_pad1(x), (3, 3), axis=(1, 2))
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * 9)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
+    _, h, wd = x.shape
+    cols = im2col(x)
+    out = cols @ w.reshape(w.shape[0], -1).T
+    out += b
     return out.T.reshape(w.shape[0], h, wd), cols
 
 

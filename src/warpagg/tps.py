@@ -24,17 +24,21 @@ folding the kernel derivative 2 (log s + 1) into 2 (log_s @ Y^T + sum_p Y);
 the adjoint term is phi^T @ q^T, solved against the fit's stored system
 matrix. Neither allocates an (L, Npix) temporary.
 
-:func:`warp_image` is the plain path and needs only the (2, Npix) mapped
-grid. It builds the grid kernel one band of whole rows at a time, about
-``_BAND_PIXELS`` pixels each: the same :func:`_features` body writes a
-band's s, log s and U into one (L+3, band) and one (L, band) buffer that
-every band reuses, and one GEMM per band writes that band's columns of the
-mapped grid. The buffers stay in cache and no (L, Npix) array is ever
-allocated (at 256 px with L=68 the full features take 37 MB). Each output
-of the GEMM is one dot product over the L+3 parameters, and the band GEMMs
-give the same bits as the full-range one, so the plain and the fused image
-are bitwise equal; the tests pin this on both the small-matrix and the
-blocked BLAS kernel.
+:func:`warp_image` is the plain path. Only its output raster is full size;
+every temporary is band or block sized. It builds the grid kernel one band
+of whole rows at a time, about ``_BAND_PIXELS`` pixels each: the same
+:func:`_features` body writes a band's s, log s and U into one (L+3, band)
+and one (L, band) buffer that every band reuses, and one GEMM per band
+writes that band's columns of a (2, block) mapped block. After every
+``_SAMPLE_BANDS`` bands (about 8192 pixels) the block is sampled and clipped
+into its rows of the output, so each sampler temporary stays under
+128 KiB. The buffers stay in cache, no (L, Npix) or (2, Npix) array is
+allocated (at 256 px with L=68 the full features take 37 MB), and a call
+does not hand megabytes of fresh pages to the allocator that the next call
+has to fault in again. Each output of the GEMM is one dot product over the
+L+3 parameters, and the band GEMMs give the same bits as the full-range
+one, so the plain and the fused image are bitwise equal; the tests pin
+this on both the small-matrix and the blocked BLAS kernel.
 
 :func:`warp_with_vjp` keeps the full-range kernel: its backward is two
 GEMMs whose inner dimension is the pixel grid. Accumulated band by band they
@@ -50,7 +54,10 @@ build over the chosen axes, and each warped pixel is bitwise the one
 :func:`warp_image` gives, since every kernel entry and every mapped
 coordinate is computed on its own. The attack step warps just the rows and
 columns its resize to the embedder reads (a quarter of the pixels from
-256 px to 64 px), so its kernel and its backward shrink with them.
+256 px to 64 px), so its kernel and its backward shrink with them. Its
+kernel pair can be given (``out``): the attack writes every step of a
+branch into one pair, and a warp's ``vjp`` is valid only until the next
+kernel is written there.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ _TINY_SQ = 1e-30
 # Pixels per row band of warp_image's grid kernel: at L=68 the band's features
 # and log s take about 0.6 MB each, so every pass over them stays in cache.
 _BAND_PIXELS = 1024
+# Bands per sampled block of warp_image: about 8192 pixels, so each of the
+# sampler's temporaries stays under 128 KiB.
+_SAMPLE_BANDS = 8
 
 
 class DegenerateControlPointsError(ValueError):
@@ -179,33 +189,6 @@ def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
     return (params.T @ phi_t).T
 
 
-def _banded_mapped_grid(t: TpsTransform, width: int, height: int) -> np.ndarray:
-    """The mapped pixel grid (Npix, 2) of ``t``, as :func:`_mapped` over
-    :func:`_features` of every pixel gives it, built one band of whole rows
-    at a time.
-
-    A band has ``max(1, _BAND_PIXELS // width)`` rows. :func:`_features`
-    writes each band's kernel into one pair of buffers that every band
-    reuses (the last, shorter band uses their front), and one GEMM writes
-    the band's columns of the (2, Npix) product.
-    """
-    cpts, params = t.control_points, _params(t)
-    m = cpts.shape[0]
-    xs, ys = grid_axes(width, height)
-    x = xs[None, :]
-    rows = max(1, _BAND_PIXELS // width)
-    band = min(rows, height) * width
-    phi_buf, log_buf = np.empty((m + 3) * band), np.empty(m * band)
-    src = np.empty((2, width * height))
-    for r0 in range(0, height, rows):
-        y = ys[r0 : r0 + rows, None]
-        n = y.size * width
-        phi_t, _ = _features(cpts, x, y,
-                             out=(phi_buf[: (m + 3) * n].reshape(m + 3, n), log_buf[: m * n].reshape(m, n)))
-        np.matmul(params.T, phi_t, out=src[:, r0 * width : r0 * width + n])
-    return src.T
-
-
 def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTransform:
     """Fit the spline mapping ``source`` onto ``target``.
 
@@ -271,13 +254,37 @@ def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
 
     Backward warp: fit moved->original, pull each output pixel from the
     spline-mapped location in the input (clamped bilinear sampling). The
-    mapped grid is built in row bands of about ``_BAND_PIXELS`` pixels, so
-    no (L, Npix) array is allocated; the image is bitwise the one
+    grid kernel is built in row bands of ``max(1, _BAND_PIXELS // width)``
+    rows, and the mapped grid in blocks of ``_SAMPLE_BANDS`` bands, each
+    sampled and clipped into its rows of the output before the next block
+    is mapped; only the output is full size. The image is bitwise the one
     :func:`warp_with_vjp` returns.
     """
     t = fit_tps(points_moved, points, lam)
-    vals, _ = sample_grid(img.data, _banded_mapped_grid(t, img.width, img.height))
-    return Image(np.clip(vals.reshape(img.height, img.width), 0.0, 1.0))
+    cpts, params = t.control_points, _params(t)
+    m = cpts.shape[0]
+    width, height = img.width, img.height
+    xs, ys = grid_axes(width, height)
+    x = xs[None, :]
+    rows = max(1, _BAND_PIXELS // width)
+    block_rows = rows * _SAMPLE_BANDS
+    band = min(rows, height) * width
+    # one kernel pair for every band (the last, shorter band uses its front)
+    # and one mapped block for every block
+    phi_buf, log_buf = np.empty((m + 3) * band), np.empty(m * band)
+    src = np.empty((2, min(block_rows, height) * width))
+    out = np.empty((height, width))
+    for b0 in range(0, height, block_rows):
+        b1 = min(b0 + block_rows, height)
+        for r0 in range(b0, b1, rows):
+            y = ys[r0 : min(r0 + rows, b1), None]
+            n, at = y.size * width, (r0 - b0) * width
+            phi_t, _ = _features(cpts, x, y,
+                                 out=(phi_buf[: (m + 3) * n].reshape(m + 3, n), log_buf[: m * n].reshape(m, n)))
+            np.matmul(params.T, phi_t, out=src[:, at : at + n])
+        vals, _ = sample_grid(img.data, src[:, : (b1 - b0) * width].T)
+        np.clip(vals.reshape(b1 - b0, width), 0.0, 1.0, out=out[b0:b1])
+    return Image(out)
 
 
 def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
@@ -291,7 +298,8 @@ def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
 
 
 def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
-                  lam: float = DEFAULT_LAMBDA, rows=slice(None), cols=slice(None)):
+                  lam: float = DEFAULT_LAMBDA, rows=slice(None), cols=slice(None),
+                  out: tuple[np.ndarray, np.ndarray] | None = None):
     """:func:`warp_image` together with its backward w.r.t. ``points_moved``,
     on the pixels of the given output ``rows`` and ``cols``.
 
@@ -305,6 +313,11 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
     itself (adjoint solve of the same symmetric matrix; the right-hand side
     does not depend on the moved points). The warp's one fit and one grid
     kernel are held until ``vjp`` is dropped.
+
+    ``out``, when given, is the C-contiguous pair of buffers, (L+3, N) and
+    (L, N) for the N warped pixels, that the grid kernel is written into
+    instead of fresh arrays; ``vjp`` reads it, so it is valid only until
+    the next kernel is written there.
     """
     pts = np.asarray(points, dtype=np.float64)
     t = fit_tps(points_moved, pts, lam)
@@ -312,7 +325,7 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
     n = cpts.shape[0]
     xs, ys = grid_axes(img.width, img.height)
     xs, ys = xs[cols], ys[rows]
-    phi_t, log_s = _features(cpts, xs[None, :], ys[:, None])
+    phi_t, log_s = _features(cpts, xs[None, :], ys[:, None], out)
     params = _params(t)
     vals, grads = sample_grid(img.data, _mapped(params, phi_t), with_grad=True)
     shape = (ys.size, xs.size)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warpagg.attack as attack_mod
 import warpagg.tps as tps_mod
 from conftest import base_shape_12, blob_image, ring_landmarks
 from warpagg.attack import (
@@ -226,6 +227,51 @@ class TestWorkPerIteration:
         # plus one fit and forward to start each branch, and one forward for the original
         assert counts == {"fit": cfg.branches * (cfg.max_iters + 1),
                           "forward": 1 + cfg.branches * (cfg.max_iters + 1)}
+
+
+class TestKernelReuse:
+    """Every step of one branch builds its grid kernel into one pair of
+    buffers that the branch allocates once."""
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["raw", "grouped"])
+    def test_every_step_writes_into_one_kernel_pair(self, emb, pts, grouped, monkeypatch):
+        # 64 px into a 32 px embedder, so the step kernel differs from the
+        # final warp's band buffers
+        img = blob_image(64, seed=21)
+        kernels, inside = [], []
+        real_warp, real_features = attack_mod.warp_with_vjp, tps_mod._features
+
+        def warp(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_warp(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def features(*args, **kwargs):
+            out = real_features(*args, **kwargs)
+            if inside:
+                kernels.append(out)
+            return out
+
+        monkeypatch.setattr(attack_mod, "warp_with_vjp", warp)
+        monkeypatch.setattr(tps_mod, "_features", features)
+        # tau = 2 is out of reach, so each branch runs all its iterations
+        cfg = AttackConfig(branches=2, distance_threshold=2.0, max_iters=3)
+        if grouped:
+            faces = generate_grouped_adversarial_set(emb, img, base_shape_12(),
+                                                     assign_groups(12, "synthetic"), cfg)
+        else:
+            faces = generate_adversarial_set(emb, img, pts, cfg)
+        steps = cfg.max_iters + 1
+        assert len(kernels) == cfg.branches * steps
+        for k in range(cfg.branches):
+            (phi0, log0), rest = kernels[k * steps], kernels[k * steps + 1 : (k + 1) * steps]
+            assert all(np.shares_memory(phi, phi0) and np.shares_memory(log_s, log0)
+                       for phi, log_s in rest)
+        # the branches' faces are still the plain warps at their control points
+        for f in faces:
+            assert np.array_equal(f.image.data, warp_image(img, f.control_source, f.control_target).data)
 
 
 class TestStepAndClip:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,34 @@ class TestForward:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             ToyDetector(3, (-16, 16))
+
+
+class TestForwardMemory:
+    """At 64 px with 68 maps the cache keeps each layer's input, not its
+    (H*W, Cin*9) im2col matrix, which the backward rebuilds."""
+
+    @pytest.fixture(scope="class")
+    def det64(self):
+        return ToyDetector(68, (64, 64), seed=0)
+
+    def test_cache_holds_no_im2col_matrix(self, det64):
+        _, cache = forward_cached(det64, blob_image(64, seed=5))
+        arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
+        arrays += [v for v in cache["p64"].values()]
+        for a in arrays:
+            assert not (a.ndim == 2 and a.shape[1] % 9 == 0 and a.shape[0] in (64 * 64, 32 * 32, 16 * 16))
+        assert sum(a.nbytes for a in arrays) < 4e6
+
+    def test_predict_heatmaps_peak_memory(self, det64):
+        img = blob_image(64, seed=5)
+        predict_heatmaps(det64, img)
+        tracemalloc.start()
+        try:
+            predict_heatmaps(det64, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSoftArgmax:

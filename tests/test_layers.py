@@ -4,7 +4,7 @@ import pytest
 from conftest import blob_image
 from warpagg import detector
 from warpagg.detector import ToyDetector, detector_backward, forward_cached
-from warpagg.layers import conv3, conv3_input_grad
+from warpagg.layers import conv3, conv3_input_grad, im2col
 
 
 def loop_conv3(x, w, b):
@@ -76,6 +76,10 @@ class TestConvOracle:
         assert out.shape == (cout, size, size)
         assert cols.shape == (size * size, cin * 9)
         assert _rel(out, loop_conv3(x, w, b)) < 1e-12
+
+    def test_im2col_is_the_conv_matrix(self, cin, cout, size):
+        x, w, b, _ = _layer(cin, cout, size)
+        assert np.array_equal(im2col(x), conv3(x, w, b)[1])
 
     def test_input_grad_matches_loops(self, cin, cout, size):
         _, w, _, g = _layer(cin, cout, size)

@@ -340,6 +340,45 @@ class TestWarpImage:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_peak_memory_is_the_output_and_one_band(self):
+        # the 256 px output is 0.5 MB and one band's kernel pair about 1.1 MB
+        rng = np.random.default_rng(71)
+        img = blob_image(256, seed=71)
+        pts = rng.uniform(-0.7, 0.7, (68, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        warp_image(img, pts, moved)
+        tracemalloc.start()
+        try:
+            warp_image(img, pts, moved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    # (width, height): rows per band and per sampled block follow from the
+    # width, and the height picks where the last block ends
+    @pytest.mark.parametrize("width,height,last_rows", [
+        (256, 90, 26),    # ragged last block: 6 bands and a 2-row band
+        (256, 97, 1),     # last block a single row
+        (256, 32, 32),    # one block exactly
+        (1100, 20, 4),    # wider than a band: one row per band
+    ], ids=["ragged-last-block", "one-row-last-block", "one-block", "one-row-bands"])
+    def test_sample_blocks_bitwise_equal_to_warp_with_vjp(self, width, height, last_rows):
+        rows = max(1, tps_mod._BAND_PIXELS // width)
+        block_rows = rows * tps_mod._SAMPLE_BANDS
+        assert (height - 1) % block_rows + 1 == last_rows
+        if width > tps_mod._BAND_PIXELS:
+            assert rows == 1
+        rng = np.random.default_rng(width + height)
+        img = Image(rng.uniform(0.0, 1.0, (height, width)))
+        pts = rng.uniform(-0.7, 0.7, (12, 2))
+        moved = pts + rng.uniform(-0.05, 0.05, pts.shape)
+        # a control point on the centre of the last pixel, in the last block
+        xs, ys = grid_axes(width, height)
+        moved[0] = xs[-1], ys[-1]
+        got = warp_image(img, pts, moved).data
+        assert np.array_equal(got, warp_with_vjp(img, pts, moved)[0].data)
+
     def test_dot_centroid_tracks_displacement(self):
         # bright 3x3 dot at image center, 5 spread control points
         size = 33
@@ -437,6 +476,18 @@ class TestWarpWithVjp:
         _, vjp = warp_with_vjp(img, pts, moved)
         vjp(cot)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("sub", [False, True], ids=["full", "sub-grid"])
+    def test_kernel_pair_gives_the_default_bits(self, case, sub):
+        img, pts, moved, cot = case
+        rows, cols = (np.arange(1, 48, 3), np.arange(0, 48, 2)) if sub else (slice(None), slice(None))
+        n = np.arange(48)[rows].size * np.arange(48)[cols].size
+        pair = np.empty((pts.shape[0] + 3, n)), np.empty((pts.shape[0], n))
+        cot = cot[rows][:, cols]
+        want_img, want_vjp = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
+        got_img, got_vjp = warp_with_vjp(img, pts, moved, rows=rows, cols=cols, out=pair)
+        assert np.array_equal(got_img.data, want_img.data)
+        assert np.array_equal(got_vjp(cot), want_vjp(cot))
 
     def test_wrong_cotangent_size(self, case):
         img, pts, moved, _ = case
