@@ -112,15 +112,6 @@ class AttackStep:
         return self.backward((diffs * scale[:, None]).sum(axis=0))
 
 
-def delta_from_landmarks(points: np.ndarray, fraction: float = 0.05) -> float:
-    """Clip radius as a fraction of the landmark bounding-box width."""
-    points = np.asarray(points, dtype=np.float64)
-    width = float(points[:, 0].max() - points[:, 0].min())
-    if width <= 0:
-        raise ValueError("landmark bounding box has zero width")
-    return fraction * width
-
-
 def _embedder_input(emb: ToyEmbedder, image: Image) -> Image:
     eh, ew = emb.input_size
     return image if (image.height, image.width) == (eh, ew) else resize_bilinear(image, ew, eh)
@@ -155,30 +146,18 @@ def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
     return AttackStep(z, backward, warped if st.identity else None)
 
 
-def _peer_array(peer_embeddings: np.ndarray) -> np.ndarray:
-    peers = np.atleast_2d(np.asarray(peer_embeddings, dtype=np.float64))
-    if peers.shape[0] == 0:
-        raise ValueError("peer set must be nonempty")
-    return peers
-
-
-def attack_cost(emb: ToyEmbedder, img: Image, points: np.ndarray,
-                points_moved: np.ndarray, peer_embeddings: np.ndarray,
-                lam: float = 1e-6) -> float:
-    """Sum of embedding distances from the candidate warp to every peer."""
-    peers = _peer_array(peer_embeddings)
-    return float(attack_step(emb, img, points, points_moved, lam).distances(peers).sum())
-
-
 def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
               points_moved: np.ndarray, peer_embeddings: np.ndarray,
               lam: float = 1e-6) -> np.ndarray:
-    """Gradient of :func:`attack_cost` w.r.t. the moved landmarks, (L,2).
+    """Gradient of the summed embedding distances from the candidate warp to
+    every peer w.r.t. the moved landmarks, (L,2).
 
     Chains the embedding input gradient through the warp VJP; distances of
     exactly zero contribute a zero subgradient.
     """
-    peers = _peer_array(peer_embeddings)
+    peers = np.atleast_2d(np.asarray(peer_embeddings, dtype=np.float64))
+    if peers.shape[0] == 0:
+        raise ValueError("peer set must be nonempty")
     return attack_step(emb, img, points, points_moved, lam).grad(peers)
 
 

@@ -1,21 +1,14 @@
-"""Heatmap landmark detector: a small trainable encoder-decoder with two
-downsampling and two upsampling stages plus skip connections, ending in one
-nonnegative response map per landmark (softplus keeps every map strictly
-positive so the weighted-mean decode is always defined).
+"""Heatmap landmark detector: a small encoder-decoder with two downsampling
+and two upsampling stages plus skip connections, ending in one nonnegative
+response map per landmark (softplus keeps every map strictly positive so the
+weighted-mean decode is always defined).
 
-Parameters are stored float32 (the checkpoint payload dtype); all math runs
-in float64. The backward pass returns analytic parameter gradients for a
-cotangent on the heatmaps, chainable with the soft-argmax Jacobian so a
-landmark-space loss trains the network end to end. The conv and pool layers
-and their adjoints come from :mod:`warpagg.layers`, the toolkit the
-embedder uses too.
-
-The forward cache holds the activations and each conv layer's input
-(``x``, ``p1``, ``p2``, ``c1``, ``c2``), not its (H*W, Cin*9) im2col
-matrix: at 64 px with 68 maps that is 3 MB instead of 8. The backward
-rebuilds each matrix with :func:`warpagg.layers.im2col`, the same call the
-forward made, so the gradients are bitwise those of a cached matrix, and
-the forward alone frees every matrix as soon as its GEMM is done.
+The detector only runs forward: its weights are a seeded initialization or
+come from a checkpoint, and nothing here trains them. Parameters are stored
+float32 (the checkpoint payload dtype); all math runs in float64. The conv
+and pool layers come from :mod:`warpagg.layers`, the toolkit the embedder
+uses too; each conv layer's im2col matrix is freed as soon as its GEMM is
+done.
 """
 
 from __future__ import annotations
@@ -28,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import Image, from_pixel, to_pixel
-from .layers import avgpool, avgpool_grad, conv3, conv3_input_grad, im2col
+from .imaging import Image, from_pixel
+from .layers import avgpool, conv3
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
@@ -46,33 +39,14 @@ class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not parse as a known detector checkpoint."""
 
 
-def _conv3_backward(g: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    """Gradients of a conv3 layer: (d weight, d bias, d input)."""
-    gw = (g.reshape(g.shape[0], -1) @ cols).reshape(w.shape)
-    return gw, g.sum(axis=(1, 2)), conv3_input_grad(g, w)
-
-
 def _up2(x: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
-def _up2_backward(g: np.ndarray) -> np.ndarray:
-    c, h, wd = g.shape
-    return g.reshape(c, h // 2, 2, wd // 2, 2).sum(axis=(2, 4))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass(frozen=True)
 class ToyDetector:
-    """Trainable stand-in for a full hourglass landmark network."""
+    """Forward-only stand-in for a full hourglass landmark network; its
+    weights are seeded or loaded from a checkpoint."""
 
     num_landmarks: int
     input_size: tuple[int, int] = (64, 64)  # (height, width)
@@ -131,70 +105,16 @@ def _check_input(det: ToyDetector, img: Image) -> None:
         )
 
 
-def forward_cached(det: ToyDetector, img: Image):
-    """Forward pass returning (heatmaps, cache for the backward pass).
-
-    The cache holds every conv layer's input, not its im2col matrix;
-    :func:`detector_backward` rebuilds each matrix when it needs it.
-    """
-    _check_input(det, img)
-    p = {k: v.astype(np.float64) for k, v in det.params.items()}
-    x = img.data[None]
-    e1 = np.tanh(conv3(x, p["enc1.w"], p["enc1.b"])[0])
-    p1 = avgpool(e1, 2)
-    e2 = np.tanh(conv3(p1, p["enc2.w"], p["enc2.b"])[0])
-    p2 = avgpool(e2, 2)
-    m = np.tanh(conv3(p2, p["mid.w"], p["mid.b"])[0])
-    c1 = np.concatenate([_up2(m), e2], axis=0)
-    d1 = np.tanh(conv3(c1, p["dec1.w"], p["dec1.b"])[0])
-    c2 = np.concatenate([_up2(d1), e1], axis=0)
-    pre = conv3(c2, p["out.w"], p["out.b"])[0]
-    heat = np.logaddexp(0.0, pre)
-    cache = {
-        "p64": p, "e1": e1, "e2": e2, "m": m, "d1": d1, "pre": pre,
-        "x": x, "p1": p1, "p2": p2, "c1": c1, "c2": c2,
-    }
-    return heat, cache
-
-
 def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
     """Nonnegative response maps, shape (L, H, W), same spatial size as input."""
-    heat, _ = forward_cached(det, img)
-    return heat
-
-
-def detector_backward(det: ToyDetector, cache: dict, cotangent: np.ndarray) -> dict:
-    """Parameter gradients of <cotangent, heatmaps> given a cached forward."""
-    if cache is None:
-        raise ValueError("forward cache required; call forward_cached first")
-    cot = np.asarray(cotangent, dtype=np.float64)
-    if cot.shape != cache["pre"].shape:
-        raise ValueError(f"cotangent shape {cot.shape} != heatmap shape {cache['pre'].shape}")
-    p = cache["p64"]
-    grads: dict[str, np.ndarray] = {}
-
-    def layer(name: str, g: np.ndarray, inp: str) -> np.ndarray:
-        grads[f"{name}.w"], grads[f"{name}.b"], gin = _conv3_backward(g, im2col(cache[inp]), p[f"{name}.w"])
-        return gin
-
-    gpre = cot * _sigmoid(cache["pre"])
-    n_dec1, n_mid = _CHANNELS["dec1"], _CHANNELS["mid"]
-    gc2 = layer("out", gpre, "c2")
-    gd1 = _up2_backward(gc2[:n_dec1])
-    ge1_skip = gc2[n_dec1:]
-    gad = gd1 * (1.0 - cache["d1"] ** 2)
-    gc1 = layer("dec1", gad, "c1")
-    gm = _up2_backward(gc1[:n_mid])
-    ge2_skip = gc1[n_mid:]
-    gam = gm * (1.0 - cache["m"] ** 2)
-    gp2 = layer("mid", gam, "p2")
-    ge2 = avgpool_grad(gp2, 2) + ge2_skip
-    ga2 = ge2 * (1.0 - cache["e2"] ** 2)
-    gp1 = layer("enc2", ga2, "p1")
-    ge1 = avgpool_grad(gp1, 2) + ge1_skip
-    ga1 = ge1 * (1.0 - cache["e1"] ** 2)
-    layer("enc1", ga1, "x")
-    return grads
+    _check_input(det, img)
+    p = {k: v.astype(np.float64) for k, v in det.params.items()}
+    e1 = np.tanh(conv3(img.data[None], p["enc1.w"], p["enc1.b"]))
+    e2 = np.tanh(conv3(avgpool(e1, 2), p["enc2.w"], p["enc2.b"]))
+    m = np.tanh(conv3(avgpool(e2, 2), p["mid.w"], p["mid.b"]))
+    d1 = np.tanh(conv3(np.concatenate([_up2(m), e2], axis=0), p["dec1.w"], p["dec1.b"]))
+    pre = conv3(np.concatenate([_up2(d1), e1], axis=0), p["out.w"], p["out.b"])
+    return np.logaddexp(0.0, pre)
 
 
 def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,40 +140,6 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ys = (heat.sum(axis=2) @ us) / mass
     xs = (heat.sum(axis=1) @ vs) / mass
     return from_pixel(np.stack([xs, ys], axis=-1), w, h), mass
-
-
-def soft_argmax_vjp(heat: np.ndarray, d_landmarks: np.ndarray) -> np.ndarray:
-    """Cotangent on the heatmaps for a cotangent on the decoded landmarks.
-
-    A 1-pixel axis decodes to the constant 0 (see :func:`from_pixel`), so its
-    cotangent contributes nothing.
-    """
-    heat = np.asarray(heat, dtype=np.float64)
-    n, h, w = heat.shape
-    pts, mass = soft_argmax(heat)
-    pix = to_pixel(pts, w, h)
-    d = np.asarray(d_landmarks, dtype=np.float64)
-    dxs = d[:, 0] * (2.0 / (w - 1) if w > 1 else 0.0)
-    dys = d[:, 1] * (2.0 / (h - 1) if h > 1 else 0.0)
-    us = np.arange(h, dtype=np.float64)
-    vs = np.arange(w, dtype=np.float64)
-    gx = (vs[None, None, :] - pix[:, 0, None, None]) * (dxs / mass)[:, None, None]
-    gy = (us[None, :, None] - pix[:, 1, None, None]) * (dys / mass)[:, None, None]
-    return gx + gy
-
-
-def render_gaussian_heatmaps(points: np.ndarray, sigma: float, height: int,
-                             width: int) -> np.ndarray:
-    """Unnormalized Gaussian bump per landmark, truncated at 4*sigma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    pts = np.asarray(points, dtype=np.float64)
-    pix = to_pixel(pts, width, height)
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    d2 = (xs[None] - pix[:, 0, None, None]) ** 2 + (ys[None] - pix[:, 1, None, None]) ** 2
-    heat = np.exp(-d2 / (2.0 * sigma * sigma))
-    heat[d2 > (4.0 * sigma) ** 2] = 0.0
-    return heat
 
 
 def checkpoint_bytes(det: ToyDetector, meta: dict | None = None) -> bytes:

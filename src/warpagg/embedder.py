@@ -60,9 +60,9 @@ class ToyEmbedder:
     def _forward(self, img: Image) -> dict:
         w = self.weights
         x = (2.0 * img.data - 1.0)[None]
-        t1 = np.tanh(conv3(x, w["c1w"], w["c1b"])[0])
+        t1 = np.tanh(conv3(x, w["c1w"], w["c1b"]))
         p1 = avgpool(t1, 4)
-        t2 = np.tanh(conv3(p1, w["c2w"], w["c2b"])[0])
+        t2 = np.tanh(conv3(p1, w["c2w"], w["c2b"]))
         p2 = avgpool(t2, 4)
         feat = p2.ravel()
         y = w["pw"] @ feat + w["pb"]
@@ -109,11 +109,3 @@ def embed_input_grad(e: ToyEmbedder, img: Image, cotangent: np.ndarray) -> np.nd
     """d <cotangent, embed(img)> / d img, shape (H, W)."""
     return embed_with_vjp(e, img)[1](cotangent)
 
-
-def embedding_distance(z1: np.ndarray, z2: np.ndarray) -> float:
-    """Euclidean distance between two embeddings."""
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape != z2.shape:
-        raise ValueError(f"embedding shapes differ: {z1.shape} vs {z2.shape}")
-    return float(np.linalg.norm(z1 - z2))

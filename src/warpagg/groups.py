@@ -20,6 +20,14 @@ from .imaging import Image
 
 # Normalized coordinates span [-1, 1], so the image width in those units is 2.
 NORMALIZED_WIDTH = 2.0
+# sample_known_transforms draws each group's scale uniformly in SCALE_RANGE
+# and its center offset uniformly in +-TRANSLATION_FRACTION * NORMALIZED_WIDTH
+# per axis, and gives up after MAX_ATTEMPTS rejected draws.
+SCALE_RANGE = (0.9, 1.1)
+TRANSLATION_FRACTION = 0.05
+MAX_ATTEMPTS = 50
+# validate_structure's margin on separations, scales and mirrored offsets
+STRUCTURE_TOL = 1e-7
 
 
 class StructureSamplingError(RuntimeError):
@@ -71,10 +79,6 @@ class SemanticGroups:
         order.flags.writeable = False
         ends = np.cumsum(sizes).tolist()
         object.__setattr__(self, "_indices", tuple(order[a:b] for a, b in zip([0, *ends], ends)))
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.membership, minlength=self.count)
 
     def indices(self, gid: int) -> np.ndarray:
         return self._indices[gid]
@@ -164,7 +168,14 @@ def apply_group_transform(points: np.ndarray, scale: float, center) -> np.ndarra
 
 def apply_groups(points: np.ndarray, groups: SemanticGroups,
                  sims: list[GroupSimilarity]) -> np.ndarray:
+    """Apply ``sims[gid]`` to every group's landmarks. ``sims`` must hold one
+    transform per group and ``points`` one row per membership entry, or
+    ``ValueError`` is raised."""
+    if len(sims) != groups.count:
+        raise ValueError(f"need {groups.count} group transforms, got {len(sims)}")
     out = np.asarray(points, dtype=np.float64).copy()
+    if out.shape[0] != len(groups.membership):
+        raise ValueError(f"need {len(groups.membership)} landmarks, got {out.shape[0]}")
     for gid in range(groups.count):
         idx = groups.indices(gid)
         out[idx] = apply_group_transform(out[idx], sims[gid].scale, sims[gid].center)
@@ -193,20 +204,21 @@ def _bbox(points: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def validate_structure(groups: SemanticGroups, base: np.ndarray,
-                       transformed: np.ndarray, tol: float = 1e-7) -> bool:
+                       transformed: np.ndarray) -> bool:
     """Check inter-group structure after a per-group similarity transform.
 
     (a) Every designated (upper, lower) pair keeps disjoint bounding boxes
     with the upper group strictly above. (b) Every designated mirror pair
     applied transforms that are x-mirrors of each other: equal scales and
-    mirrored offsets of the group centers.
+    mirrored offsets of the group centers. Both hold to within
+    ``STRUCTURE_TOL``.
     """
     base = np.asarray(base, dtype=np.float64)
     transformed = np.asarray(transformed, dtype=np.float64)
     for upper, lower in groups.vertical_pairs:
         _, _, _, upper_max_y = _bbox(transformed[groups.indices(upper)])
         _, _, lower_min_y, _ = _bbox(transformed[groups.indices(lower)])
-        if upper_max_y > lower_min_y - tol:
+        if upper_max_y > lower_min_y - STRUCTURE_TOL:
             return False
     for ga, gb in groups.mirror_pairs:
         ia, ib = groups.indices(ga), groups.indices(gb)
@@ -214,32 +226,30 @@ def validate_structure(groups: SemanticGroups, base: np.ndarray,
         sim_b = fit_group_similarity(base[ib], transformed[ib])
         off_a = sim_a.center - group_mean(base[ia])
         off_b = sim_b.center - group_mean(base[ib])
-        if abs(sim_a.scale - sim_b.scale) > tol:
+        if abs(sim_a.scale - sim_b.scale) > STRUCTURE_TOL:
             return False
-        if abs(off_a[0] + off_b[0]) > tol or abs(off_a[1] - off_b[1]) > tol:
+        if abs(off_a[0] + off_b[0]) > STRUCTURE_TOL or abs(off_a[1] - off_b[1]) > STRUCTURE_TOL:
             return False
     return True
 
 
 def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
-                            rng: np.random.Generator,
-                            scale_range: tuple[float, float] = (0.9, 1.1),
-                            translation_fraction: float = 0.05,
-                            max_attempts: int = 50) -> list[GroupSimilarity]:
+                            rng: np.random.Generator) -> list[GroupSimilarity]:
     """Sample one scale+translation per group: scale uniform in
-    ``scale_range``, center offset uniform in +-fraction*width per axis.
-    Mirror pairs draw once and mirror; draws are rejected until
-    :func:`validate_structure` passes."""
+    ``SCALE_RANGE``, center offset uniform in +-``TRANSLATION_FRACTION``
+    times the width per axis. Mirror pairs draw once and mirror; draws are
+    rejected until :func:`validate_structure` passes, at most
+    ``MAX_ATTEMPTS`` times."""
     base = np.asarray(base, dtype=np.float64)
-    bound = translation_fraction * NORMALIZED_WIDTH
+    bound = TRANSLATION_FRACTION * NORMALIZED_WIDTH
     mirrored_from = {gb: ga for ga, gb in groups.mirror_pairs}
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         sims: dict[int, GroupSimilarity] = {}
         drawn: dict[int, tuple[float, np.ndarray]] = {}
         for gid in range(groups.count):
             if gid in mirrored_from:
                 continue
-            scale = float(rng.uniform(*scale_range))
+            scale = float(rng.uniform(*SCALE_RANGE))
             offset = rng.uniform(-bound, bound, 2)
             drawn[gid] = (scale, offset)
             sims[gid] = GroupSimilarity(scale, group_mean(base[groups.indices(gid)]) + offset)
@@ -251,7 +261,7 @@ def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
         if validate_structure(groups, base, apply_groups(base, groups, result)):
             return result
     raise StructureSamplingError(
-        f"no structurally valid transform set in {max_attempts} attempts; "
+        f"no structurally valid transform set in {MAX_ATTEMPTS} attempts; "
         "base shape is likely degenerate"
     )
 

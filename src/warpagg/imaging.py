@@ -287,13 +287,6 @@ def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
     return val, grads
 
 
-def bilinear_sample(img: Image, p) -> tuple[float, np.ndarray]:
-    """Sample one normalized point; returns (value, d value / d (x, y))."""
-    pts = np.asarray(p, dtype=np.float64).reshape(1, 2)
-    val, grads = sample_grid(img.data, pts, with_grad=True)
-    return float(val[0]), grads[0]
-
-
 def sample_grid_vjp_image(data: np.ndarray, pts: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`sample_grid` w.r.t. the raster: scatter cotangents
     onto the four pixels supporting each sample."""

@@ -2,10 +2,9 @@
 
 All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
 convolution as one GEMM over the (H*W, Cin*9) matrix :func:`im2col`
-builds, with the bias added in place; it returns that matrix too, and a
-caller that keeps only the input can rebuild it bitwise with
-:func:`im2col`. :func:`conv3_input_grad` is its adjoint w.r.t. the input as
-nine shifted GEMMs; :func:`avgpool` and :func:`avgpool_grad` are a
+builds, with the bias added in place; the matrix is freed once the GEMM is
+done. :func:`conv3_input_grad` is its adjoint w.r.t. the input as nine
+shifted GEMMs; :func:`avgpool` and :func:`avgpool_grad` are a
 non-overlapping k x k mean pool and its adjoint.
 """
 
@@ -31,17 +30,13 @@ def im2col(x: np.ndarray) -> np.ndarray:
     return win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * 9)
 
 
-def conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """3x3 same-pad convolution; x (Cin,H,W), w (Cout,Cin,3,3), b (Cout,).
-
-    Returns (out (Cout,H,W), cols (H*W, Cin*9)); cols is :func:`im2col` of
-    ``x``, the matrix the weight gradient is taken against.
-    """
+def conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 same-pad convolution; x (Cin,H,W), w (Cout,Cin,3,3), b (Cout,)
+    -> (Cout,H,W)."""
     _, h, wd = x.shape
-    cols = im2col(x)
-    out = cols @ w.reshape(w.shape[0], -1).T
+    out = im2col(x) @ w.reshape(w.shape[0], -1).T
     out += b
-    return out.T.reshape(w.shape[0], h, wd), cols
+    return out.T.reshape(w.shape[0], h, wd)
 
 
 def conv3_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:

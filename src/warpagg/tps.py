@@ -227,25 +227,19 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
 
 
 def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
-    """Apply the fitted mapping to points (N,2) -> (N,2)."""
+    """Apply the fitted mapping to points (N,2) -> (N,2); anything but a
+    finite (N, 2) array raises ``ValueError``."""
     pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     phi_t, _ = _features(t.control_points, pts[:, 0], pts[:, 1])
     # Products this small run in a BLAS small-matrix kernel whose summation
     # order follows the operand layout. The row-major (N, L+3) operand, one
     # small copy, keeps mapped landmarks bitwise equal to the point-major
     # evaluation phi @ params.
     return np.ascontiguousarray(phi_t.T) @ _params(t)
-
-
-def eval_tps_point_jacobian(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
-    """d eval_tps / d point, shape (N, 2, 2): jac[n, out, in]."""
-    pts = np.asarray(pts, dtype=np.float64)
-    d = pts[:, None, :] - t.control_points[None, :, :]
-    s = np.einsum("njk,njk->nj", d, d)
-    coef = _kernel_dcoef(s)
-    jac = np.einsum("jo,nj,nji->noi", t.kernel_weights, coef, d)
-    jac += t.affine[:, 1:][None, :, :]
-    return jac
 
 
 def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
@@ -292,6 +286,7 @@ def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
     """Map predictions made on the warped image back to the original frame.
 
     Exactly undoes the manipulation at the control points (up to the ridge).
+    ``predicted`` must be a finite (N, 2) array (see :func:`eval_tps`).
     """
     t = fit_tps(points_moved, points, lam)
     return eval_tps(t, predicted)

@@ -10,15 +10,13 @@ import warpagg.tps as tps_mod
 from conftest import base_shape_12, blob_image, ring_landmarks
 from warpagg.attack import (
     AttackConfig,
-    attack_cost,
     attack_step,
     clip_displacement,
     cost_grad,
-    delta_from_landmarks,
     fgsm_step,
     generate_adversarial_set,
 )
-from warpagg.embedder import ToyEmbedder, embed, embedding_distance
+from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import assign_groups, generate_grouped_adversarial_set
 from warpagg.imaging import Image, resize_bilinear
 from warpagg.tps import warp_image
@@ -55,27 +53,28 @@ def pts():
 class TestCost:
     def test_identity_warp_zero_cost(self, emb, img, pts):
         z0 = embed(emb, img)
-        assert attack_cost(emb, img, pts, pts, z0[None]) == pytest.approx(0.0, abs=1e-12)
+        assert attack_step(emb, img, pts, pts).distances(z0[None]).sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_duplicate_peer_doubles_cost(self, emb, img, pts):
         rng = np.random.default_rng(0)
         moved = pts + rng.uniform(-0.03, 0.03, pts.shape)
         z0 = embed(emb, img)
-        single = attack_cost(emb, img, pts, moved, z0[None])
-        double = attack_cost(emb, img, pts, moved, np.stack([z0, z0]))
+        step = attack_step(emb, img, pts, moved)
+        single = step.distances(z0[None]).sum()
+        double = step.distances(np.stack([z0, z0])).sum()
         assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_matches_direct_recomposition(self, emb, img, pts):
         rng = np.random.default_rng(1)
         moved = pts + rng.uniform(-0.03, 0.03, pts.shape)
         peer = embed(emb, blob_image(32, seed=13))
-        cost = attack_cost(emb, img, pts, moved, peer[None])
+        cost = attack_step(emb, img, pts, moved).distances(peer[None]).sum()
         z = embed(emb, warp_image(img, pts, moved))
-        assert cost == pytest.approx(embedding_distance(z, peer), rel=1e-12)
+        assert cost == pytest.approx(np.linalg.norm(z - peer), rel=1e-12)
 
     def test_empty_peer_set(self, emb, img, pts):
         with pytest.raises(ValueError):
-            attack_cost(emb, img, pts, pts, np.empty((0, emb.n_z)))
+            cost_grad(emb, img, pts, pts, np.empty((0, emb.n_z)))
 
 
 class TestCostGrad:
@@ -96,9 +95,9 @@ class TestCostGrad:
         for i, axis in idx[:10]:
             m = moved.copy()
             m[i, axis] += h
-            up = attack_cost(emb, img, pts, m, peers)
+            up = attack_step(emb, img, pts, m).distances(peers).sum()
             m[i, axis] -= 2 * h
-            dn = attack_cost(emb, img, pts, m, peers)
+            dn = attack_step(emb, img, pts, m).distances(peers).sum()
             fd = (up - dn) / (2 * h)
             denom = max(abs(fd), abs(g[i, axis]), 1e-8)
             assert abs(g[i, axis] - fd) / denom < 2e-2
@@ -186,7 +185,6 @@ class TestAttackStep:
         peers = np.stack([embed(emb, img), embed(emb, blob_image(32, seed=19))])
         step = attack_step(emb, img, pts, moved)
         assert np.array_equal(step.grad(peers), cost_grad(emb, img, pts, moved, peers))
-        assert float(step.distances(peers).sum()) == attack_cost(emb, img, pts, moved, peers)
 
 
 class TestWorkPerIteration:
@@ -310,10 +308,6 @@ class TestStepAndClip:
         twice = clip_displacement(once, p, radius)
         assert np.array_equal(once, twice)
 
-    def test_delta_from_landmarks(self):
-        pts = np.array([[-0.5, 0.0], [0.5, 0.2], [0.0, -0.3]])
-        assert delta_from_landmarks(pts, 0.05) == pytest.approx(0.05)
-
 
 class TestGenerate:
     def test_tau_zero_identity_outputs(self, emb, img, pts):
@@ -331,7 +325,7 @@ class TestGenerate:
         faces = generate_adversarial_set(emb, img, pts, cfg)
         f = faces[0]
         if not f.hit_max_iters:
-            d = embedding_distance(embed(emb, img), embed(emb, f.image))
+            d = np.linalg.norm(embed(emb, img) - embed(emb, f.image))
             assert d >= cfg.distance_threshold
 
     def test_three_branches_pairwise_separated(self, emb, img, pts):
@@ -342,7 +336,7 @@ class TestGenerate:
             zs = [embed(emb, img)] + [embed(emb, f.image) for f in faces]
             for i in range(len(zs)):
                 for j in range(i + 1, len(zs)):
-                    assert embedding_distance(zs[i], zs[j]) >= cfg.distance_threshold
+                    assert np.linalg.norm(zs[i] - zs[j]) >= cfg.distance_threshold
 
     def test_displacement_bound_exact(self, emb, img, pts):
         cfg = AttackConfig(branches=2, distance_threshold=0.3, clip_radius=0.03,

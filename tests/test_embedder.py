@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import blob_image
-from warpagg.embedder import ToyEmbedder, embed, embed_input_grad, embedding_distance
+from warpagg.embedder import ToyEmbedder, embed, embed_input_grad
 from warpagg.imaging import Image
 
 
@@ -37,7 +35,7 @@ class TestEmbed:
     def test_lipschitz_smoke(self, emb, img32):
         bumped = img32.data.copy()
         bumped[10, 12] += 1e-6
-        d = embedding_distance(embed(emb, img32), embed(emb, Image(bumped)))
+        d = np.linalg.norm(embed(emb, img32) - embed(emb, Image(bumped)))
         assert d < 1e-3
 
     def test_dimension_mismatch(self, emb):
@@ -98,39 +96,3 @@ class TestInputGrad:
         rhs = a * embed_input_grad(emb, img32, c1) + b * embed_input_grad(emb, img32, c2)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
-
-class TestDistance:
-    def test_self_distance_zero(self):
-        z = np.ones(4) / 2.0
-        assert embedding_distance(z, z) == 0.0
-
-    def test_orthonormal_pair(self):
-        e1 = np.zeros(8)
-        e2 = np.zeros(8)
-        e1[0] = 1.0
-        e2[1] = 1.0
-        assert embedding_distance(e1, e2) == pytest.approx(np.sqrt(2))
-
-    def test_unit_vectors_bounded_by_two(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            a = rng.normal(size=16)
-            b = rng.normal(size=16)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert embedding_distance(a, b) <= 2.0 + 1e-12
-
-    def test_mismatched_dims(self):
-        with pytest.raises(ValueError):
-            embedding_distance(np.zeros(3), np.zeros(4))
-
-    @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
-    @settings(max_examples=60, deadline=None)
-    def test_metric_axioms(self, vals):
-        a = np.array(vals[:2])
-        b = np.array(vals[2:4])
-        c = np.array(vals[4:])
-        dab = embedding_distance(a, b)
-        assert dab == pytest.approx(embedding_distance(b, a))
-        assert dab >= 0.0
-        assert dab <= embedding_distance(a, c) + embedding_distance(c, b) + 1e-9

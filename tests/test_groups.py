@@ -3,7 +3,7 @@ import pytest
 
 from conftest import base_shape_12, blob_image
 from warpagg.attack import AttackConfig
-from warpagg.embedder import ToyEmbedder, embed, embedding_distance
+from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import (
     GroupSimilarity,
     SemanticGroups,
@@ -22,12 +22,12 @@ from warpagg.groups import (
 class TestAssignGroups:
     def test_ibug68_sizes(self):
         g = assign_groups(68, "ibug68")
-        assert g.sizes.tolist() == [11, 11, 9, 20, 17]
+        assert np.bincount(g.membership).tolist() == [11, 11, 9, 20, 17]
 
     @pytest.mark.parametrize("scheme,length", [("ibug68", 68), ("synthetic", 12)])
     def test_partition(self, scheme, length):
         g = assign_groups(length, scheme)
-        assert g.sizes.sum() == length
+        assert np.bincount(g.membership, minlength=g.count).sum() == length
         assert np.all(g.membership >= 0) and np.all(g.membership < g.count)
 
     def test_length_mismatch(self):
@@ -188,6 +188,20 @@ class TestValidateStructure:
         assert not validate_structure(g, base, apply_groups(base, g, sims))
 
 
+class TestApplyGroups:
+    @pytest.mark.parametrize("n_sims,n_points,message", [
+        (3, 12, "6 group transforms, got 3"),
+        (10, 12, "6 group transforms, got 10"),
+        (6, 10, "12 landmarks, got 10"),
+    ], ids=["three-sims", "ten-sims", "ten-points"])
+    def test_mismatched_inputs_rejected(self, n_sims, n_points, message):
+        base = base_shape_12()
+        g = assign_groups(12, "synthetic")
+        sims = [GroupSimilarity(1.0, (0.0, 0.0))] * n_sims
+        with pytest.raises(ValueError, match=message):
+            apply_groups(base[:n_points], g, sims)
+
+
 class TestSampleKnownTransforms:
     def test_ranges_hold_on_many_draws(self):
         base = base_shape_12()
@@ -269,5 +283,5 @@ class TestGroupedAdversarial:
         cfg = AttackConfig(branches=2, distance_threshold=0.05, clip_radius=0.06)
         faces = generate_grouped_adversarial_set(emb, img, base, g, cfg)
         if not any(f.hit_max_iters for f in faces):
-            d = embedding_distance(embed(emb, faces[0].image), embed(emb, faces[1].image))
+            d = np.linalg.norm(embed(emb, faces[0].image) - embed(emb, faces[1].image))
             assert d >= cfg.distance_threshold

@@ -13,7 +13,6 @@ from warpagg.imaging import (
     PgmHeaderError,
     PgmTruncatedError,
     PgmUnsupportedError,
-    bilinear_sample,
     from_pixel,
     load_image,
     normalized_grid,
@@ -231,8 +230,8 @@ class TestCoordinates:
 class TestBilinearSample:
     def test_cell_center_mean(self):
         img = Image(np.array([[0.0, 1.0], [2.0, 3.0]]) / 3)
-        val, _ = bilinear_sample(img, (0.0, 0.0))
-        assert val == pytest.approx((0 + 1 + 2 + 3) / 4 / 3)
+        vals, _ = sample_grid(img.data, np.zeros((1, 2)))
+        assert vals[0] == pytest.approx((0 + 1 + 2 + 3) / 4 / 3)
 
     def test_exact_at_pixel_centers(self):
         img = blob_image(9, seed=1)
@@ -245,8 +244,7 @@ class TestBilinearSample:
         # normalized coordinate of an interior pixel center = cell boundary
         for k in range(1, 15):
             x = 2 * k / 15 - 1
-            lo, _ = bilinear_sample(img, (x - 1e-9, 0.1))
-            hi, _ = bilinear_sample(img, (x + 1e-9, 0.1))
+            (lo, hi), _ = sample_grid(img.data, np.array([[x - 1e-9, 0.1], [x + 1e-9, 0.1]]))
             assert abs(hi - lo) < 1e-6
 
     def test_grad_matches_finite_differences(self):
@@ -260,12 +258,11 @@ class TestBilinearSample:
             fr = pix - np.floor(pix)
             if np.any(fr < 1e-3) or np.any(fr > 1 - 1e-3):
                 continue
-            _, g = bilinear_sample(img, p)
+            _, (g,) = sample_grid(img.data, p[None], with_grad=True)
             for axis in range(2):
                 e = np.zeros(2)
                 e[axis] = h
-                fp, _ = bilinear_sample(img, p + e)
-                fm, _ = bilinear_sample(img, p - e)
+                (fp, fm), _ = sample_grid(img.data, np.stack([p + e, p - e]))
                 fd = (fp - fm) / (2 * h)
                 denom = max(abs(fd), abs(g[axis]), 1e-8)
                 assert abs(g[axis] - fd) / denom < 1e-5
@@ -273,9 +270,9 @@ class TestBilinearSample:
 
     def test_clamp_outside(self):
         img = Image(np.array([[0.0, 1.0], [0.25, 0.75]]))
-        val, g = bilinear_sample(img, (-2.0, -2.0))
-        assert val == 0.0
-        assert np.allclose(g, 0.0)
+        vals, grads = sample_grid(img.data, np.array([[-2.0, -2.0]]), with_grad=True)
+        assert vals[0] == 0.0
+        assert np.allclose(grads, 0.0)
 
 
 class TestGridVjpAndResize:

@@ -18,7 +18,6 @@ from warpagg.tps import (
     _features,
     _pairwise_sq,
     eval_tps,
-    eval_tps_point_jacobian,
     fit_tps,
     invert_landmarks,
     warp_image,
@@ -96,22 +95,6 @@ class TestFitEval:
         dst = np.vstack([pts, pts[0] + 1e-13]) + 0.01
         t = fit_tps(src, dst, lam=1e-6)
         assert np.all(np.isfinite(t.kernel_weights))
-
-    def test_point_jacobian_finite_difference(self):
-        rng = np.random.default_rng(9)
-        src = rng.uniform(-0.7, 0.7, (9, 2))
-        dst = src + rng.uniform(-0.1, 0.1, (9, 2))
-        t = fit_tps(src, dst, lam=0.0)
-        probes = rng.uniform(-0.6, 0.6, (5, 2))
-        jac = eval_tps_point_jacobian(t, probes)
-        h = 1e-6
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            fp = eval_tps(t, probes + e)
-            fm = eval_tps(t, probes - e)
-            fd = (fp - fm) / (2 * h)
-            assert np.max(np.abs(jac[:, :, axis] - fd)) < 1e-6
 
 
 class TestPairwiseSq:
@@ -427,6 +410,18 @@ class TestInvertLandmarks:
         probes = rng.uniform(-0.5, 0.5, (40, 2))
         recovered = invert_landmarks(pts, moved, eval_tps(fwd, probes), lam=0.0)
         assert np.max(np.abs(recovered - probes)) < 1e-3
+
+    @pytest.mark.parametrize("predicted,message", [
+        (np.zeros((4, 3)), "shape"),
+        (np.zeros(2), "shape"),
+        (np.array([[0.1, 0.2], [np.nan, 0.0], [0.3, -0.1]]), "finite"),
+    ], ids=["three-columns", "flat", "nan-row"])
+    def test_bad_predictions_rejected(self, predicted, message):
+        pts = ring_landmarks(9, seed=17)
+        with pytest.raises(ValueError, match=message):
+            invert_landmarks(pts, pts + 0.01, predicted)
+        with pytest.raises(ValueError, match=message):
+            eval_tps(fit_tps(pts, pts + 0.01), predicted)
 
 
 class TestWarpWithVjp:
