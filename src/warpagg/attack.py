@@ -63,14 +63,17 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.branches < 1:
             raise ValueError("branches must be >= 1")
-        if self.distance_threshold < 0:
-            raise ValueError("distance_threshold must be >= 0")
-        if self.clip_radius <= 0:
-            raise ValueError("clip_radius must be > 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
+        # NaN fails every comparison, so a plain bound would let it through
+        if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):
+            raise ValueError("distance_threshold must be finite and >= 0")
+        if not (math.isfinite(self.clip_radius) and self.clip_radius > 0):
+            raise ValueError("clip_radius must be finite and > 0")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step_size must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not (math.isfinite(self.tps_lambda) and self.tps_lambda >= 0):
+            raise ValueError("tps_lambda must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -197,24 +197,51 @@ def normalized_grid(width: int, height: int) -> np.ndarray:
 
 def _axis_stencil(p: np.ndarray, n: int):
     """The clamp-to-edge bilinear stencil along one axis of ``n`` pixels at
-    continuous pixel coordinates ``p``: the clamped coordinate, the two
-    pixels it lies between and the weight of the second one."""
-    pc = np.clip(p, 0.0, n - 1.0)
-    i0 = np.clip(np.floor(pc).astype(np.intp), 0, max(n - 2, 0))
+    continuous pixel coordinates ``p``: the two pixels the clamped
+    coordinate lies between and the weight of the second one.
+
+    The weight f = pc - i0 of the clamped coordinate pc is exact (pc < 1, or
+    i0 >= pc / 2, or pc = n - 1 and f = 1), so ``i0 + f`` is pc bitwise and
+    the stencil need not hold it."""
+    f = np.clip(p, 0.0, n - 1.0)
+    i0 = np.clip(np.floor(f).astype(np.intp), 0, max(n - 2, 0))
     i1 = np.minimum(i0 + 1, n - 1)
-    return pc, i0, i1, pc - i0
+    f -= i0
+    return i0, i1, f
 
 
 def _blend(data: np.ndarray, x0, x1, y0, y1, fx, fy):
     """Bilinear values from the stencil's four corners (arrays that broadcast
-    to one shape), returned with the corner intensities."""
-    ia = data[y0, x0]
-    ib = data[y0, x1]
-    ic = data[y1, x0]
-    id_ = data[y1, x1]
-    top = ia + fx * (ib - ia)
-    bot = ic + fx * (id_ - ic)
-    return top + fy * (bot - top), (ia, ib, ic, id_)
+    to one shape), returned with the corner intensities.
+
+    Each corner is one ``np.take`` from the flat row-major raster at
+    ``y * W + x``: the same pixels as ``data[y, x]`` (a non-contiguous
+    raster is read from a contiguous copy), gathered about 2.5 times as fast
+    as the 2-D fancy index. The blend runs in place in two result arrays;
+    every product and sum is the one of ``top = ia + fx (ib - ia)``,
+    ``bot = ic + fx (id - ic)`` and ``top + fy (bot - top)``, so the values
+    are bitwise those of the expression."""
+    flat = data.ravel()
+    w = data.shape[1]
+    # one row offset and one flat index, rewritten in place for each corner
+    row = y0 * w
+    at = row + x0
+    ia = np.take(flat, at)
+    ib = np.take(flat, np.add(row, x1, out=at))
+    np.multiply(y1, w, out=row)
+    ic = np.take(flat, np.add(row, x0, out=at))
+    id_ = np.take(flat, np.add(row, x1, out=at))
+    del row, at  # freed before the blend allocates its two arrays
+    top = ib - ia
+    top *= fx
+    top += ia
+    val = id_ - ic
+    val *= fx
+    val += ic
+    val -= top
+    val *= fy
+    val += top
+    return val, (ia, ib, ic, id_)
 
 
 def _scatter(out: np.ndarray, x0, x1, y0, y1, fx, fy, c: np.ndarray) -> None:
@@ -237,14 +264,15 @@ def _cotangent(cotangent, shape: tuple[int, ...]) -> np.ndarray:
 def _gather_bilinear(data: np.ndarray, px: np.ndarray, py: np.ndarray, with_grad: bool):
     """Sample at continuous pixel coords with clamp-to-edge; optional d/d(px,py)."""
     h, w = data.shape
-    pxc, x0, x1, fx = _axis_stencil(px, w)
-    pyc, y0, y1, fy = _axis_stencil(py, h)
+    x0, x1, fx = _axis_stencil(px, w)
+    y0, y1, fy = _axis_stencil(py, h)
     val, (ia, ib, ic, id_) = _blend(data, x0, x1, y0, y1, fx, fy)
     if not with_grad:
         return val, None, None
 
     gx = (1.0 - fy) * (ib - ia) + fy * (id_ - ic)
     gy = (1.0 - fx) * (ic - ia) + fx * (id_ - ib)
+    pxc, pyc = x0 + fx, y0 + fy  # the clamped coordinates (see _axis_stencil)
 
     # On-node samples sit where adjacent cells disagree on the slope; use the
     # symmetric average, counting the region beyond the border as flat. Far
@@ -292,8 +320,8 @@ def sample_grid_vjp_image(data: np.ndarray, pts: np.ndarray, cotangent: np.ndarr
     onto the four pixels supporting each sample."""
     h, w = data.shape
     pix = to_pixel(pts, w, h)
-    _, x0, x1, fx = _axis_stencil(pix[:, 0], w)
-    _, y0, y1, fy = _axis_stencil(pix[:, 1], h)
+    x0, x1, fx = _axis_stencil(pix[:, 0], w)
+    y0, y1, fy = _axis_stencil(pix[:, 1], h)
     out = np.zeros_like(data)
     _scatter(out, x0, x1, y0, y1, fx, fy, _cotangent(cotangent, (pix.shape[0],)))
     return out
@@ -363,7 +391,7 @@ def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> 
         return ResizeStencil(width, height, slice(None), slice(None))
     axes = []
     for v, n in zip(grid_axes(width, height), (src_width, src_height)):
-        _, i0, i1, f = _axis_stencil((v + 1.0) * ((n - 1) / 2.0), n)
+        i0, i1, f = _axis_stencil((v + 1.0) * ((n - 1) / 2.0), n)
         # a mask, not np.union1d: the first sort in a process maps about
         # 1.6 MB of numpy's sorting code
         read = np.zeros(n, dtype=bool)

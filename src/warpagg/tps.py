@@ -26,13 +26,24 @@ matrix. Neither allocates an (L, Npix) temporary.
 
 :func:`warp_image` is the plain path. Only its output raster is full size;
 every temporary is band or block sized. It builds the grid kernel one band
-of whole rows at a time, about ``_BAND_PIXELS`` pixels each: the same
-:func:`_features` body writes a band's s, log s and U into one (L+3, band)
-and one (L, band) buffer that every band reuses, and one GEMM per band
-writes that band's columns of a (2, block) mapped block. After every
-``_SAMPLE_BANDS`` bands (about 8192 pixels) the block is sampled and clipped
-into its rows of the output, so each sampler temporary stays under
-128 KiB. The buffers stay in cache, no (L, Npix) or (2, Npix) array is
+of whole rows at a time, about ``_BAND_PIXELS`` pixels each, and a band
+costs only its add, log and multiply passes and its GEMM:
+
+- the column factor dx^2 (L, W) and its minimum per control point are built
+  once per call; each band adds its own rows of dy^2 to it in one broadcast
+  add, written by :func:`_fill_features` (the body every kernel build
+  shares) into one (L+3, band) and one (L, band) buffer that every band
+  reuses;
+- whether a band needs the near-zero mask is read off the factor minima,
+  not off a pass over the band's s (see :func:`_fill_features`), and the
+  answer is the same;
+- both band buffers start on a 64-byte cache line (:func:`_aligned_empty`);
+  ``np.empty`` returns whatever offset the allocation history leaves.
+
+One GEMM per band writes that band's columns of a (2, block) mapped block.
+After every ``_SAMPLE_BANDS`` bands (about 8192 pixels) the block is sampled
+and clipped into its rows of the output, so each sampler temporary stays
+under 128 KiB. The buffers stay in cache, no (L, Npix) or (2, Npix) array is
 allocated (at 256 px with L=68 the full features take 37 MB), and a call
 does not hand megabytes of fresh pages to the allocator that the next call
 has to fault in again. Each output of the GEMM is one dot product over the
@@ -62,6 +73,7 @@ kernel is written there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +131,12 @@ def _axis_sq(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d
 
 
+def _with_min(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An axis factor (L, *S) of :func:`_axis_sq` with its minimum over the
+    coordinates for every control point, (L,)."""
+    return sq, sq.min(axis=tuple(range(1, sq.ndim)), initial=np.inf)
+
+
 def _pairwise_sq(cpts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Squared distances (L, N) from the control points (L,2) to the points
     (N,2), built per axis so no (L, N, 2) difference array is ever held."""
@@ -138,32 +156,32 @@ def _system_matrix(cpts: np.ndarray, lam: float) -> np.ndarray:
     return a
 
 
-def _features(cpts: np.ndarray, x: np.ndarray, y: np.ndarray,
-              out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Transposed feature matrix [U(|p-c_j|^2) ...; 1; x; y], shape (L+3, N),
-    and log s of the same squared distances, shape (L, N), written into the
-    C-contiguous pair ``out`` when it is given.
+def _fill_features(phi_t: np.ndarray, log_s: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   dx2: tuple[np.ndarray, np.ndarray], dy2: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write the transposed features [U; 1; x; y] (L+3, N) into ``phi_t``
+    and log s (L, N) into ``log_s`` for the points with coordinates ``x`` and
+    ``y``, from their axis factors ``dx2`` = (x - c_x)^2 and ``dy2`` =
+    (y - c_y)^2, each given with its minima (see :func:`_with_min`).
 
-    The points are given by their coordinates ``x`` and ``y``, two arrays
-    that broadcast to one shape S with N = prod(S) elements, taken in
-    row-major order. For a list of points they are the (N,) columns; for the
-    pixel grid they are the (1, W) row and (H, 1) column axes, and then
-    s = dx^2 + dy^2 is one broadcast add of two small per-axis factors,
-    written into the top block of the feature matrix and turned into
-    U = s log s there. Where s is (numerically) zero the feature is 0 and
-    log s is set to -1, so the kernel-derivative coefficient 2 (log s + 1)
-    is exactly 0 there too.
+    ``x`` and ``y`` broadcast to one shape S with N = prod(S) elements, taken
+    in row-major order, and so do the factors to (L, *S). s = dx^2 + dy^2 is
+    one broadcast add of the factors, written into the top block of the
+    feature matrix and turned into U = s log s there. Where s is
+    (numerically) zero the feature is 0 and log s is set to -1, so the
+    kernel-derivative coefficient 2 (log s + 1) is exactly 0 there too.
+
+    Rounded addition is monotone, so no s_j is below fl(min dx^2_j + min
+    dy^2_j), and when the factors are two axes of a grid some s_j equals it.
+    The mask is built only when that bound reaches ``_TINY_SQ``: on a grid,
+    exactly when some point sits on a control point, and never after a pass
+    over the kernel to find its minimum.
     """
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    m = cpts.shape[0]
-    if out is None:
-        n = int(np.prod(shape))
-        out = np.empty((m + 3, n)), np.empty((m, n))
-    phi_t, log_s = out
+    (ax, ax_min), (ay, ay_min) = dx2, dy2
+    m = log_s.shape[0]
+    shape = np.broadcast(x, y).shape
     kern = phi_t[:m]
-    np.add(_axis_sq(cpts[:, 0], x), _axis_sq(cpts[:, 1], y), out=kern.reshape((m, *shape)))
-    # a mask only when some point sits on a control point
-    near = kern <= _TINY_SQ if kern.min(initial=np.inf) <= _TINY_SQ else None
+    np.add(ax, ay, out=kern.reshape((m, *shape)))
+    near = kern <= _TINY_SQ if (ax_min + ay_min).min(initial=np.inf) <= _TINY_SQ else None
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(kern, out=log_s)
         kern *= log_s
@@ -173,7 +191,38 @@ def _features(cpts: np.ndarray, x: np.ndarray, y: np.ndarray,
     phi_t[m] = 1.0
     phi_t[m + 1].reshape(shape)[...] = x
     phi_t[m + 2].reshape(shape)[...] = y
-    return phi_t, log_s
+
+
+def _features(cpts: np.ndarray, x: np.ndarray, y: np.ndarray,
+              out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed feature matrix [U(|p-c_j|^2) ...; 1; x; y], shape (L+3, N),
+    and log s of the same squared distances, shape (L, N), written into the
+    C-contiguous pair ``out`` when it is given.
+
+    The points are given by their coordinates ``x`` and ``y``, two arrays
+    that broadcast to one shape S with N = prod(S) elements, taken in
+    row-major order. For a list of points they are the (N,) columns; for the
+    pixel grid they are the (1, W) row and (H, 1) column axes, and then the
+    per-axis factors are small (see :func:`_fill_features`).
+    """
+    m = cpts.shape[0]
+    if out is None:
+        n = np.broadcast(x, y).size
+        out = np.empty((m + 3, n)), np.empty((m, n))
+    _fill_features(*out, x, y, _with_min(_axis_sq(cpts[:, 0], x)), _with_min(_axis_sq(cpts[:, 1], y)))
+    return out
+
+
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised float64 array of ``n`` elements that starts on a
+    64-byte cache line: one line more is allocated and the front sliced off.
+    The band kernel build is alignment sensitive: at 256 px with L=68 one
+    band took a median 224 us from aligned buffers against 249-267 us at a
+    16-, 32- or 48-byte offset (2-vCPU Linux VM, numpy 2.4.6, 1 BLAS
+    thread)."""
+    raw = np.empty(n + 8)
+    k = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[k : k + n]
 
 
 def _params(t: TpsTransform) -> np.ndarray:
@@ -205,8 +254,8 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
     n = src.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 control points, got {n}")
-    if lam < 0:
-        raise ValueError("regularization must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"regularization must be finite and >= 0, got {lam}")
 
     rhs = np.zeros((n + 3, 2))
     rhs[:n] = dst
@@ -249,7 +298,10 @@ def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
     Backward warp: fit moved->original, pull each output pixel from the
     spline-mapped location in the input (clamped bilinear sampling). The
     grid kernel is built in row bands of ``max(1, _BAND_PIXELS // width)``
-    rows, and the mapped grid in blocks of ``_SAMPLE_BANDS`` bands, each
+    rows into one pair of cache-line-aligned buffers: the column factor dx^2
+    is built once per call and each band adds its own rows of dy^2, and the
+    factor minima decide whether the band needs the near-zero mask. The
+    mapped grid is formed in blocks of ``_SAMPLE_BANDS`` bands, each
     sampled and clipped into its rows of the output before the next block
     is mapped; only the output is full size. The image is bitwise the one
     :func:`warp_with_vjp` returns.
@@ -265,16 +317,20 @@ def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
     band = min(rows, height) * width
     # one kernel pair for every band (the last, shorter band uses its front)
     # and one mapped block for every block
-    phi_buf, log_buf = np.empty((m + 3) * band), np.empty(m * band)
+    phi_buf, log_buf = _aligned_empty((m + 3) * band), _aligned_empty(m * band)
     src = np.empty((2, min(block_rows, height) * width))
     out = np.empty((height, width))
+    # the column factor once per call, (L, 1, W); each band adds its own rows
+    # of dy^2, (L, rows, 1), which no other band uses
+    dx2 = _with_min(_axis_sq(cpts[:, 0], x))
     for b0 in range(0, height, block_rows):
         b1 = min(b0 + block_rows, height)
         for r0 in range(b0, b1, rows):
             y = ys[r0 : min(r0 + rows, b1), None]
             n, at = y.size * width, (r0 - b0) * width
-            phi_t, _ = _features(cpts, x, y,
-                                 out=(phi_buf[: (m + 3) * n].reshape(m + 3, n), log_buf[: m * n].reshape(m, n)))
+            phi_t = phi_buf[: (m + 3) * n].reshape(m + 3, n)
+            _fill_features(phi_t, log_buf[: m * n].reshape(m, n), x, y,
+                           dx2, _with_min(_axis_sq(cpts[:, 1], y)))
             np.matmul(params.T, phi_t, out=src[:, at : at + n])
         vals, _ = sample_grid(img.data, src[:, : (b1 - b0) * width].T)
         np.clip(vals.reshape(b1 - b0, width), 0.0, 1.0, out=out[b0:b1])

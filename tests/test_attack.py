@@ -309,6 +309,35 @@ class TestStepAndClip:
         assert np.array_equal(once, twice)
 
 
+class TestConfig:
+    """Every float field must be finite: NaN fails every comparison, so a
+    NaN threshold would stop each branch at iteration 0, unflagged."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_distance_threshold(self, bad):
+        with pytest.raises(ValueError, match="distance_threshold"):
+            AttackConfig(distance_threshold=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_clip_radius(self, bad):
+        with pytest.raises(ValueError, match="clip_radius"):
+            AttackConfig(clip_radius=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_step_size(self, bad):
+        with pytest.raises(ValueError, match="step_size"):
+            AttackConfig(step_size=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-6])
+    def test_tps_lambda(self, bad):
+        with pytest.raises(ValueError, match="tps_lambda"):
+            AttackConfig(tps_lambda=bad)
+
+    def test_zero_threshold_and_ridge_accepted(self):
+        cfg = AttackConfig(distance_threshold=0.0, tps_lambda=0.0)
+        assert (cfg.distance_threshold, cfg.tps_lambda) == (0.0, 0.0)
+
+
 class TestGenerate:
     def test_tau_zero_identity_outputs(self, emb, img, pts):
         cfg = AttackConfig(branches=2, distance_threshold=0.0, clip_radius=0.05)

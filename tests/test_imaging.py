@@ -13,6 +13,7 @@ from warpagg.imaging import (
     PgmHeaderError,
     PgmTruncatedError,
     PgmUnsupportedError,
+    _axis_stencil,
     from_pixel,
     load_image,
     normalized_grid,
@@ -273,6 +274,43 @@ class TestBilinearSample:
         vals, grads = sample_grid(img.data, np.array([[-2.0, -2.0]]), with_grad=True)
         assert vals[0] == 0.0
         assert np.allclose(grads, 0.0)
+
+    @pytest.mark.parametrize("h,w", [(31, 17), (1, 7), (7, 1), (1, 1)])
+    def test_flat_gather_is_the_2d_index(self, h, w):
+        # reference: the corners read by 2-D fancy indexing, blended by the
+        # same expression; points inside, outside and on the raster's edges
+        rng = np.random.default_rng(h * w)
+        data = rng.uniform(0.0, 1.0, (h, w))
+        pts = np.vstack([rng.uniform(-1.3, 1.3, (200, 2)), normalized_grid(w, h)])
+        pix = to_pixel(pts, w, h)
+        px, py = np.clip(pix[:, 0], 0.0, w - 1.0), np.clip(pix[:, 1], 0.0, h - 1.0)
+        x0 = np.clip(np.floor(px).astype(np.intp), 0, max(w - 2, 0))
+        y0 = np.clip(np.floor(py).astype(np.intp), 0, max(h - 2, 0))
+        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+        fx, fy = px - x0, py - y0
+        top = data[y0, x0] + fx * (data[y0, x1] - data[y0, x0])
+        bot = data[y1, x0] + fx * (data[y1, x1] - data[y1, x0])
+        vals, _ = sample_grid(data, pts)
+        assert np.array_equal(vals, top + fy * (bot - top))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20), st.integers(1, 5000))
+    def test_stencil_holds_the_clamped_coordinate_exactly(self, p, n):
+        p = np.array(p)
+        i0, i1, f = _axis_stencil(p, n)
+        assert np.array_equal(i0 + f, np.clip(p, 0.0, n - 1.0))
+        assert np.all((0.0 <= f) & (f <= 1.0)) and np.all(i1 - i0 == min(n - 1, 1))
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_non_contiguous_raster(self, with_grad):
+        data = np.random.default_rng(8).uniform(0.0, 1.0, (20, 30))[:, ::2]
+        assert not data.flags.c_contiguous
+        pts = np.random.default_rng(9).uniform(-1.2, 1.2, (300, 2))
+        vals, grads = sample_grid(data, pts, with_grad)
+        ref_vals, ref_grads = sample_grid(np.ascontiguousarray(data), pts, with_grad)
+        assert np.array_equal(vals, ref_vals)
+        if with_grad:
+            assert np.array_equal(grads, ref_grads)
 
 
 class TestGridVjpAndResize:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warpagg.tps as tps_mod
 from conftest import blob_image, ring_landmarks
@@ -89,12 +91,49 @@ class TestFitEval:
             fit_tps(src, dst, lam=1e-6)
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_bad_regularization_rejected(self, lam):
+        pts = ring_landmarks(8, seed=8)
+        with pytest.raises(ValueError, match="regularization") as info:
+            fit_tps(pts, pts + 0.01, lam=lam)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_near_coincident_recovers_with_ridge(self):
         pts = ring_landmarks(8, seed=8)
         src = np.vstack([pts, pts[0] + 1e-13])
         dst = np.vstack([pts, pts[0] + 1e-13]) + 0.01
         t = fit_tps(src, dst, lam=1e-6)
         assert np.all(np.isfinite(t.kernel_weights))
+
+
+class TestFactorMinimum:
+    """The premise of the kernel's mask check: rounded addition is monotone,
+    so the minimum of a broadcast sum of two factors is the rounded sum of
+    their minima, and no pass over the sum is needed to find it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=12),
+           st.lists(st.floats(0.0, 1e300), min_size=1, max_size=12))
+    def test_min_of_sum_is_sum_of_mins(self, a, b):
+        a, b = np.array(a), np.array(b)
+        assert (a[:, None] + b[None, :]).min() == a.min() + b.min()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=12), st.integers(1, 9),
+           st.integers(1, 9), st.booleans())
+    def test_mask_exactly_when_a_point_is_on_a_control_point(self, xs, width, height, on_node):
+        # the grid kernel zeroes U (and sets log s to -1) at every node a
+        # control point sits on, and nowhere else
+        cx = np.array(xs)
+        cpts = np.stack([cx, cx[::-1]], axis=-1)
+        gx, gy = grid_axes(width, height)
+        if on_node:
+            cpts[0] = gx[width // 2], gy[height // 2]
+        phi_t, log_s = _features(cpts, gx[None, :], gy[:, None])
+        s = _pairwise_sq(cpts, normalized_grid(width, height))
+        near = s <= 1e-30
+        assert np.array_equal(phi_t[: cpts.shape[0]] == 0.0, near | (s == 1.0))
+        assert np.array_equal(log_s == -1.0, near)
 
 
 class TestPairwiseSq:
@@ -360,6 +399,17 @@ class TestWarpImage:
         xs, ys = grid_axes(width, height)
         moved[0] = xs[-1], ys[-1]
         got = warp_image(img, pts, moved).data
+        assert np.array_equal(got, warp_with_vjp(img, pts, moved)[0].data)
+
+    # a one-pixel axis: the stencil's two columns (or rows) are the same pixel
+    @pytest.mark.parametrize("height,width", [(1, 7), (7, 1), (1, 1)])
+    def test_one_pixel_axis_bitwise_equal_to_warp_with_vjp(self, height, width):
+        rng = np.random.default_rng(height * 10 + width)
+        img = Image(rng.uniform(0.0, 1.0, (height, width)))
+        pts = ring_landmarks(6, seed=18)
+        moved = pts + rng.uniform(-0.1, 0.1, pts.shape)
+        got = warp_image(img, pts, moved).data
+        assert got.shape == (height, width) and np.all(np.isfinite(got))
         assert np.array_equal(got, warp_with_vjp(img, pts, moved)[0].data)
 
     def test_dot_centroid_tracks_displacement(self):
