@@ -8,7 +8,8 @@ come from a checkpoint, and nothing here trains them. Parameters are stored
 float32 (the checkpoint payload dtype); all math runs in float64. The conv
 and pool layers come from :mod:`warpagg.layers`, the toolkit the embedder
 uses too; each conv layer's im2col matrix is freed as soon as its GEMM is
-done.
+done, and the gather indices that build it are cached when the detector is
+built.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import Image, from_pixel
-from .layers import avgpool, conv3
+from .layers import _patch_index, avgpool, conv3
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
 _HEADER_BYTES = 12  # magic, then the manifest length as little-endian uint32
 
 _CHANNELS = {"enc1": 4, "enc2": 8, "mid": 8, "dec1": 8}
+# how many times each conv layer's input is pooled down from the image
+_POOLED = {"enc1": 1, "enc2": 2, "mid": 4, "dec1": 2, "out": 1}
 
 
 class DegenerateHeatmapError(ValueError):
@@ -63,6 +66,8 @@ class ToyDetector:
             raise ValueError("need at least one landmark map")
         if self.params is None:
             object.__setattr__(self, "params", _init_params(self.num_landmarks, self.seed))
+        for name, (_, cin) in _layer_shapes(self.num_landmarks).items():
+            _patch_index(cin, h // _POOLED[name], w // _POOLED[name])
 
 
 def _layer_shapes(num_landmarks: int) -> dict[str, tuple[int, int]]:
@@ -121,11 +126,14 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intensity-weighted centroid of each map, in normalized coordinates.
 
     Returns (landmarks (L,2), per-map mass (L,)). All-zero maps raise
-    :class:`DegenerateHeatmapError`; negative values are invalid input.
+    :class:`DegenerateHeatmapError`; negative or non-finite values and a
+    stack with no maps or a zero-size axis are invalid input.
     """
     heat = np.asarray(heat, dtype=np.float64)
     if heat.ndim != 3:
         raise ValueError("heatmap stack must have shape (L, H, W)")
+    if heat.size == 0:
+        raise ValueError(f"heatmap stack must hold at least one pixel, got shape {heat.shape}")
     if not np.isfinite(heat).all():
         raise ValueError("heatmaps must be finite")
     if heat.min() < 0:

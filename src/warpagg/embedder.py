@@ -8,7 +8,8 @@ Weights are fixed pseudo-random functions of the seed; nothing is trained.
 The stack is conv3x3 -> tanh -> avgpool4 -> conv3x3 -> tanh -> avgpool4 ->
 affine -> l2-normalize, smooth everywhere so finite-difference checks are
 clean. The conv and pool layers and their adjoints come from
-:mod:`warpagg.layers`, the toolkit the detector uses too.
+:mod:`warpagg.layers`, the toolkit the detector uses too; the gather
+indices of both conv layers are cached when the embedder is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import Image
-from .layers import avgpool, avgpool_grad, conv3, conv3_input_grad
+from .layers import _patch_index, avgpool, avgpool_grad, conv3, conv3_input_grad
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class ToyEmbedder:
             "pb": rng.normal(0.0, 0.01, self.n_z),
         }
         object.__setattr__(self, "weights", wts)
+        _patch_index(1, h, w)
+        _patch_index(4, h // 4, w // 4)
 
     def _check(self, img: Image) -> None:
         if (img.height, img.width) != self.input_size:

@@ -3,14 +3,23 @@
 All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
 convolution as one GEMM over the (H*W, Cin*9) matrix :func:`im2col`
 builds, with the bias added in place; the matrix is freed once the GEMM is
-done. :func:`conv3_input_grad` is its adjoint w.r.t. the input as nine
-shifted GEMMs; :func:`avgpool` and :func:`avgpool_grad` are a
-non-overlapping k x k mean pool and its adjoint.
+done. :func:`im2col` gathers that matrix from the flat zero-padded input one
+band of output rows at a time, through a read-only index that is the same
+for every band and is cached per input shape (:func:`_patch_index`); the
+networks fill the cache for their own layers when they are built, so a
+forward pass allocates nothing that outlives it. :func:`conv3_input_grad`
+is its adjoint w.r.t. the input as nine shifted GEMMs; :func:`avgpool` and
+:func:`avgpool_grad` are a non-overlapping k x k mean pool and its adjoint.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+# entries per band index (8192 intp is 64 KB); a 256 KB index was no faster
+_BAND_ENTRIES = 8192
 
 
 def _pad1(x: np.ndarray) -> np.ndarray:
@@ -21,13 +30,44 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(cin: int, h: int, wd: int) -> np.ndarray:
+    """Read-only gather index of one band of im2col rows, shape
+    (rows*W, Cin*9): entry [r*W + c, i*9 + dy*3 + dx] is the flat offset of
+    padded pixel (i, r+dy, c+dx) from the band's first padded row. The band
+    has as many whole rows as fit in :data:`_BAND_ENTRIES` (at least one)."""
+    rows = min(h, max(1, _BAND_ENTRIES // (wd * cin * 9)))
+    pw = wd + 2
+    idx = (
+        np.arange(cin)[None, None, :, None, None] * ((h + 2) * pw)
+        + np.arange(rows)[:, None, None, None, None] * pw
+        + np.arange(wd)[None, :, None, None, None]
+        + (np.arange(3)[:, None] * pw + np.arange(3))[None, None, None]
+    ).reshape(rows * wd, cin * 9)
+    idx.flags.writeable = False
+    return idx
+
+
 def im2col(x: np.ndarray) -> np.ndarray:
     """The im2col matrix of a 3x3 same-pad convolution over x (Cin,H,W),
-    shape (H*W, Cin*9): row r*W + c holds the 3x3 patch of every input
-    channel around pixel (r, c)."""
+    shape (H*W, Cin*9), C-contiguous: row r*W + c holds the 3x3 patch of
+    every input channel around pixel (r, c).
+
+    Gathered from the flat zero-padded input one band of rows at a time
+    through the cached :func:`_patch_index`; the indices are in range by
+    construction, so ``mode="clip"`` changes none of them and only spares
+    ``np.take`` the buffered copy of ``out`` that ``mode="raise"`` makes."""
     cin, h, wd = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(_pad1(x), (3, 3), axis=(1, 2))
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * 9)
+    if cin < 1 or h < 1 or wd < 1:
+        raise ValueError(f"im2col needs a nonempty (Cin, H, W) stack, got {x.shape}")
+    idx = _patch_index(cin, h, wd)
+    flat = _pad1(x).reshape(-1)
+    a = np.empty((h * wd, cin * 9), dtype=flat.dtype)
+    rows = idx.shape[0] // wd
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        np.take(flat[r0 * (wd + 2):], idx[: (r1 - r0) * wd], out=a[r0 * wd : r1 * wd], mode="clip")
+    return a
 
 
 def conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -131,6 +131,11 @@ class TestSoftArgmax:
         with pytest.raises(ValueError, match="finite"):
             soft_argmax(heat)
 
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (0, 4, 4)])
+    def test_empty_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one pixel"):
+            soft_argmax(np.ones(shape))
+
     @pytest.mark.parametrize("shape", [(2, 1, 6), (2, 6, 1), (1, 1, 1)])
     def test_one_pixel_axis_decodes_to_zero(self, shape):
         # a 1-pixel axis has its only pixel center at normalized 0

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from warpagg.layers import conv3, conv3_input_grad, im2col
+from conftest import blob_image
+from warpagg import detector as detector_module
+from warpagg.detector import ToyDetector, predict_heatmaps
+from warpagg.embedder import ToyEmbedder, embed_with_vjp
+from warpagg.layers import _pad1, _patch_index, conv3, conv3_input_grad, im2col
 
 
 def loop_conv3(x, w, b):
@@ -17,6 +21,20 @@ def loop_conv3(x, w, b):
                     acc += w[o, i, dy, dx] * xp[i, dy : dy + h, dx : dx + wd]
         out[o] = acc + b[o]
     return out
+
+
+def window_im2col(x):
+    """Oracle: the strided-window construction im2col used before the
+    banded gather."""
+    cin, h, wd = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(_pad1(x), (3, 3), axis=(1, 2))
+    return win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * 9)
+
+
+def _assert_im2col_bitwise(x):
+    cols = im2col(x)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, window_im2col(x))
 
 
 def loop_conv3_input_grad(g, w):
@@ -64,6 +82,10 @@ class TestConvOracle:
         gemm = cols @ w.reshape(cout, -1).T + b
         assert np.array_equal(conv3(x, w, b), gemm.T.reshape(cout, size, size))
 
+    def test_im2col_is_the_window_matrix(self, cin, cout, size):
+        x, _, _, _ = _layer(cin, cout, size)
+        _assert_im2col_bitwise(x)
+
     def test_input_grad_matches_loops(self, cin, cout, size):
         _, w, _, g = _layer(cin, cout, size)
         gx = conv3_input_grad(g, w)
@@ -81,3 +103,71 @@ class TestConvOracle:
         gx = conv3_input_grad(np.zeros_like(g), w)
         assert np.array_equal(gx, np.zeros((cin, size, size)))
 
+
+class TestIm2colGather:
+    """The banded gather builds exactly the strided-window matrix."""
+
+    @pytest.mark.parametrize("num_landmarks,size", [(12, 32), (68, 64)])
+    def test_every_detector_layer(self, num_landmarks, size, monkeypatch):
+        inputs = []  # the input of every conv layer of one forward pass
+
+        def recording_conv3(x, w, b):
+            inputs.append(x.copy())
+            return conv3(x, w, b)
+
+        det = ToyDetector(num_landmarks, (size, size), seed=0)
+        monkeypatch.setattr(detector_module, "conv3", recording_conv3)
+        predict_heatmaps(det, blob_image(size, seed=3))
+        assert len(inputs) == 5
+        for x in inputs:
+            _assert_im2col_bitwise(x)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (2, 7, 5), (1, 1, 1), (2, 1, 9), (2, 9, 1)])
+    def test_rectangular_and_one_pixel(self, shape):
+        _assert_im2col_bitwise(np.random.default_rng(4).normal(size=shape))
+
+    def test_short_last_band(self):
+        shape = (1, 50, 64)
+        rows = _patch_index(*shape).shape[0] // shape[2]
+        assert 1 < rows < shape[1] and shape[1] % rows
+        _assert_im2col_bitwise(np.random.default_rng(5).normal(size=shape))
+
+    def test_shapes_called_in_turn(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(4, 16, 16)), rng.normal(size=(3, 9, 13))
+        for x in (a, b, a, b):
+            _assert_im2col_bitwise(x)
+
+    def test_index_is_read_only(self):
+        idx = _patch_index(4, 16, 16)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
+
+    @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 5), (2, 5, 0), (0, 4, 4)])
+    def test_zero_size_raises(self, shape):
+        with pytest.raises(ValueError, match="im2col needs a nonempty"):
+            im2col(np.zeros(shape))
+
+
+class TestIndexCacheFilledAtBuild:
+    """Building a network caches every gather index its forward reads."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        _patch_index.cache_clear()
+
+    def test_detector(self):
+        det = ToyDetector(68, (64, 64), seed=0)
+        img = blob_image(64, seed=5)
+        misses = _patch_index.cache_info().misses
+        predict_heatmaps(det, img)
+        assert _patch_index.cache_info().misses == misses
+
+    def test_embedder(self):
+        emb = ToyEmbedder(input_size=(64, 64))
+        img = blob_image(64, seed=5)
+        misses = _patch_index.cache_info().misses
+        _, vjp = embed_with_vjp(emb, img)
+        vjp(np.ones(emb.n_z))
+        assert _patch_index.cache_info().misses == misses
