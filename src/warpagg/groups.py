@@ -5,12 +5,23 @@ and translation per group, with structural post-processing that keeps brows
 above eyes and mirror pairs symmetric), and the group-constrained adversarial
 attack where every sign-step is projected onto the per-group similarity
 family before clipping.
+
+Known transforms run on a padded (count, width) landmark index; pads repeat
+a group's last landmark, which extremes ignore, and are -0.0 in group sums.
+Those add rows in turn like ``group_mean`` (``np.add.reduceat`` does not) and
+x + -0.0 == x for every x, so means keep their bits. numpy 2.4 starts sums at
++0.0, so +0.0 pads would too; under sums seeded with their first row they
+would turn an all -0.0 group's mean to +0.0, which with a -0.0 center flips a
+zero of ``apply_groups``. One (drawn groups, 3) ``rng.uniform`` per attempt
+gives the per-group draws' doubles in order. The mirror test sums in another
+order than ``fit_group_similarity``: rounding far inside ``STRUCTURE_TOL``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+import math
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -49,8 +60,7 @@ class SemanticGroups:
     membership: np.ndarray
     mirror_pairs: tuple[tuple[int, int], ...] = ()
     vertical_pairs: tuple[tuple[int, int], ...] = ()
-    # read-only landmark indices of each group, built once
-    _indices: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # __post_init__ also sets ``_indices`` and the padded layout (``_layout``)
 
     def __post_init__(self) -> None:
         mem = np.asarray(self.membership, dtype=np.intp)
@@ -73,15 +83,36 @@ class SemanticGroups:
         mirrored = [gid for pair in self.mirror_pairs for gid in pair]
         if len(set(mirrored)) != len(mirrored):
             raise ValueError(f"mirror_pairs {self.mirror_pairs} put a group in more than one pair")
-        object.__setattr__(self, "membership", mem)
-        # a stable sort lists each group's landmarks in ascending order
-        order = np.argsort(mem, kind="stable")
-        order.flags.writeable = False
-        ends = np.cumsum(sizes).tolist()
-        object.__setattr__(self, "_indices", tuple(order[a:b] for a, b in zip([0, *ends], ends)))
+        pairs = (tuple(map(tuple, self.mirror_pairs)), tuple(map(tuple, self.vertical_pairs)))
+        for name, value in (("membership", mem), *_layout(self.count, mem.tobytes(), *pairs).items()):
+            object.__setattr__(self, name, value)
 
     def indices(self, gid: int) -> np.ndarray:
         return self._indices[gid]
+
+
+@lru_cache(maxsize=64)
+def _layout(count: int, membership: bytes, mirror_pairs, vertical_pairs) -> dict:
+    """Read-only attributes derived from a grouping, cached per grouping."""
+    mem = np.frombuffer(membership, dtype=np.intp)
+    sizes = np.bincount(mem, minlength=count)
+    # a stable sort lists each group's landmarks in ascending order
+    order = np.argsort(mem, kind="stable")
+    ends, cols = sizes.cumsum(), np.arange(sizes.max())
+    padded = order[(ends - sizes)[:, None] + np.minimum(cols, sizes[:, None] - 1)]
+    # the second group of a mirror pair takes its partner's draw, x negated
+    partner = {b: a for a, b in mirror_pairs}
+    drawn = [gid for gid in range(count) if gid not in partner]
+    layout = dict(
+        _padded=padded, _valid=(cols < sizes[:, None])[:, :, None], _sizes=sizes[:, None] * 1.0,
+        _mirror=np.array([gid for pair in mirror_pairs for gid in pair], dtype=np.intp),
+        _vertical=padded[np.array(vertical_pairs, dtype=np.intp).reshape(-1, 2).T],
+        _draw_row=np.array([drawn.index(partner.get(gid, gid)) for gid in range(count)]),
+        _mirror_sign=np.array([(-1.0 if gid in partner else 1.0, 1.0) for gid in range(count)]),
+    )
+    for array in (order, *layout.values()):
+        array.flags.writeable = False
+    return dict(layout, _indices=tuple(order[a:b] for a, b in zip([0, *ends.tolist()], ends.tolist())))
 
 
 @dataclass(frozen=True)
@@ -93,46 +124,20 @@ class GroupSimilarity:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.center, dtype=np.float64).reshape(2)
-        if not (np.isfinite(self.scale) and self.scale > 0):
+        if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be finite and positive")
+        if not all(map(math.isfinite, c.tolist())):
+            raise ValueError("center must be finite")
         object.__setattr__(self, "center", c)
 
 
-# iBUG 68-point layout: jaw 0-16, right brow 17-21, left brow 22-26,
-# nose 27-35, right eye 36-41, left eye 42-47, mouth 48-67. Groups follow
-# the five-region scheme (eye+brow merged per side).
-def _ibug68_membership() -> np.ndarray:
-    mem = np.empty(68, dtype=np.intp)
-    mem[17:22] = 0
-    mem[36:42] = 0
-    mem[22:27] = 1
-    mem[42:48] = 1
-    mem[27:36] = 2
-    mem[48:68] = 3
-    mem[0:17] = 4
-    return mem
-
-
-# Synthetic 12-point layout (the order of the benchmark's 12-point template in
-# perfbench/workloads.py): right brow {0,1}, left brow {2,3}, right eye {4,5},
-# left eye {6,7}, nose {8,9}, mouth {10,11}.
-_SYNTHETIC_MEMBERSHIP = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], dtype=np.intp)
-
+# (membership, mirror_pairs, vertical_pairs). iBUG 68: jaw 0-16, right brow
+# 17-21, left brow 22-26, nose 27-35, right eye 36-41, left eye 42-47, mouth
+# 48-67, eye+brow merged per side. Synthetic 12, in perfbench's template order:
+# brows {0,1} {2,3}, eyes {4,5} {6,7}, nose {8,9}, mouth {10,11}, right first.
 _SCHEMES = {
-    "ibug68": dict(
-        length=68,
-        count=5,
-        membership=_ibug68_membership,
-        mirror_pairs=((0, 1),),
-        vertical_pairs=(),
-    ),
-    "synthetic": dict(
-        length=12,
-        count=6,
-        membership=lambda: _SYNTHETIC_MEMBERSHIP.copy(),
-        mirror_pairs=((0, 1), (2, 3)),
-        vertical_pairs=((0, 2), (1, 3)),
-    ),
+    "ibug68": (np.repeat([4, 0, 1, 2, 0, 1, 3], [17, 5, 5, 9, 6, 6, 20]), ((0, 1),), ()),
+    "synthetic": (np.repeat(np.arange(6), 2), ((0, 1), (2, 3)), ((0, 2), (1, 3))),
 }
 
 
@@ -140,17 +145,11 @@ def assign_groups(num_landmarks: int, scheme: str) -> SemanticGroups:
     """Build the named grouping; the scheme fixes the expected landmark count."""
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown grouping scheme {scheme!r}; have {sorted(_SCHEMES)}")
-    info = _SCHEMES[scheme]
-    if num_landmarks != info["length"]:
-        raise ValueError(
-            f"scheme {scheme!r} is defined for {info['length']} landmarks, got {num_landmarks}"
-        )
-    return SemanticGroups(
-        count=info["count"],
-        membership=info["membership"](),
-        mirror_pairs=info["mirror_pairs"],
-        vertical_pairs=info["vertical_pairs"],
-    )
+    membership, mirror_pairs, vertical_pairs = _SCHEMES[scheme]
+    if num_landmarks != membership.size:
+        raise ValueError(f"scheme {scheme!r} is defined for {membership.size} landmarks, "
+                         f"got {num_landmarks}")
+    return SemanticGroups(int(membership.max()) + 1, membership.copy(), mirror_pairs, vertical_pairs)
 
 
 def group_mean(points: np.ndarray) -> np.ndarray:
@@ -166,20 +165,34 @@ def apply_group_transform(points: np.ndarray, scale: float, center) -> np.ndarra
     return scale * (points - group_mean(points)) + np.asarray(center, dtype=np.float64)
 
 
+def _landmarks(groups: SemanticGroups, points) -> np.ndarray:
+    """``points`` as a finite (N, 2) float array, one row per membership entry."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"landmarks must be an (N, 2) array, got shape {pts.shape}")
+    if pts.shape[0] != groups.membership.size:
+        raise ValueError(f"need {groups.membership.size} landmarks, got {pts.shape[0]}")
+    if not np.isfinite(pts).all():
+        raise ValueError("landmarks must be finite")
+    return pts
+
+
+def _group_means(groups: SemanticGroups, pts: np.ndarray) -> np.ndarray:
+    """(count, 2) means: sums along the padded axis, pads -0.0, over the sizes."""
+    return np.where(groups._valid, pts[groups._padded], -0.0).sum(axis=1) / groups._sizes
+
+
 def apply_groups(points: np.ndarray, groups: SemanticGroups,
                  sims: list[GroupSimilarity]) -> np.ndarray:
     """Apply ``sims[gid]`` to every group's landmarks. ``sims`` must hold one
-    transform per group and ``points`` one row per membership entry, or
-    ``ValueError`` is raised."""
+    transform per group and ``points`` one finite row per membership entry,
+    or ``ValueError`` is raised."""
     if len(sims) != groups.count:
         raise ValueError(f"need {groups.count} group transforms, got {len(sims)}")
-    out = np.asarray(points, dtype=np.float64).copy()
-    if out.shape[0] != len(groups.membership):
-        raise ValueError(f"need {len(groups.membership)} landmarks, got {out.shape[0]}")
-    for gid in range(groups.count):
-        idx = groups.indices(gid)
-        out[idx] = apply_group_transform(out[idx], sims[gid].scale, sims[gid].center)
-    return out
+    pts = _landmarks(groups, points)
+    mem, scale = groups.membership, np.array([sim.scale for sim in sims])
+    centers = np.array([sim.center for sim in sims])
+    return scale[mem, None] * (pts - _group_means(groups, pts)[mem]) + centers[mem]
 
 
 def fit_group_similarity(points: np.ndarray, targets: np.ndarray) -> GroupSimilarity:
@@ -199,8 +212,22 @@ def fit_group_similarity(points: np.ndarray, targets: np.ndarray) -> GroupSimila
     return GroupSimilarity(scale=scale, center=q.mean(axis=0))
 
 
-def _bbox(points: np.ndarray) -> tuple[float, float, float, float]:
-    return (points[:, 0].min(), points[:, 0].max(), points[:, 1].min(), points[:, 1].max())
+def _structure_ok(groups: SemanticGroups, base, means, moved) -> bool:
+    """:func:`validate_structure` on checked landmarks and the base group means."""
+    upper, lower = moved[groups._vertical, 1]
+    if (upper.max(axis=1) > lower.min(axis=1) - STRUCTURE_TOL).any():
+        return False
+    ids = groups._mirror
+    sel, valid = groups._padded[ids], groups._valid[ids]
+    base_c = np.where(valid, base[sel] - means[ids, None], 0.0)
+    spread = (base_c * base_c).sum(axis=(1, 2))
+    if (spread <= 1e-20).any():
+        raise ValueError("group has zero spatial spread; similarity scale undefined")
+    q_mean = _group_means(groups, moved)[ids]
+    scale = (base_c * (moved[sel] - q_mean[:, None])).sum(axis=(1, 2)) / spread
+    fit = np.concatenate((scale[:, None], q_mean - means[ids]), axis=1)  # scale, offset
+    return bool((scale > 0).all() and (np.abs(fit[0::2] - fit[1::2] * (1.0, -1.0, 1.0))
+                                       <= STRUCTURE_TOL).all())
 
 
 def validate_structure(groups: SemanticGroups, base: np.ndarray,
@@ -209,28 +236,12 @@ def validate_structure(groups: SemanticGroups, base: np.ndarray,
 
     (a) Every designated (upper, lower) pair keeps disjoint bounding boxes
     with the upper group strictly above. (b) Every designated mirror pair
-    applied transforms that are x-mirrors of each other: equal scales and
-    mirrored offsets of the group centers. Both hold to within
-    ``STRUCTURE_TOL``.
+    applied transforms that are x-mirrors of each other: positive and equal
+    scales and mirrored offsets of the group centers. Both hold to within
+    ``STRUCTURE_TOL``. Landmarks must be finite, or ``ValueError`` is raised.
     """
-    base = np.asarray(base, dtype=np.float64)
-    transformed = np.asarray(transformed, dtype=np.float64)
-    for upper, lower in groups.vertical_pairs:
-        _, _, _, upper_max_y = _bbox(transformed[groups.indices(upper)])
-        _, _, lower_min_y, _ = _bbox(transformed[groups.indices(lower)])
-        if upper_max_y > lower_min_y - STRUCTURE_TOL:
-            return False
-    for ga, gb in groups.mirror_pairs:
-        ia, ib = groups.indices(ga), groups.indices(gb)
-        sim_a = fit_group_similarity(base[ia], transformed[ia])
-        sim_b = fit_group_similarity(base[ib], transformed[ib])
-        off_a = sim_a.center - group_mean(base[ia])
-        off_b = sim_b.center - group_mean(base[ib])
-        if abs(sim_a.scale - sim_b.scale) > STRUCTURE_TOL:
-            return False
-        if abs(off_a[0] + off_b[0]) > STRUCTURE_TOL or abs(off_a[1] - off_b[1]) > STRUCTURE_TOL:
-            return False
-    return True
+    base = _landmarks(groups, base)
+    return _structure_ok(groups, base, _group_means(groups, base), _landmarks(groups, transformed))
 
 
 def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
@@ -239,31 +250,19 @@ def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
     ``SCALE_RANGE``, center offset uniform in +-``TRANSLATION_FRACTION``
     times the width per axis. Mirror pairs draw once and mirror; draws are
     rejected until :func:`validate_structure` passes, at most
-    ``MAX_ATTEMPTS`` times."""
-    base = np.asarray(base, dtype=np.float64)
-    bound = TRANSLATION_FRACTION * NORMALIZED_WIDTH
-    mirrored_from = {gb: ga for ga, gb in groups.mirror_pairs}
+    ``MAX_ATTEMPTS`` times. ``base`` is checked as in :func:`apply_groups`."""
+    base = _landmarks(groups, base)
+    means = _group_means(groups, base)
+    mem, centered = groups.membership, base - means[groups.membership]
+    b = TRANSLATION_FRACTION * NORMALIZED_WIDTH
+    low, high = np.array([[SCALE_RANGE[0], -b, -b], [SCALE_RANGE[1], b, b]])
     for _ in range(MAX_ATTEMPTS):
-        sims: dict[int, GroupSimilarity] = {}
-        drawn: dict[int, tuple[float, np.ndarray]] = {}
-        for gid in range(groups.count):
-            if gid in mirrored_from:
-                continue
-            scale = float(rng.uniform(*SCALE_RANGE))
-            offset = rng.uniform(-bound, bound, 2)
-            drawn[gid] = (scale, offset)
-            sims[gid] = GroupSimilarity(scale, group_mean(base[groups.indices(gid)]) + offset)
-        for gb, ga in mirrored_from.items():
-            scale, offset = drawn[ga]
-            mirrored = np.array([-offset[0], offset[1]])
-            sims[gb] = GroupSimilarity(scale, group_mean(base[groups.indices(gb)]) + mirrored)
-        result = [sims[gid] for gid in range(groups.count)]
-        if validate_structure(groups, base, apply_groups(base, groups, result)):
-            return result
-    raise StructureSamplingError(
-        f"no structurally valid transform set in {MAX_ATTEMPTS} attempts; "
-        "base shape is likely degenerate"
-    )
+        draw = rng.uniform(low, high, (groups.count - len(groups.mirror_pairs), 3))[groups._draw_row]
+        scale, centers = draw[:, 0], means + draw[:, 1:] * groups._mirror_sign
+        if _structure_ok(groups, base, means, scale[mem, None] * centered + centers[mem]):
+            return [GroupSimilarity(s, c) for s, c in zip(scale.tolist(), centers)]
+    raise StructureSamplingError(f"no structurally valid transform set in {MAX_ATTEMPTS} "
+                                 "attempts; base shape is likely degenerate")
 
 
 def _project_and_clip(points: np.ndarray, stepped: np.ndarray,

@@ -5,8 +5,15 @@ from conftest import base_shape_12, blob_image
 from warpagg.attack import AttackConfig
 from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import (
+    MAX_ATTEMPTS,
+    NORMALIZED_WIDTH,
+    SCALE_RANGE,
+    STRUCTURE_TOL,
+    TRANSLATION_FRACTION,
     GroupSimilarity,
     SemanticGroups,
+    StructureSamplingError,
+    _group_means,
     apply_group_transform,
     apply_groups,
     assign_groups,
@@ -17,6 +24,69 @@ from warpagg.groups import (
     validate_structure,
 )
 
+
+# The per-group loops the padded array path replaced, kept as the oracle its
+# outputs must equal bit for bit.
+def apply_groups_loop(points, groups, sims):
+    out = np.asarray(points, dtype=np.float64).copy()
+    for gid in range(groups.count):
+        idx = groups.indices(gid)
+        out[idx] = apply_group_transform(out[idx], sims[gid].scale, sims[gid].center)
+    return out
+
+
+def validate_structure_loop(groups, base, transformed):
+    for upper, lower in groups.vertical_pairs:
+        if transformed[groups.indices(upper), 1].max() > transformed[groups.indices(lower), 1].min() - STRUCTURE_TOL:
+            return False
+    for ga, gb in groups.mirror_pairs:
+        ia, ib = groups.indices(ga), groups.indices(gb)
+        sim_a = fit_group_similarity(base[ia], transformed[ia])
+        sim_b = fit_group_similarity(base[ib], transformed[ib])
+        off_a = sim_a.center - group_mean(base[ia])
+        off_b = sim_b.center - group_mean(base[ib])
+        if abs(sim_a.scale - sim_b.scale) > STRUCTURE_TOL:
+            return False
+        if abs(off_a[0] + off_b[0]) > STRUCTURE_TOL or abs(off_a[1] - off_b[1]) > STRUCTURE_TOL:
+            return False
+    return True
+
+
+def sample_known_transforms_loop(groups, base, rng):
+    bound = TRANSLATION_FRACTION * NORMALIZED_WIDTH
+    mirrored_from = {gb: ga for ga, gb in groups.mirror_pairs}
+    for _ in range(MAX_ATTEMPTS):
+        sims, drawn = {}, {}
+        for gid in range(groups.count):
+            if gid in mirrored_from:
+                continue
+            scale = float(rng.uniform(*SCALE_RANGE))
+            offset = rng.uniform(-bound, bound, 2)
+            drawn[gid] = (scale, offset)
+            sims[gid] = GroupSimilarity(scale, group_mean(base[groups.indices(gid)]) + offset)
+        for gb, ga in mirrored_from.items():
+            scale, offset = drawn[ga]
+            mirrored = np.array([-offset[0], offset[1]])
+            sims[gb] = GroupSimilarity(scale, group_mean(base[groups.indices(gb)]) + mirrored)
+        result = [sims[gid] for gid in range(groups.count)]
+        if validate_structure_loop(groups, base, apply_groups_loop(base, groups, result)):
+            return result
+    raise StructureSamplingError("no structurally valid transform set")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def oracle_base(scheme: str, rng: np.random.Generator) -> np.ndarray:
+    """A base the scheme's checks accept, reject or give up on, drawn from ``rng``."""
+    if scheme == "ibug68":
+        return rng.uniform(-0.9, 0.9, (68, 2))
+    base = base_shape_12() + rng.uniform(-0.03, 0.03, (12, 2))
+    # brows toward the eyes, so more draws are rejected; about 1 in 100 below them
+    base[:4, 1] += rng.uniform(0.0, 0.27) if rng.random() > 0.01 else 0.6
+    return base
 
 
 class TestAssignGroups:
@@ -285,3 +355,149 @@ class TestGroupedAdversarial:
         if not any(f.hit_max_iters for f in faces):
             d = np.linalg.norm(embed(emb, faces[0].image) - embed(emb, faces[1].image))
             assert d >= cfg.distance_threshold
+
+
+class TestArrayOracle:
+    """The padded array path against the per-group loops, bit for bit."""
+
+    @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68)])
+    def test_sampling_matches_loop_on_3000_draws(self, scheme, length):
+        g = assign_groups(length, scheme)
+        outcomes = set()
+        for seed in range(3000):
+            base = oracle_base(scheme, np.random.default_rng([seed, 1]))
+            rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                sims = sample_known_transforms(g, base, rng)
+            except StructureSamplingError:
+                with pytest.raises(StructureSamplingError):
+                    sample_known_transforms_loop(g, base, rng_loop)
+                sims = None
+            else:
+                expected = sample_known_transforms_loop(g, base, rng_loop)
+                assert all(type(a.scale) is float and a.scale == b.scale and same_bits(a.center, b.center)
+                           for a, b in zip(sims, expected, strict=True))
+                assert same_bits(apply_groups(base, g, sims), apply_groups_loop(base, g, expected))
+            # the same number of rng values went into both
+            assert rng.random() == rng_loop.random()
+            outcomes.add(sims is None)
+        if scheme == "synthetic":
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68)])
+    def test_apply_and_validate_match_loop_on_any_transforms(self, scheme, length):
+        g = assign_groups(length, scheme)
+        verdicts = []
+        for seed in range(500):
+            rng = np.random.default_rng([seed, 2])
+            base = oracle_base(scheme, rng)
+            scales = rng.uniform(0.5, 1.5, g.count)
+            centers = rng.uniform(-0.5, 0.5, (g.count, 2))
+            if seed % 2:  # exact mirrors, so the mirror test can pass
+                for ga, gb in g.mirror_pairs:
+                    scales[gb] = scales[ga]
+                    off = centers[ga] - group_mean(base[g.indices(ga)])
+                    centers[gb] = group_mean(base[g.indices(gb)]) + off * (-1.0, 1.0)
+            sims = [GroupSimilarity(s, c) for s, c in zip(scales.tolist(), centers)]
+            moved = apply_groups(base, g, sims)
+            assert same_bits(moved, apply_groups_loop(base, g, sims))
+            verdict = validate_structure(g, base, moved)
+            assert verdict is validate_structure_loop(g, base, moved)
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68)])
+    def test_padded_means_are_per_group_means(self, scheme, length):
+        g = assign_groups(length, scheme)
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            pts = rng.normal(size=(length, 2)) * 10.0 ** rng.uniform(-6, 6, (length, 1))
+            means = _group_means(g, pts)
+            for gid in range(g.count):
+                assert same_bits(means[gid], pts[g.indices(gid)].mean(axis=0))
+
+    def test_padded_means_on_uneven_groups(self):
+        # groups of 2 to 30 landmarks, interleaved, so most rows carry pads
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            sizes = rng.integers(2, 31, rng.integers(1, 7))
+            membership = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+            g = SemanticGroups(count=sizes.size, membership=membership)
+            pts = rng.normal(size=(membership.size, 2))
+            means = _group_means(g, pts)
+            for gid in range(g.count):
+                assert same_bits(means[gid], group_mean(pts[g.indices(gid)]))
+
+
+class TestSignedZero:
+    """A group whose coordinates are all -0.0 keeps the per-group bits."""
+
+    def test_mean_of_negative_zero_group(self):
+        g = assign_groups(68, "ibug68")
+        pts = np.random.default_rng(9).uniform(-0.5, 0.5, (68, 2))
+        nose = g.indices(2)  # 9 landmarks, padded to 20
+        pts[nose] = -0.0
+        assert same_bits(_group_means(g, pts)[2], group_mean(pts[nose]))
+
+    def test_apply_with_negative_zero_center(self):
+        g = assign_groups(12, "synthetic")
+        base = base_shape_12()
+        base[g.indices(4), 0] = -0.0  # the nose column sits on x = 0
+        sims = [GroupSimilarity(1.0, group_mean(base[g.indices(i)])) for i in range(g.count)]
+        sims[4] = GroupSimilarity(1.05, (-0.0, 0.02))
+        out = apply_groups(base, g, sims)
+        assert same_bits(out, apply_groups_loop(base, g, sims))
+
+
+class TestLandmarkChecks:
+    @pytest.mark.parametrize("scheme,length,n_points", [
+        ("synthetic", 12, 11), ("synthetic", 12, 13), ("ibug68", 68, 67),
+    ])
+    def test_wrong_count_rejected(self, scheme, length, n_points):
+        g = assign_groups(length, scheme)
+        points = np.random.default_rng(0).uniform(-0.5, 0.5, (n_points, 2))
+        good = np.random.default_rng(1).uniform(-0.5, 0.5, (length, 2))
+        message = f"need {length} landmarks, got {n_points}"
+        with pytest.raises(ValueError, match=message):
+            sample_known_transforms(g, points, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            validate_structure(g, points, good)
+        with pytest.raises(ValueError, match=message):
+            validate_structure(g, good, points)
+
+    def test_flat_array_rejected(self):
+        g = assign_groups(12, "synthetic")
+        with pytest.raises(ValueError, match=r"\(N, 2\) array"):
+            sample_known_transforms(g, np.zeros(24), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_landmarks_rejected(self, bad):
+        g = assign_groups(12, "synthetic")
+        base = base_shape_12()
+        sims = [GroupSimilarity(1.0, group_mean(base[g.indices(i)])) for i in range(g.count)]
+        broken = base.copy()
+        broken[5, 1] = bad
+        for call in (lambda: apply_groups(broken, g, sims),
+                     lambda: sample_known_transforms(g, broken, np.random.default_rng(0)),
+                     lambda: validate_structure(g, broken, base),
+                     lambda: validate_structure(g, base, broken)):
+            with pytest.raises(ValueError, match="landmarks must be finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, bad):
+        with pytest.raises(ValueError, match="center must be finite"):
+            GroupSimilarity(1.0, [bad, 0.0])
+        with pytest.raises(ValueError, match="center must be finite"):
+            GroupSimilarity(1.0, [0.0, bad])
+
+    def test_reflected_mirror_pair_invalid(self):
+        base = base_shape_12()
+        g = assign_groups(12, "synthetic")
+        sims = [GroupSimilarity(1.0, group_mean(base[g.indices(i)])) for i in range(g.count)]
+        moved = apply_groups(base, g, sims)
+        for gid in (2, 3):  # both eyes flipped about their means: equal, negative scales
+            idx = g.indices(gid)
+            moved[idx] = 2 * group_mean(base[idx]) - base[idx]
+        assert not validate_structure(g, base, moved)
+
