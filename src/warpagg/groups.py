@@ -6,22 +6,32 @@ above eyes and mirror pairs symmetric), and the group-constrained adversarial
 attack where every sign-step is projected onto the per-group similarity
 family before clipping.
 
-Known transforms run on a padded (count, width) landmark index; pads repeat
-a group's last landmark, which extremes ignore, and are -0.0 in group sums.
-Those add rows in turn like ``group_mean`` (``np.add.reduceat`` does not) and
-x + -0.0 == x for every x, so means keep their bits. numpy 2.4 starts sums at
-+0.0, so +0.0 pads would too; under sums seeded with their first row they
-would turn an all -0.0 group's mean to +0.0, which with a -0.0 center flips a
-zero of ``apply_groups``. One (drawn groups, 3) ``rng.uniform`` per attempt
-gives the per-group draws' doubles in order. The mirror test sums in another
-order than ``fit_group_similarity``: rounding far inside ``STRUCTURE_TOL``.
+Known transforms run on arrays that ``SemanticGroups`` builds once: a padded
+(count, width) landmark index whose pads repeat the group's last landmark,
+its validity mask and the group sizes. Each step keeps the bits of the
+per-group loop it replaced:
+
+- Group means are sums along the padded axis, pads -0.0, over the size.
+  Such a sum adds the rows in turn, as ``group_mean`` does, and x + -0.0 is
+  x for every x. ``np.add.reduceat`` adds in another order and is not used.
+- Signed zero: numpy 2.4 starts every sum at +0.0, so no group sum is -0.0
+  and a +0.0 pad would be exact too. A numpy that seeded a sum with its first
+  row would keep an all -0.0 group's sum at -0.0; a +0.0 pad would then make
+  its mean +0.0 and, with a -0.0 center, flip a zero in ``apply_groups``.
+- One (drawn groups, 3) ``rng.uniform`` draw per attempt gives the same
+  doubles, in the same order, as one scale and one offset per group.
+- Every landmark moves by ``scale[mem] * (p - mean[mem]) + center[mem]``,
+  the operations ``apply_group_transform`` makes per group.
+- Vertical extremes ignore the repeated pads. The mirror check sums each
+  group's products over its own unpadded (n, 2) block, batched by size, as
+  ``fit_group_similarity`` does, and raises or returns pair by pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -60,19 +70,22 @@ class SemanticGroups:
     membership: np.ndarray
     mirror_pairs: tuple[tuple[int, int], ...] = ()
     vertical_pairs: tuple[tuple[int, int], ...] = ()
-    # __post_init__ also sets ``_indices`` and the padded layout (``_layout``)
+    # __post_init__ also sets ``_indices``, the padded layout (``_padded``,
+    # ``_valid``, ``_sizes``) and the index arrays the checks and draws use
 
     def __post_init__(self) -> None:
-        mem = np.asarray(self.membership, dtype=np.intp)
+        # a private copy, so the arrays derived from it cannot fall out of step
+        mem = np.array(self.membership, dtype=np.intp)
         if mem.ndim != 1:
             raise ValueError("membership must be a flat index array")
         # ids are range-checked first, so the count array stays count long
-        if not (mem.size and mem.min() >= 0 and mem.max() < self.count):
+        gids = mem.tolist()
+        if not (gids and min(gids) >= 0 and max(gids) < self.count):
             raise ValueError("membership must cover group ids 0..count-1")
-        sizes = np.bincount(mem, minlength=self.count)
-        if not sizes.all():
+        sizes = np.bincount(mem, minlength=self.count).tolist()
+        if 0 in sizes:
             raise ValueError("membership must cover group ids 0..count-1")
-        if sizes.min() < 2:
+        if min(sizes) < 2:
             raise ValueError("every group needs at least 2 landmarks")
         for name in ("mirror_pairs", "vertical_pairs"):
             for a, b in getattr(self, name):
@@ -83,36 +96,51 @@ class SemanticGroups:
         mirrored = [gid for pair in self.mirror_pairs for gid in pair]
         if len(set(mirrored)) != len(mirrored):
             raise ValueError(f"mirror_pairs {self.mirror_pairs} put a group in more than one pair")
-        pairs = (tuple(map(tuple, self.mirror_pairs)), tuple(map(tuple, self.vertical_pairs)))
-        for name, value in (("membership", mem), *_layout(self.count, mem.tobytes(), *pairs).items()):
-            object.__setattr__(self, name, value)
+
+        # Landmark indices of each group in ascending order (a stable sort),
+        # and one row per group padded to the widest group with the group's
+        # last landmark. Built from Python lists: at these sizes each numpy
+        # call costs more than the list work it would replace.
+        order = np.argsort(mem, kind="stable")
+        ranks = order.tolist()
+        width = max(sizes)
+        rows, valid, ends, end = [], [], [], 0
+        for n in sizes:
+            end += n
+            ends.append(end)
+            rows.append(ranks[end - n:end] + ranks[end - 1:end] * (width - n))
+            valid.append([True] * n + [False] * (width - n))
+        mem.flags.writeable = order.flags.writeable = False
+
+        # mirror groups batched by size for the mirror check
+        by_size = {}
+        for gid in mirrored:
+            by_size.setdefault(sizes[gid], []).append(gid)
+        # each group's row of the per-attempt draw: the second group of a
+        # mirror pair reuses its partner's row, with the x offset negated
+        partner = {b: a for a, b in self.mirror_pairs}
+        drawn = [gid for gid in range(self.count) if gid not in partner]
+        row_of = {gid: row for row, gid in enumerate(drawn)}
+
+        # frozen, so the fields are set through the instance dict
+        vars(self).update(
+            membership=mem,
+            _indices=tuple(order[end - n:end] for end, n in zip(ends, sizes)),
+            _padded=np.array(rows, dtype=np.intp),
+            _valid=np.array(valid)[:, :, None],
+            _sizes=np.array(sizes, dtype=np.float64)[:, None],
+            # (group ids, (k, n) landmark index) per size
+            _mirror_blocks=tuple((np.array(ids), np.array([rows[gid][:n] for gid in ids]))
+                                 for n, ids in by_size.items()),
+            _vertical=np.array([[rows[upper] for upper, _ in self.vertical_pairs],
+                                [rows[lower] for _, lower in self.vertical_pairs]], dtype=np.intp),
+            _draw_row=np.array([row_of[partner.get(gid, gid)] for gid in range(self.count)]),
+            _mirror_sign=np.array([(-1.0, 1.0) if gid in partner else (1.0, 1.0)
+                                   for gid in range(self.count)]),
+        )
 
     def indices(self, gid: int) -> np.ndarray:
         return self._indices[gid]
-
-
-@lru_cache(maxsize=64)
-def _layout(count: int, membership: bytes, mirror_pairs, vertical_pairs) -> dict:
-    """Read-only attributes derived from a grouping, cached per grouping."""
-    mem = np.frombuffer(membership, dtype=np.intp)
-    sizes = np.bincount(mem, minlength=count)
-    # a stable sort lists each group's landmarks in ascending order
-    order = np.argsort(mem, kind="stable")
-    ends, cols = sizes.cumsum(), np.arange(sizes.max())
-    padded = order[(ends - sizes)[:, None] + np.minimum(cols, sizes[:, None] - 1)]
-    # the second group of a mirror pair takes its partner's draw, x negated
-    partner = {b: a for a, b in mirror_pairs}
-    drawn = [gid for gid in range(count) if gid not in partner]
-    layout = dict(
-        _padded=padded, _valid=(cols < sizes[:, None])[:, :, None], _sizes=sizes[:, None] * 1.0,
-        _mirror=np.array([gid for pair in mirror_pairs for gid in pair], dtype=np.intp),
-        _vertical=padded[np.array(vertical_pairs, dtype=np.intp).reshape(-1, 2).T],
-        _draw_row=np.array([drawn.index(partner.get(gid, gid)) for gid in range(count)]),
-        _mirror_sign=np.array([(-1.0 if gid in partner else 1.0, 1.0) for gid in range(count)]),
-    )
-    for array in (order, *layout.values()):
-        array.flags.writeable = False
-    return dict(layout, _indices=tuple(order[a:b] for a, b in zip([0, *ends.tolist()], ends.tolist())))
 
 
 @dataclass(frozen=True)
@@ -131,13 +159,41 @@ class GroupSimilarity:
         object.__setattr__(self, "center", c)
 
 
-# (membership, mirror_pairs, vertical_pairs). iBUG 68: jaw 0-16, right brow
-# 17-21, left brow 22-26, nose 27-35, right eye 36-41, left eye 42-47, mouth
-# 48-67, eye+brow merged per side. Synthetic 12, in perfbench's template order:
-# brows {0,1} {2,3}, eyes {4,5} {6,7}, nose {8,9}, mouth {10,11}, right first.
+# iBUG 68-point layout: jaw 0-16, right brow 17-21, left brow 22-26,
+# nose 27-35, right eye 36-41, left eye 42-47, mouth 48-67. Groups follow
+# the five-region scheme (eye+brow merged per side).
+def _ibug68_membership() -> np.ndarray:
+    mem = np.empty(68, dtype=np.intp)
+    mem[17:22] = 0
+    mem[36:42] = 0
+    mem[22:27] = 1
+    mem[42:48] = 1
+    mem[27:36] = 2
+    mem[48:68] = 3
+    mem[0:17] = 4
+    return mem
+
+
+# Synthetic 12-point layout (the order of the benchmark's 12-point template in
+# perfbench/workloads.py): right brow {0,1}, left brow {2,3}, right eye {4,5},
+# left eye {6,7}, nose {8,9}, mouth {10,11}.
+_SYNTHETIC_MEMBERSHIP = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], dtype=np.intp)
+
 _SCHEMES = {
-    "ibug68": (np.repeat([4, 0, 1, 2, 0, 1, 3], [17, 5, 5, 9, 6, 6, 20]), ((0, 1),), ()),
-    "synthetic": (np.repeat(np.arange(6), 2), ((0, 1), (2, 3)), ((0, 2), (1, 3))),
+    "ibug68": dict(
+        length=68,
+        count=5,
+        membership=_ibug68_membership(),
+        mirror_pairs=((0, 1),),
+        vertical_pairs=(),
+    ),
+    "synthetic": dict(
+        length=12,
+        count=6,
+        membership=_SYNTHETIC_MEMBERSHIP,
+        mirror_pairs=((0, 1), (2, 3)),
+        vertical_pairs=((0, 2), (1, 3)),
+    ),
 }
 
 
@@ -145,11 +201,17 @@ def assign_groups(num_landmarks: int, scheme: str) -> SemanticGroups:
     """Build the named grouping; the scheme fixes the expected landmark count."""
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown grouping scheme {scheme!r}; have {sorted(_SCHEMES)}")
-    membership, mirror_pairs, vertical_pairs = _SCHEMES[scheme]
-    if num_landmarks != membership.size:
-        raise ValueError(f"scheme {scheme!r} is defined for {membership.size} landmarks, "
-                         f"got {num_landmarks}")
-    return SemanticGroups(int(membership.max()) + 1, membership.copy(), mirror_pairs, vertical_pairs)
+    info = _SCHEMES[scheme]
+    if num_landmarks != info["length"]:
+        raise ValueError(
+            f"scheme {scheme!r} is defined for {info['length']} landmarks, got {num_landmarks}"
+        )
+    return SemanticGroups(
+        count=info["count"],
+        membership=info["membership"],  # SemanticGroups keeps its own copy
+        mirror_pairs=info["mirror_pairs"],
+        vertical_pairs=info["vertical_pairs"],
+    )
 
 
 def group_mean(points: np.ndarray) -> np.ndarray:
@@ -190,7 +252,8 @@ def apply_groups(points: np.ndarray, groups: SemanticGroups,
     if len(sims) != groups.count:
         raise ValueError(f"need {groups.count} group transforms, got {len(sims)}")
     pts = _landmarks(groups, points)
-    mem, scale = groups.membership, np.array([sim.scale for sim in sims])
+    mem = groups.membership
+    scale = np.array([sim.scale for sim in sims])
     centers = np.array([sim.center for sim in sims])
     return scale[mem, None] * (pts - _group_means(groups, pts)[mem]) + centers[mem]
 
@@ -214,20 +277,34 @@ def fit_group_similarity(points: np.ndarray, targets: np.ndarray) -> GroupSimila
 
 def _structure_ok(groups: SemanticGroups, base, means, moved) -> bool:
     """:func:`validate_structure` on checked landmarks and the base group means."""
-    upper, lower = moved[groups._vertical, 1]
-    if (upper.max(axis=1) > lower.min(axis=1) - STRUCTURE_TOL).any():
-        return False
-    ids = groups._mirror
-    sel, valid = groups._padded[ids], groups._valid[ids]
-    base_c = np.where(valid, base[sel] - means[ids, None], 0.0)
-    spread = (base_c * base_c).sum(axis=(1, 2))
-    if (spread <= 1e-20).any():
-        raise ValueError("group has zero spatial spread; similarity scale undefined")
-    q_mean = _group_means(groups, moved)[ids]
-    scale = (base_c * (moved[sel] - q_mean[:, None])).sum(axis=(1, 2)) / spread
-    fit = np.concatenate((scale[:, None], q_mean - means[ids]), axis=1)  # scale, offset
-    return bool((scale > 0).all() and (np.abs(fit[0::2] - fit[1::2] * (1.0, -1.0, 1.0))
-                                       <= STRUCTURE_TOL).all())
+    if groups.vertical_pairs:
+        upper, lower = moved[groups._vertical, 1]
+        if (upper.max(axis=1) > lower.min(axis=1) - STRUCTURE_TOL).any():
+            return False
+    moved_means = _group_means(groups, moved)
+    offsets = (moved_means - means).tolist()
+    # each mirror group's spread and correlation, as fit_group_similarity sums them
+    spread, corr = {}, {}
+    for ids, sel in groups._mirror_blocks:
+        base_c = base[sel] - means[ids, None]
+        spread.update(zip(ids.tolist(), (base_c * base_c).sum(axis=(1, 2)).tolist()))
+        moved_c = moved[sel] - moved_means[ids, None]
+        corr.update(zip(ids.tolist(), (base_c * moved_c).sum(axis=(1, 2)).tolist()))
+    # pair by pair, raising where fit_group_similarity and GroupSimilarity raise
+    for ga, gb in groups.mirror_pairs:
+        scales = []
+        for gid in (ga, gb):
+            if spread[gid] <= 1e-20:
+                raise ValueError("group has zero spatial spread; similarity scale undefined")
+            scales.append(corr[gid] / spread[gid])
+            if not (math.isfinite(scales[-1]) and scales[-1] > 0):
+                raise ValueError("scale must be finite and positive")
+        (xa, ya), (xb, yb) = offsets[ga], offsets[gb]
+        if abs(scales[0] - scales[1]) > STRUCTURE_TOL:
+            return False
+        if abs(xa + xb) > STRUCTURE_TOL or abs(ya - yb) > STRUCTURE_TOL:
+            return False
+    return True
 
 
 def validate_structure(groups: SemanticGroups, base: np.ndarray,
@@ -236,12 +313,13 @@ def validate_structure(groups: SemanticGroups, base: np.ndarray,
 
     (a) Every designated (upper, lower) pair keeps disjoint bounding boxes
     with the upper group strictly above. (b) Every designated mirror pair
-    applied transforms that are x-mirrors of each other: positive and equal
-    scales and mirrored offsets of the group centers. Both hold to within
+    applied transforms that are x-mirrors of each other: equal scales and
+    mirrored offsets of the group centers. Both hold to within
     ``STRUCTURE_TOL``. Landmarks must be finite, or ``ValueError`` is raised.
     """
     base = _landmarks(groups, base)
-    return _structure_ok(groups, base, _group_means(groups, base), _landmarks(groups, transformed))
+    transformed = _landmarks(groups, transformed)
+    return _structure_ok(groups, base, _group_means(groups, base), transformed)
 
 
 def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
@@ -253,16 +331,24 @@ def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
     ``MAX_ATTEMPTS`` times. ``base`` is checked as in :func:`apply_groups`."""
     base = _landmarks(groups, base)
     means = _group_means(groups, base)
-    mem, centered = groups.membership, base - means[groups.membership]
-    b = TRANSLATION_FRACTION * NORMALIZED_WIDTH
-    low, high = np.array([[SCALE_RANGE[0], -b, -b], [SCALE_RANGE[1], b, b]])
+    mem = groups.membership
+    centered = base - means[mem]
+    bound = TRANSLATION_FRACTION * NORMALIZED_WIDTH
+    low = np.array([SCALE_RANGE[0], -bound, -bound])
+    high = np.array([SCALE_RANGE[1], bound, bound])
+    drawn = groups.count - len(groups.mirror_pairs)
     for _ in range(MAX_ATTEMPTS):
-        draw = rng.uniform(low, high, (groups.count - len(groups.mirror_pairs), 3))[groups._draw_row]
-        scale, centers = draw[:, 0], means + draw[:, 1:] * groups._mirror_sign
-        if _structure_ok(groups, base, means, scale[mem, None] * centered + centers[mem]):
+        # rows of (scale, x offset, y offset); a mirror partner reuses its pair's row
+        draw = rng.uniform(low, high, (drawn, 3))[groups._draw_row]
+        scale = draw[:, 0]
+        centers = means + draw[:, 1:] * groups._mirror_sign
+        moved = scale[mem, None] * centered + centers[mem]
+        if _structure_ok(groups, base, means, moved):
             return [GroupSimilarity(s, c) for s, c in zip(scale.tolist(), centers)]
-    raise StructureSamplingError(f"no structurally valid transform set in {MAX_ATTEMPTS} "
-                                 "attempts; base shape is likely degenerate")
+    raise StructureSamplingError(
+        f"no structurally valid transform set in {MAX_ATTEMPTS} attempts; "
+        "base shape is likely degenerate"
+    )
 
 
 def _project_and_clip(points: np.ndarray, stepped: np.ndarray,

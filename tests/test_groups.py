@@ -37,7 +37,8 @@ def apply_groups_loop(points, groups, sims):
 
 def validate_structure_loop(groups, base, transformed):
     for upper, lower in groups.vertical_pairs:
-        if transformed[groups.indices(upper), 1].max() > transformed[groups.indices(lower), 1].min() - STRUCTURE_TOL:
+        upper_max_y = transformed[groups.indices(upper), 1].max()
+        if upper_max_y > transformed[groups.indices(lower), 1].min() - STRUCTURE_TOL:
             return False
     for ga, gb in groups.mirror_pairs:
         ia, ib = groups.indices(ga), groups.indices(gb)
@@ -145,6 +146,14 @@ class TestPairValidation:
             idx = g.indices(gid)
             assert np.array_equal(idx, np.flatnonzero(g.membership == gid))
             assert idx is g.indices(gid) and not idx.flags.writeable
+
+    def test_membership_is_a_read_only_copy(self):
+        membership = np.repeat(np.arange(3), 4)
+        g = SemanticGroups(count=3, membership=membership)
+        assert not g.membership.flags.writeable
+        membership[:] = 0  # the caller's array; the grouping keeps its own
+        assert np.bincount(g.membership).tolist() == [4, 4, 4]
+        assert np.array_equal(g.indices(2), [8, 9, 10, 11])
 
 
 class TestGroupMean:
@@ -375,7 +384,8 @@ class TestArrayOracle:
                 sims = None
             else:
                 expected = sample_known_transforms_loop(g, base, rng_loop)
-                assert all(type(a.scale) is float and a.scale == b.scale and same_bits(a.center, b.center)
+                assert all(type(a.scale) is float and a.scale == b.scale
+                           and same_bits(a.center, b.center)
                            for a, b in zip(sims, expected, strict=True))
                 assert same_bits(apply_groups(base, g, sims), apply_groups_loop(base, g, expected))
             # the same number of rng values went into both
@@ -491,13 +501,86 @@ class TestLandmarkChecks:
         with pytest.raises(ValueError, match="center must be finite"):
             GroupSimilarity(1.0, [0.0, bad])
 
-    def test_reflected_mirror_pair_invalid(self):
+
+def verdict_or_error(check, *args):
+    """``check(*args)``, or the ValueError message it raised."""
+    try:
+        return check(*args)
+    except ValueError as error:
+        return str(error)
+
+
+class TestMirrorCheckOrder:
+    """The one-pass mirror check gives the per-pair loop's verdict or error."""
+
+    @staticmethod
+    def moved(base, g, scales=None):
+        scales = scales or [1.0] * g.count
+        sims = [GroupSimilarity(s, group_mean(base[g.indices(i)])) for i, s in enumerate(scales)]
+        return apply_groups(base, g, sims)
+
+    def test_reflected_pair_raises(self):
         base = base_shape_12()
         g = assign_groups(12, "synthetic")
-        sims = [GroupSimilarity(1.0, group_mean(base[g.indices(i)])) for i in range(g.count)]
-        moved = apply_groups(base, g, sims)
+        moved = self.moved(base, g)
         for gid in (2, 3):  # both eyes flipped about their means: equal, negative scales
             idx = g.indices(gid)
             moved[idx] = 2 * group_mean(base[idx]) - base[idx]
-        assert not validate_structure(g, base, moved)
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            validate_structure(g, base, moved)
+        expected = verdict_or_error(validate_structure_loop, g, base, moved)
+        assert expected == "scale must be finite and positive"
 
+    @pytest.mark.parametrize("brows_mirrored", [True, False])
+    @pytest.mark.parametrize("eyes", ["collapsed", "reflected"])
+    def test_earlier_failing_pair_returns_first(self, brows_mirrored, eyes):
+        # pair (0, 1) is checked before pair (2, 3): a brow mismatch returns
+        # False before the eyes' error is reached
+        base = base_shape_12()
+        g = assign_groups(12, "synthetic")
+        if eyes == "collapsed":
+            base[g.indices(3)] = group_mean(base[g.indices(3)])
+        moved = self.moved(base, g, [1.0, 1.0 if brows_mirrored else 1.05, 1.0, 1.0, 1.0, 1.0])
+        if eyes == "reflected":
+            for gid in (2, 3):
+                idx = g.indices(gid)
+                moved[idx] = 2 * group_mean(base[idx]) - base[idx]
+        expected = verdict_or_error(validate_structure_loop, g, base, moved)
+        assert verdict_or_error(validate_structure, g, base, moved) == expected
+        assert (expected is False) == (not brows_mirrored)
+
+    def test_vertical_failure_returns_before_mirror_error(self):
+        base = base_shape_12()
+        g = assign_groups(12, "synthetic")
+        base[g.indices(3)] = group_mean(base[g.indices(3)])  # zero spread
+        moved = self.moved(base, g)
+        moved[g.indices(0), 1] += 0.5  # right brow below the right eye
+        assert validate_structure(g, base, moved) is False
+        assert validate_structure_loop(g, base, moved) is False
+        with pytest.raises(ValueError, match="zero spatial spread"):
+            validate_structure(g, base, self.moved(base, g))
+
+    @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68)])
+    def test_same_verdict_at_the_tolerance(self, scheme, length):
+        # the second mirror group's scale walks in single ulps across
+        # scale + STRUCTURE_TOL, where the verdict turns on the last bit of
+        # the fitted scales, so any other summation order shows
+        g = assign_groups(length, scheme)
+        ga, gb = g.mirror_pairs[0]
+        flips = 0
+        for seed in range(40):
+            base = oracle_base(scheme, np.random.default_rng([seed, 3]))
+            scales = [1.0] * g.count
+            edge = scales[ga] = float(np.random.default_rng(seed).uniform(0.9, 1.1))
+            edge += STRUCTURE_TOL
+            for _ in range(20):
+                edge = np.nextafter(edge, 0.0)
+            verdicts = []
+            for _ in range(40):
+                scales[gb] = float(edge)
+                moved = self.moved(base, g, scales)
+                verdicts.append(validate_structure(g, base, moved))
+                assert verdicts[-1] is validate_structure_loop(g, base, moved)
+                edge = np.nextafter(edge, 2.0)
+            flips += verdicts[0] and not verdicts[-1]
+        assert flips >= 30
