@@ -10,6 +10,13 @@ and pool layers come from :mod:`warpagg.layers`, the toolkit the embedder
 uses too; each conv layer's im2col matrix is freed as soon as its GEMM is
 done, and the gather indices that build it are cached when the detector is
 built.
+
+Each conv layer's input is built once, in one zero-padded (Cin, H+2, W+2)
+buffer that :func:`~warpagg.layers.conv3` reads: the encoder activations
+are written by their ``tanh`` straight into the channels the skip
+connections give them in a decoder layer's buffer, and each decoder
+activation is up-sampled by one broadcast assignment into the interior of
+the next buffer. No concatenated, up-sampled or padded copy is made.
 """
 
 from __future__ import annotations
@@ -40,10 +47,6 @@ class DegenerateHeatmapError(ValueError):
 
 class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not parse as a known detector checkpoint."""
-
-
-def _up2(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,43 @@ def _check_input(det: ToyDetector, img: Image) -> None:
         )
 
 
+def _padded(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero (c, h+2, w+2) conv input buffer and its (c, h, w) interior."""
+    xp = np.zeros((c, h + 2, w + 2))
+    return xp, xp[:, 1:-1, 1:-1]
+
+
+def _up2_into(dst: np.ndarray, x: np.ndarray) -> None:
+    """Write x (C, H, W) up-sampled 2x by pixel repetition into dst
+    (C, 2H, 2W), one broadcast assignment through a (C, H, 2, W, 2) view;
+    splitting the two spatial axes of a buffer interior needs no copy."""
+    c, h, w = x.shape
+    dst.reshape(c, h, 2, w, 2)[...] = x[:, :, None, :, None]
+
+
 def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
     """Nonnegative response maps, shape (L, H, W), same spatial size as input."""
     _check_input(det, img)
     p = {k: v.astype(np.float64) for k, v in det.params.items()}
-    e1 = np.tanh(conv3(img.data[None], p["enc1.w"], p["enc1.b"]))
-    e2 = np.tanh(conv3(avgpool(e1, 2), p["enc2.w"], p["enc2.b"]))
-    m = np.tanh(conv3(avgpool(e2, 2), p["mid.w"], p["mid.b"]))
-    d1 = np.tanh(conv3(np.concatenate([_up2(m), e2], axis=0), p["dec1.w"], p["dec1.b"]))
-    pre = conv3(np.concatenate([_up2(d1), e1], axis=0), p["out.w"], p["out.b"])
+    c = _CHANNELS
+    h, w = det.input_size
+    # the padded input of every conv layer; the two decoder inputs are the
+    # up-sampled activation below, then the skip activation
+    x_enc1, img_in = _padded(1, h, w)
+    x_enc2, pool1 = _padded(c["enc1"], h // 2, w // 2)
+    x_mid, pool2 = _padded(c["enc2"], h // 4, w // 4)
+    x_dec1, dec1_in = _padded(c["mid"] + c["enc2"], h // 2, w // 2)
+    x_out, out_in = _padded(c["dec1"] + c["enc1"], h, w)
+    img_in[0] = img.data
+    e1 = np.tanh(conv3(x_enc1, p["enc1.w"], p["enc1.b"]), out=out_in[c["dec1"]:])
+    pool1[...] = avgpool(e1, 2)
+    e2 = np.tanh(conv3(x_enc2, p["enc2.w"], p["enc2.b"]), out=dec1_in[c["mid"]:])
+    pool2[...] = avgpool(e2, 2)
+    m = np.tanh(conv3(x_mid, p["mid.w"], p["mid.b"]))
+    _up2_into(dec1_in[: c["mid"]], m)
+    d1 = np.tanh(conv3(x_dec1, p["dec1.w"], p["dec1.b"]))
+    _up2_into(out_in[: c["dec1"]], d1)
+    pre = conv3(x_out, p["out.w"], p["out.b"])
     return np.logaddexp(0.0, pre)
 
 

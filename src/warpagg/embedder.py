@@ -8,8 +8,9 @@ Weights are fixed pseudo-random functions of the seed; nothing is trained.
 The stack is conv3x3 -> tanh -> avgpool4 -> conv3x3 -> tanh -> avgpool4 ->
 affine -> l2-normalize, smooth everywhere so finite-difference checks are
 clean. The conv and pool layers and their adjoints come from
-:mod:`warpagg.layers`, the toolkit the detector uses too; the gather
-indices of both conv layers are cached when the embedder is built.
+:mod:`warpagg.layers`, the toolkit the detector uses too; each conv input is
+padded by :func:`~warpagg.layers._pad1`, and the gather indices of both
+conv layers are cached when the embedder is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import Image
-from .layers import _patch_index, avgpool, avgpool_grad, conv3, conv3_input_grad
+from .layers import _pad1, _patch_index, avgpool, avgpool_grad, conv3, conv3_input_grad
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,9 @@ class ToyEmbedder:
     def _forward(self, img: Image) -> dict:
         w = self.weights
         x = (2.0 * img.data - 1.0)[None]
-        t1 = np.tanh(conv3(x, w["c1w"], w["c1b"]))
+        t1 = np.tanh(conv3(_pad1(x), w["c1w"], w["c1b"]))
         p1 = avgpool(t1, 4)
-        t2 = np.tanh(conv3(p1, w["c2w"], w["c2b"]))
+        t2 = np.tanh(conv3(_pad1(p1), w["c2w"], w["c2b"]))
         p2 = avgpool(t2, 4)
         feat = p2.ravel()
         y = w["pw"] @ feat + w["pb"]

@@ -55,7 +55,7 @@ class StructureSamplingError(RuntimeError):
     """Rejection sampling could not find a structurally valid transform set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemanticGroups:
     """Partition of landmark indices into facial-region groups.
 
@@ -63,7 +63,8 @@ class SemanticGroups:
     x-mirrors of each other when sampling known transforms, each group in at
     most one pair; ``vertical_pairs`` lists (upper, lower) group ids whose
     bounding boxes must stay vertically separated. A pair names two distinct
-    ids in 0..count-1.
+    ids in 0..count-1. Two groupings are equal only if they are the same
+    object.
     """
 
     count: int
@@ -143,9 +144,10 @@ class SemanticGroups:
         return self._indices[gid]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSimilarity:
-    """Scale about the group mean plus a new group center."""
+    """Scale about the group mean plus a new group center; equal only to
+    itself."""
 
     scale: float
     center: np.ndarray  # (2,) location the group mean maps to

@@ -9,6 +9,7 @@ exactly. Samples outside the raster are clamped to the edge.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,10 +183,14 @@ def from_pixel(pts, width: int, height: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def grid_axes(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized x of every pixel column (W,) and y of every pixel row (H,)."""
+    """Normalized x of every pixel column (W,) and y of every pixel row (H,),
+    read-only and cached per raster shape: every warp of a shape reads the
+    same axes."""
     xs = from_pixel(np.stack([np.arange(width, dtype=np.float64), np.zeros(width)], axis=-1), width, height)[:, 0]
     ys = from_pixel(np.stack([np.zeros(height), np.arange(height, dtype=np.float64)], axis=-1), width, height)[:, 1]
+    xs.flags.writeable = ys.flags.writeable = False
     return xs, ys
 
 

@@ -3,12 +3,16 @@
 All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
 convolution as one GEMM over the (H*W, Cin*9) matrix :func:`im2col`
 builds, with the bias added in place; the matrix is freed once the GEMM is
-done. :func:`im2col` gathers that matrix from the flat zero-padded input one
-band of output rows at a time, through a read-only index that is the same
-for every band and is cached per input shape (:func:`_patch_index`); the
-networks fill the cache for their own layers when they are built, so a
-forward pass allocates nothing that outlives it. :func:`conv3_input_grad`
-is its adjoint w.r.t. the input as nine shifted GEMMs; :func:`avgpool` and
+done. Both read the input already zero-padded, a (Cin, H+2, W+2) buffer
+whose one-pixel border the caller leaves zero and whose interior it fills:
+the detector writes each layer's input straight into such a buffer, and the
+embedder pads its inputs with :func:`_pad1`. :func:`im2col` gathers the
+matrix from the flat padded input one band of output rows at a time,
+through a read-only index that is the same for every band and is cached
+per input shape (:func:`_patch_index`); the networks fill the cache for
+their own layers when they are built, so a forward pass allocates nothing
+that outlives it. :func:`conv3_input_grad` is its adjoint w.r.t. the
+(unpadded) input as nine shifted GEMMs; :func:`avgpool` and
 :func:`avgpool_grad` are a non-overlapping k x k mean pool and its adjoint.
 """
 
@@ -48,20 +52,22 @@ def _patch_index(cin: int, h: int, wd: int) -> np.ndarray:
     return idx
 
 
-def im2col(x: np.ndarray) -> np.ndarray:
-    """The im2col matrix of a 3x3 same-pad convolution over x (Cin,H,W),
-    shape (H*W, Cin*9), C-contiguous: row r*W + c holds the 3x3 patch of
-    every input channel around pixel (r, c).
+def im2col(xp: np.ndarray) -> np.ndarray:
+    """The im2col matrix of a 3x3 same-pad convolution over the input x
+    (Cin,H,W), given zero-padded as xp (Cin,H+2,W+2) (see the module
+    docstring), shape (H*W, Cin*9), C-contiguous: row r*W + c holds the 3x3
+    patch of every input channel around pixel (r, c).
 
-    Gathered from the flat zero-padded input one band of rows at a time
-    through the cached :func:`_patch_index`; the indices are in range by
+    Gathered from the flat padded input one band of rows at a time through
+    the cached :func:`_patch_index`; the indices are in range by
     construction, so ``mode="clip"`` changes none of them and only spares
-    ``np.take`` the buffered copy of ``out`` that ``mode="raise"`` makes."""
-    cin, h, wd = x.shape
+    ``np.take`` the buffered copy of ``out`` that ``mode="raise"`` makes. A
+    C-contiguous ``xp`` is read in place."""
+    cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
     if cin < 1 or h < 1 or wd < 1:
-        raise ValueError(f"im2col needs a nonempty (Cin, H, W) stack, got {x.shape}")
+        raise ValueError(f"im2col needs a nonempty padded (Cin, H+2, W+2) stack, got {xp.shape}")
     idx = _patch_index(cin, h, wd)
-    flat = _pad1(x).reshape(-1)
+    flat = xp.reshape(-1)
     a = np.empty((h * wd, cin * 9), dtype=flat.dtype)
     rows = idx.shape[0] // wd
     for r0 in range(0, h, rows):
@@ -70,11 +76,14 @@ def im2col(x: np.ndarray) -> np.ndarray:
     return a
 
 
-def conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 same-pad convolution; x (Cin,H,W), w (Cout,Cin,3,3), b (Cout,)
-    -> (Cout,H,W)."""
-    _, h, wd = x.shape
-    out = im2col(x) @ w.reshape(w.shape[0], -1).T
+def conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 same-pad convolution of the input x (Cin,H,W), given zero-padded
+    as xp (Cin,H+2,W+2); w (Cout,Cin,3,3), b (Cout,) -> (Cout,H,W).
+
+    The result is the transposed view of the (H*W, Cout) GEMM output, so
+    its channel axis has unit stride."""
+    h, wd = xp.shape[1] - 2, xp.shape[2] - 2
+    out = im2col(xp) @ w.reshape(w.shape[0], -1).T
     out += b
     return out.T.reshape(w.shape[0], h, wd)
 
@@ -93,6 +102,21 @@ def conv3_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def avgpool(x: np.ndarray, k: int) -> np.ndarray:
+    """Mean over non-overlapping k x k windows of x (C,H,W) -> (C,H/k,W/k).
+
+    A 2 x 2 window is summed from four strided slices in the fixed order
+    ((x00 + x01) + x10) + x11 and divided by 4. That is the order the
+    reshape mean takes on the layout :func:`conv3` returns, so the two are
+    bitwise equal there, and the slices are 2 to 4 times faster; being
+    elementwise, the sum gives the same bits on any layout. Larger windows
+    keep the reshape mean: on the embedder's 4 x 4 pools sixteen slices
+    are slower."""
+    if k == 2:
+        s = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+        s += x[:, 1::2, 0::2]
+        s += x[:, 1::2, 1::2]
+        s /= 4
+        return s
     c, h, wd = x.shape
     return x.reshape(c, h // k, k, wd // k, k).mean(axis=(2, 4))
 

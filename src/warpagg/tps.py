@@ -69,6 +69,20 @@ columns its resize to the embedder reads (a quarter of the pixels from
 kernel pair can be given (``out``): the attack writes every step of a
 branch into one pair, and a warp's ``vjp`` is valid only until the next
 kernel is written there.
+
+A branch is warped and then mapped back through the inverse of the same
+spline, so :func:`warp_image` records its last fit at module level: one
+``(key, fit)`` tuple, assigned at once into a one-slot list. The key is
+what the fit depends on: both shapes, the exact float64 bytes of
+``points_moved`` and ``points``, and ``lam``. :func:`invert_landmarks`
+evaluates the recorded fit when its key matches and fits afresh otherwise;
+a fit is deterministic, so either way its landmarks are the same bits, and
+a miss only costs the fit. The fit's arrays are read-only because the
+record shares them. :func:`fit_tps` itself stays uncached, and
+:func:`warp_with_vjp` neither writes nor reads the record: the attack fits
+once per step at landmarks that change every step, so a cache there would
+only hit on steps that do not move the landmarks and would hide what a
+step costs.
 """
 
 from __future__ import annotations
@@ -96,10 +110,13 @@ class DegenerateControlPointsError(ValueError):
     """Control points too degenerate (collinear/coincident) to fit a spline."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TpsTransform:
     """Fitted spline: affine part (2,3) as rows (const, x, y) per output
-    coordinate, kernel weights (L,2), anchored at ``control_points`` (L,2)."""
+    coordinate, kernel weights (L,2), anchored at ``control_points`` (L,2).
+
+    Its arrays are read-only; two transforms are equal only if they are the
+    same object."""
 
     control_points: np.ndarray
     affine: np.ndarray
@@ -107,6 +124,12 @@ class TpsTransform:
     regularization: float
     # the (L+3, L+3) matrix the fit solved; the warp's adjoint solve reuses it
     system: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+# warp_image's last fit as the one item (key, fit), see _fit_key. The item is
+# replaced by one assignment, so a reader always sees a key with its own fit,
+# and the module attribute itself stays bound to this list.
+_warp_fit: list[tuple[tuple, TpsTransform] | None] = [None]
 
 
 def _kernel_sq(s: np.ndarray) -> np.ndarray:
@@ -263,13 +286,17 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
         a = _system_matrix(src, attempt_lam)
         if np.linalg.cond(a) < _COND_LIMIT:
             sol = np.linalg.solve(a, rhs)
-            return TpsTransform(
+            t = TpsTransform(
                 control_points=src.copy(),
                 affine=sol[n:].T.copy(),
                 kernel_weights=sol[:n].copy(),
                 regularization=attempt_lam,
                 system=a,
             )
+            # read-only, because warp_image's fit record shares the fit
+            for arr in (t.control_points, t.affine, t.kernel_weights, t.system):
+                arr.flags.writeable = False
+            return t
     raise DegenerateControlPointsError(
         "control points are collinear or coincident; spline system is singular"
     )
@@ -291,6 +318,14 @@ def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(phi_t.T) @ _params(t)
 
 
+def _fit_key(points_moved: np.ndarray, points: np.ndarray, lam: float) -> tuple:
+    """What ``fit_tps(points_moved, points, lam)`` depends on: both shapes,
+    the exact float64 bytes of both point sets, and ``lam``."""
+    src = np.asarray(points_moved, dtype=np.float64)
+    dst = np.asarray(points, dtype=np.float64)
+    return src.shape, dst.shape, src.tobytes(), dst.tobytes(), lam
+
+
 def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
                lam: float = DEFAULT_LAMBDA) -> Image:
     """Warp so content at ``points`` appears at ``points_moved``.
@@ -304,9 +339,11 @@ def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
     mapped grid is formed in blocks of ``_SAMPLE_BANDS`` bands, each
     sampled and clipped into its rows of the output before the next block
     is mapped; only the output is full size. The image is bitwise the one
-    :func:`warp_with_vjp` returns.
+    :func:`warp_with_vjp` returns. The fit is recorded for
+    :func:`invert_landmarks`.
     """
     t = fit_tps(points_moved, points, lam)
+    _warp_fit[0] = _fit_key(points_moved, points, lam), t
     cpts, params = t.control_points, _params(t)
     m = cpts.shape[0]
     width, height = img.width, img.height
@@ -343,8 +380,11 @@ def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
 
     Exactly undoes the manipulation at the control points (up to the ridge).
     ``predicted`` must be a finite (N, 2) array (see :func:`eval_tps`).
+    Evaluates :func:`warp_image`'s recorded fit when it was made from these
+    exact arrays, and fits afresh otherwise.
     """
-    t = fit_tps(points_moved, points, lam)
+    key, record = _fit_key(points_moved, points, lam), _warp_fit[0]
+    t = record[1] if record is not None and record[0] == key else fit_tps(points_moved, points, lam)
     return eval_tps(t, predicted)
 
 

@@ -20,6 +20,7 @@ from warpagg.detector import (
     soft_argmax,
 )
 from warpagg.imaging import to_pixel
+from warpagg.layers import _pad1, conv3
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,47 @@ class TestForward:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             ToyDetector(3, (-16, 16))
+
+
+def concat_forward(det, img):
+    """Oracle: the forward as it was before each conv input got one padded
+    buffer: every layer input padded by its own copy, decoder inputs
+    concatenated from repeated up-samples and skips, and every pool a
+    reshape mean."""
+    p = {k: v.astype(np.float64) for k, v in det.params.items()}
+
+    def conv(x, name):
+        return conv3(_pad1(x), p[f"{name}.w"], p[f"{name}.b"])
+
+    def up2(x):
+        return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+
+    def pool(x):
+        c, h, w = x.shape
+        return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+    e1 = np.tanh(conv(img.data[None], "enc1"))
+    e2 = np.tanh(conv(pool(e1), "enc2"))
+    m = np.tanh(conv(pool(e2), "mid"))
+    d1 = np.tanh(conv(np.concatenate([up2(m), e2], axis=0), "dec1"))
+    pre = conv(np.concatenate([up2(d1), e1], axis=0), "out")
+    return np.logaddexp(0.0, pre)
+
+
+class TestForwardOracle:
+    """The padded-buffer forward gives the concatenating forward's heatmaps
+    bit for bit, in the same memory layout: soft_argmax's sums follow the
+    layout, so a copy with other strides decodes other landmark bits."""
+
+    @pytest.mark.parametrize("num_landmarks,size", [(3, 16), (12, 32), (68, 64)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_with_strides(self, num_landmarks, size, seed):
+        det = ToyDetector(num_landmarks, (size, size), seed=seed)
+        img = blob_image(size, seed=seed + 20)
+        got, want = predict_heatmaps(det, img), concat_forward(det, img)
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert np.array_equal(soft_argmax(got)[0], soft_argmax(want)[0])
 
 
 class TestForwardMemory:

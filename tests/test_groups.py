@@ -126,6 +126,22 @@ class TestAssignGroups:
             SemanticGroups(count=count, membership=np.array(membership, dtype=np.intp))
 
 
+class TestIdentityEquality:
+    """Groupings and similarities hold arrays, so they compare and hash by
+    identity; a value comparison would ask numpy for an array's truth value."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: assign_groups(12, "synthetic"),
+        lambda: GroupSimilarity(1.1, np.array([0.1, -0.2])),
+    ], ids=["SemanticGroups", "GroupSimilarity"])
+    def test_eq_ne_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+
 class TestPairValidation:
     @pytest.mark.parametrize("pairs,message", [
         (dict(mirror_pairs=((0, 1), (1, 2))), "more than one pair"),

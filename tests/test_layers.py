@@ -3,9 +3,9 @@ import pytest
 
 from conftest import blob_image
 from warpagg import detector as detector_module
-from warpagg.detector import ToyDetector, predict_heatmaps
+from warpagg.detector import _CHANNELS, ToyDetector, predict_heatmaps
 from warpagg.embedder import ToyEmbedder, embed_with_vjp
-from warpagg.layers import _pad1, _patch_index, conv3, conv3_input_grad, im2col
+from warpagg.layers import _pad1, _patch_index, avgpool, conv3, conv3_input_grad, im2col
 
 
 def loop_conv3(x, w, b):
@@ -32,7 +32,7 @@ def window_im2col(x):
 
 
 def _assert_im2col_bitwise(x):
-    cols = im2col(x)
+    cols = im2col(_pad1(x))
     assert cols.flags.c_contiguous
     assert np.array_equal(cols, window_im2col(x))
 
@@ -71,16 +71,16 @@ def _rel(a, b):
 class TestConvOracle:
     def test_forward_matches_loops(self, cin, cout, size):
         x, w, b, _ = _layer(cin, cout, size)
-        out = conv3(x, w, b)
+        out = conv3(_pad1(x), w, b)
         assert out.shape == (cout, size, size)
         assert _rel(out, loop_conv3(x, w, b)) < 1e-12
 
     def test_im2col_is_the_conv_matrix(self, cin, cout, size):
         x, w, b, _ = _layer(cin, cout, size)
-        cols = im2col(x)
+        cols = im2col(_pad1(x))
         assert cols.shape == (size * size, cin * 9)
         gemm = cols @ w.reshape(cout, -1).T + b
-        assert np.array_equal(conv3(x, w, b), gemm.T.reshape(cout, size, size))
+        assert np.array_equal(conv3(_pad1(x), w, b), gemm.T.reshape(cout, size, size))
 
     def test_im2col_is_the_window_matrix(self, cin, cout, size):
         x, _, _, _ = _layer(cin, cout, size)
@@ -94,7 +94,7 @@ class TestConvOracle:
 
     def test_adjoint_identity(self, cin, cout, size):
         x, w, _, g = _layer(cin, cout, size, seed=1)
-        lhs = np.sum(conv3(x, w, np.zeros(cout)) * g)
+        lhs = np.sum(conv3(_pad1(x), w, np.zeros(cout)) * g)
         rhs = np.sum(x * conv3_input_grad(g, w))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -109,18 +109,25 @@ class TestIm2colGather:
 
     @pytest.mark.parametrize("num_landmarks,size", [(12, 32), (68, 64)])
     def test_every_detector_layer(self, num_landmarks, size, monkeypatch):
-        inputs = []  # the input of every conv layer of one forward pass
+        inputs = []  # the padded input of every conv layer of one forward pass
 
-        def recording_conv3(x, w, b):
-            inputs.append(x.copy())
-            return conv3(x, w, b)
+        def recording_conv3(xp, w, b):
+            inputs.append((xp.copy(), xp.flags.c_contiguous))
+            return conv3(xp, w, b)
 
         det = ToyDetector(num_landmarks, (size, size), seed=0)
         monkeypatch.setattr(detector_module, "conv3", recording_conv3)
         predict_heatmaps(det, blob_image(size, seed=3))
         assert len(inputs) == 5
-        for x in inputs:
-            _assert_im2col_bitwise(x)
+        for xp, contiguous in inputs:
+            assert contiguous  # read in place, not copied by im2col
+            # the border the caller leaves zero, so the buffer is _pad1 of
+            # its interior
+            x = xp[:, 1:-1, 1:-1]
+            assert np.array_equal(xp, _pad1(x))
+            cols = im2col(xp)
+            assert cols.flags.c_contiguous
+            assert np.array_equal(cols, window_im2col(x))
 
     @pytest.mark.parametrize("shape", [(3, 5, 7), (2, 7, 5), (1, 1, 1), (2, 1, 9), (2, 9, 1)])
     def test_rectangular_and_one_pixel(self, shape):
@@ -147,7 +154,46 @@ class TestIm2colGather:
     @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 5), (2, 5, 0), (0, 4, 4)])
     def test_zero_size_raises(self, shape):
         with pytest.raises(ValueError, match="im2col needs a nonempty"):
-            im2col(np.zeros(shape))
+            im2col(_pad1(np.zeros(shape)))
+
+
+def reshape_mean_pool(x, k):
+    """Oracle: the reshape mean every pool used before the 2 x 2 slices."""
+    c, h, wd = x.shape
+    return x.reshape(c, h // k, k, wd // k, k).mean(axis=(2, 4))
+
+
+class TestAvgpool2:
+    # (channels, conv input channels, side / image side) of the detector's two
+    # pooled activations, enc1 and enc2
+    POOLS = [(_CHANNELS["enc1"], 1, 1), (_CHANNELS["enc2"], _CHANNELS["enc1"], 2)]
+
+    @pytest.mark.parametrize("size", [32, 64])
+    @pytest.mark.parametrize("cout,cin,div", POOLS, ids=["enc1", "enc2"])
+    def test_reshape_mean_bitwise_on_conv3_layout(self, size, cout, cin, div):
+        x, w, b, _ = _layer(cin, cout, size // div, seed=size + cout)
+        act = np.tanh(conv3(_pad1(x), w, b))
+        assert not act.flags.c_contiguous and act.strides[0] == act.itemsize
+        want = reshape_mean_pool(act, 2)
+        assert np.array_equal(avgpool(act, 2), want)
+        # the sum is elementwise, so the layout of the input does not matter
+        assert np.array_equal(avgpool(np.ascontiguousarray(act), 2), want)
+
+    def test_c_contiguous_within_three_eps_of_the_reshape_mean(self):
+        # on a C-contiguous array the reshape mean sums each window in
+        # another order; both are 4-term sums, each within 3u of the exact
+        # window sum (u = eps/2), so they differ by at most
+        # 3 eps * max |x| over the window (measured: 0.94 eps)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(8, 64, 64))
+        got, want = avgpool(x, 2), reshape_mean_pool(x, 2)
+        window_max = np.abs(x).reshape(8, 32, 2, 32, 2).max(axis=(2, 4))
+        assert np.any(got != want)
+        assert np.all(np.abs(got - want) <= 3 * np.finfo(float).eps * window_max)
+
+    def test_larger_windows_keep_the_reshape_mean(self):
+        x = np.random.default_rng(10).normal(size=(4, 16, 16))
+        assert np.array_equal(avgpool(x, 4), reshape_mean_pool(x, 4))
 
 
 class TestIndexCacheFilledAtBuild:

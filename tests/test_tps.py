@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import warpagg.tps as tps_mod
 from conftest import blob_image, ring_landmarks
+from warpagg.attack import attack_step
+from warpagg.embedder import ToyEmbedder
 from warpagg.imaging import (
     Image,
     grid_axes,
@@ -33,6 +35,14 @@ def probe_points(n=100, seed=0):
 
 
 class TestFitEval:
+    def test_transform_compares_and_hashes_by_identity(self):
+        pts = ring_landmarks(6, seed=0)
+        a, b = fit_tps(pts, pts + 0.01), fit_tps(pts, pts + 0.01)
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_identity_fit(self):
         pts = ring_landmarks(10, seed=1)
         t = fit_tps(pts, pts, lam=0.0)
@@ -460,6 +470,79 @@ class TestInvertLandmarks:
         probes = rng.uniform(-0.5, 0.5, (40, 2))
         recovered = invert_landmarks(pts, moved, eval_tps(fwd, probes), lam=0.0)
         assert np.max(np.abs(recovered - probes)) < 1e-3
+
+    @staticmethod
+    def _counting_fit(monkeypatch):
+        calls = []
+        real_fit = tps_mod.fit_tps
+
+        def fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(tps_mod, "fit_tps", fit)
+        return calls
+
+    def _branch(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = ring_landmarks(9, seed=seed)
+        moved = pts + rng.uniform(-0.05, 0.05, pts.shape)
+        return blob_image(24, seed=seed), pts, moved, probe_points(30, seed=seed)
+
+    def test_reuses_the_warp_fit_bitwise(self, monkeypatch):
+        img, pts, moved, predicted = self._branch(80)
+        want = eval_tps(fit_tps(moved, pts, 1e-6), predicted)
+        calls = self._counting_fit(monkeypatch)
+        warp_image(img, pts, moved, lam=1e-6)
+        back = invert_landmarks(pts, moved, predicted, lam=1e-6)
+        assert len(calls) == 1  # the warp's; the inverse evaluates the same fit
+        assert np.array_equal(back, want)
+
+    @pytest.mark.parametrize("change", ["moved-in-place", "points-in-place", "lam", "shape"])
+    def test_a_changed_input_fits_afresh(self, change, monkeypatch):
+        img, pts, moved, predicted = self._branch(81)
+        lam = 1e-6
+        warp_image(img, pts, moved, lam=lam)
+        if change == "moved-in-place":
+            moved[3, 0] += 1e-3
+        elif change == "points-in-place":
+            pts[3, 1] -= 1e-3
+        elif change == "lam":
+            lam = 2e-6
+        else:
+            # the recorded bytes read as another shape fail the fit's own check
+            pts, moved = pts.reshape(6, 3), moved.reshape(6, 3)
+        calls = self._counting_fit(monkeypatch)
+        if change == "shape":
+            with pytest.raises(ValueError, match="shape"):
+                invert_landmarks(pts, moved, predicted, lam=lam)
+            assert len(calls) == 1
+            return
+        back = invert_landmarks(pts, moved, predicted, lam=lam)
+        assert len(calls) == 1
+        assert np.array_equal(back, eval_tps(fit_tps(moved, pts, lam), predicted))
+
+    def test_fit_arrays_are_read_only(self):
+        pts = ring_landmarks(9, seed=82)
+        t = fit_tps(pts + 0.01, pts, 1e-6)
+        for arr in (t.control_points, t.affine, t.kernel_weights, t.system):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_attack_steps_fit_once_each_and_leave_the_record(self, monkeypatch):
+        # the attack's steps fit at landmarks the record may hold (today's
+        # branches never move), and still fit once per step
+        img, pts, moved, _ = self._branch(83)
+        emb = ToyEmbedder(seed=0, input_size=(16, 16))
+        warp_image(img, pts, moved)
+        record = tps_mod._warp_fit[0]
+        calls = self._counting_fit(monkeypatch)
+        for _ in range(3):
+            attack_step(emb, img, pts, moved, tps_mod.DEFAULT_LAMBDA)
+        warp_with_vjp(img, pts, moved)
+        assert len(calls) == 4
+        assert tps_mod._warp_fit[0] is record
 
     @pytest.mark.parametrize("predicted,message", [
         (np.zeros((4, 3)), "shape"),
