@@ -19,9 +19,10 @@ columns that the bilinear resize to the embedder's input gathers (every
 pixel when the face already has that size). Each warped pixel is bitwise the
 full warp's, and the resize reads the same pixels with the same weights, so
 the embedding is exactly the one of the resized full warp. The step keeps no
-full-size face; once a branch stops, one banded
-:func:`~warpagg.tps.warp_image` at the final control points makes
-``ManipulatedFace.image``.
+full-size face; once a branch stops, :func:`~warpagg.tps.warp_image` at the
+final control points makes ``ManipulatedFace.image``, and the branch reads
+its raster before it returns, so that warp is part of the branch's time and
+the face holds the warped raster alone.
 
 Each branch allocates one grid-kernel pair, (L+3, N) and (L, N) over the N
 pixels a step warps, and every step of the branch builds its kernel into
@@ -226,6 +227,7 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
     del step
     if image is None:
         image = warp_image(img, points, moved, cfg.tps_lambda)
+        image.data  # warp every pixel now, inside the branch
     face = ManipulatedFace(
         image=image,
         control_source=points.copy(),

@@ -65,6 +65,15 @@ class Image:
     def height(self) -> int:
         return self.data.shape[0]
 
+    def pixels(self, rows, cols) -> Image:
+        """The pixels of the given ``rows`` and ``cols`` (each an index
+        array or a slice) as a (len(rows), len(cols)) image.
+
+        An image whose raster is made on demand, such as
+        :func:`~warpagg.tps.warp_image`'s output, makes just these pixels."""
+        rows, cols = np.arange(self.height)[rows], np.arange(self.width)[cols]
+        return Image(self.data[np.ix_(rows, cols)])
+
 
 def _header_tokens(buf: bytes):
     """Yield (token, end_offset) for whitespace/comment-delimited header fields."""
@@ -383,6 +392,13 @@ class ResizeStencil:
         return out
 
 
+def _check_size(width, height) -> None:
+    """Raise ``ValueError`` unless both are integers >= 1."""
+    for name, n in (("width", width), ("height", height)):
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"target {name} must be an integer >= 1, got {n!r}")
+
+
 def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> ResizeStencil:
     """The stencil of :func:`resize_bilinear` from (src_height, src_width) to
     (height, width).
@@ -390,8 +406,10 @@ def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> 
     The output pixel centers are mapped to source pixel coordinates as
     :func:`to_pixel` maps them, one axis at a time, and take the clamp and
     floor of :func:`sample_grid`, so the stencil reads the same pixels with
-    the same weights.
+    the same weights. A target size that is not an integer >= 1 raises
+    ``ValueError``.
     """
+    _check_size(width, height)
     if (width, height) == (src_width, src_height):
         return ResizeStencil(width, height, slice(None), slice(None))
     axes = []
@@ -408,19 +426,26 @@ def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> 
 
 
 def resize_bilinear(img: Image, width: int, height: int) -> Image:
-    """Resample to (width, height) by bilinear sampling at the new pixel centers."""
+    """Resample to (width, height) by bilinear sampling at the new pixel centers.
+
+    The source is read through :meth:`Image.pixels` over the stencil's
+    support, so a source made on demand (a pending
+    :func:`~warpagg.tps.warp_image`) makes only the pixels the resize reads.
+    A target size that is not an integer >= 1 raises ``ValueError``."""
+    _check_size(width, height)
     if width == img.width and height == img.height:
         return Image(img.data.copy())
     st = resize_stencil(img.width, img.height, width, height)
-    return st.resize(Image(img.data[np.ix_(st.rows, st.cols)]))
+    return st.resize(img.pixels(st.rows, st.cols))
 
 
 def resize_bilinear_vjp(img: Image, width: int, height: int, cotangent: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`resize_bilinear` w.r.t. the source image."""
+    """Adjoint of :func:`resize_bilinear` w.r.t. the source image; only the
+    source's shape is read."""
     st = resize_stencil(img.width, img.height, width, height)
     g = st.vjp(cotangent)
     if st.identity:
         return g
-    out = np.zeros_like(img.data)
+    out = np.zeros((img.height, img.width))
     out[np.ix_(st.rows, st.cols)] = g
     return out

@@ -24,10 +24,19 @@ folding the kernel derivative 2 (log s + 1) into 2 (log_s @ Y^T + sum_p Y);
 the adjoint term is phi^T @ q^T, solved against the fit's stored system
 matrix. Neither allocates an (L, Npix) temporary.
 
-:func:`warp_image` is the plain path. Only its output raster is full size;
-every temporary is band or block sized. It builds the grid kernel one band
-of whole rows at a time, about ``_BAND_PIXELS`` pixels each, and a band
-costs only its add, log and multiply passes and its GEMM:
+The plain path is :func:`warp_image`. It fits the spline and records the
+fit when it is called, and returns an image whose pixels are warped when
+they are read: reading ``.data`` warps every pixel, and
+:meth:`~warpagg.imaging.Image.pixels` warps just the chosen rows and
+columns, which is how :func:`~warpagg.imaging.resize_bilinear` reads it. A
+256 px face resized to 64 px is warped on its 128 x 128 support, a quarter
+of its pixels. The image holds a copy of the source raster and the fit until
+``.data`` is read; then it holds the warped raster alone.
+
+Both reads run one band loop (:func:`_warp_pixels`) over the chosen rows and
+columns, in which every temporary is band or block sized. It builds the grid
+kernel one band of whole rows at a time, about ``_BAND_PIXELS`` pixels
+each, and a band costs only its add, log and multiply passes and its GEMM:
 
 - the column factor dx^2 (L, W) and its minimum per control point are built
   once per call; each band adds its own rows of dy^2 to it in one broadcast
@@ -49,7 +58,9 @@ does not hand megabytes of fresh pages to the allocator that the next call
 has to fault in again. Each output of the GEMM is one dot product over the
 L+3 parameters, and the band GEMMs give the same bits as the full-range
 one, so the plain and the fused image are bitwise equal; the tests pin
-this on both the small-matrix and the blocked BLAS kernel.
+this on both the small-matrix and the blocked BLAS kernel. Every kernel
+entry, mapped coordinate and sample is computed on its own, so a pixel
+warped on a support is bitwise the one a full read gives.
 
 :func:`warp_with_vjp` keeps the full-range kernel: its backward is two
 GEMMs whose inner dimension is the pixel grid. Accumulated band by band they
@@ -62,8 +73,7 @@ equally accurate against a long-double evaluation.
 and columns, by default every row and column. Its kernel is
 ``_features(cpts, xs[cols][None, :], ys[rows][:, None])``, the separable
 build over the chosen axes, and each warped pixel is bitwise the one
-:func:`warp_image` gives, since every kernel entry and every mapped
-coordinate is computed on its own. The attack step warps just the rows and
+:func:`warp_image` gives. The attack step warps just the rows and
 columns its resize to the embedder reads (a quarter of the pixels from
 256 px to 64 px), so its kernel and its backward shrink with them. Its
 kernel pair can be given (``out``): the attack writes every step of a
@@ -326,52 +336,101 @@ def _fit_key(points_moved: np.ndarray, points: np.ndarray, lam: float) -> tuple:
     return src.shape, dst.shape, src.tobytes(), dst.tobytes(), lam
 
 
-def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
-               lam: float = DEFAULT_LAMBDA) -> Image:
-    """Warp so content at ``points`` appears at ``points_moved``.
+def _warp_pixels(data: np.ndarray, t: TpsTransform, rows, cols) -> np.ndarray:
+    """The pixels of the given output ``rows`` and ``cols`` (index arrays or
+    slices) of the backward warp of the raster ``data`` through the fit
+    ``t``, as a clamped (len(rows), len(cols)) raster.
 
-    Backward warp: fit moved->original, pull each output pixel from the
-    spline-mapped location in the input (clamped bilinear sampling). The
-    grid kernel is built in row bands of ``max(1, _BAND_PIXELS // width)``
-    rows into one pair of cache-line-aligned buffers: the column factor dx^2
-    is built once per call and each band adds its own rows of dy^2, and the
-    factor minima decide whether the band needs the near-zero mask. The
-    mapped grid is formed in blocks of ``_SAMPLE_BANDS`` bands, each
-    sampled and clipped into its rows of the output before the next block
-    is mapped; only the output is full size. The image is bitwise the one
-    :func:`warp_with_vjp` returns. The fit is recorded for
-    :func:`invert_landmarks`.
+    The grid kernel is built in row bands of ``max(1, _BAND_PIXELS //
+    len(cols))`` chosen rows into one pair of cache-line-aligned buffers:
+    the column factor dx^2 is built once per call and each band adds its own
+    rows of dy^2, and the factor minima decide whether the band needs the
+    near-zero mask. The mapped coordinates are formed in blocks of
+    ``_SAMPLE_BANDS`` bands, each sampled and clipped into its rows of the
+    output before the next block is mapped; only the output is full size.
     """
-    t = fit_tps(points_moved, points, lam)
-    _warp_fit[0] = _fit_key(points_moved, points, lam), t
     cpts, params = t.control_points, _params(t)
     m = cpts.shape[0]
-    width, height = img.width, img.height
-    xs, ys = grid_axes(width, height)
-    x = xs[None, :]
-    rows = max(1, _BAND_PIXELS // width)
-    block_rows = rows * _SAMPLE_BANDS
-    band = min(rows, height) * width
+    xs, ys = grid_axes(data.shape[1], data.shape[0])
+    x, ys = xs[cols][None, :], ys[rows]
+    height, width = ys.size, x.size
+    band_rows = max(1, _BAND_PIXELS // max(width, 1))
+    block_rows = band_rows * _SAMPLE_BANDS
+    band = min(band_rows, height) * width
     # one kernel pair for every band (the last, shorter band uses its front)
     # and one mapped block for every block
     phi_buf, log_buf = _aligned_empty((m + 3) * band), _aligned_empty(m * band)
-    src = np.empty((2, min(block_rows, height) * width))
+    mapped = np.empty((2, min(block_rows, height) * width))
     out = np.empty((height, width))
     # the column factor once per call, (L, 1, W); each band adds its own rows
     # of dy^2, (L, rows, 1), which no other band uses
     dx2 = _with_min(_axis_sq(cpts[:, 0], x))
     for b0 in range(0, height, block_rows):
         b1 = min(b0 + block_rows, height)
-        for r0 in range(b0, b1, rows):
-            y = ys[r0 : min(r0 + rows, b1), None]
+        for r0 in range(b0, b1, band_rows):
+            y = ys[r0 : min(r0 + band_rows, b1), None]
             n, at = y.size * width, (r0 - b0) * width
             phi_t = phi_buf[: (m + 3) * n].reshape(m + 3, n)
             _fill_features(phi_t, log_buf[: m * n].reshape(m, n), x, y,
                            dx2, _with_min(_axis_sq(cpts[:, 1], y)))
-            np.matmul(params.T, phi_t, out=src[:, at : at + n])
-        vals, _ = sample_grid(img.data, src[:, : (b1 - b0) * width].T)
+            np.matmul(params.T, phi_t, out=mapped[:, at : at + n])
+        vals, _ = sample_grid(data, mapped[:, : (b1 - b0) * width].T)
         np.clip(vals.reshape(b1 - b0, width), 0.0, 1.0, out=out[b0:b1])
-    return Image(out)
+    return out
+
+
+class _PendingWarp(Image):
+    """:func:`warp_image`'s output: an :class:`~warpagg.imaging.Image` whose
+    pixels are warped when they are read.
+
+    It holds a copy of the source raster and the fit. Reading ``.data``
+    warps every pixel once, validates the raster as ``Image`` does, keeps it
+    and drops the copy and the fit, so a read warp holds one raster.
+    :meth:`pixels` before that warps only the chosen rows and columns, and
+    after it slices the raster."""
+
+    def __init__(self, src: np.ndarray, fit: TpsTransform):
+        object.__setattr__(self, "_shape", src.shape)
+        object.__setattr__(self, "_pending", (src, fit))
+        object.__setattr__(self, "_raster", None)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._pending is not None:
+            raster = Image(_warp_pixels(*self._pending, slice(None), slice(None))).data
+            object.__setattr__(self, "_raster", raster)
+            object.__setattr__(self, "_pending", None)
+        return self._raster
+
+    @property
+    def width(self) -> int:
+        return self._shape[1]
+
+    @property
+    def height(self) -> int:
+        return self._shape[0]
+
+    def pixels(self, rows, cols) -> Image:
+        if self._pending is None:
+            return super().pixels(rows, cols)
+        return Image(_warp_pixels(*self._pending, rows, cols))
+
+
+def warp_image(img: Image, points: np.ndarray, points_moved: np.ndarray,
+               lam: float = DEFAULT_LAMBDA) -> Image:
+    """Warp so content at ``points`` appears at ``points_moved``.
+
+    Backward warp: fit moved->original, pull each output pixel from the
+    spline-mapped location in the input (clamped bilinear sampling). The fit
+    is made, checked and recorded for :func:`invert_landmarks` now; the
+    pixels are warped when they are read (see the module docstring), from a
+    copy of ``img``'s raster taken now, so a later write into ``img.data``
+    does not reach the warp. Every pixel is bitwise the one
+    :func:`warp_with_vjp` returns.
+    """
+    t = fit_tps(points_moved, points, lam)
+    _warp_fit[0] = _fit_key(points_moved, points, lam), t
+    return _PendingWarp(img.data.copy(), t)
 
 
 def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,

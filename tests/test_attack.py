@@ -136,6 +136,23 @@ class TestAttackStep:
         assert np.max(np.abs(face.displacement)) > 0.0
         assert np.array_equal(face.image.data, warp_image(img, pts, face.control_target).data)
 
+    def test_the_face_raster_is_warped_inside_the_branch(self, emb, pts):
+        # a 48 px face into a 32 px embedder comes from warp_image; the branch
+        # reads its raster, so reading it afterwards warps and allocates
+        # nothing (the 48 px raster alone is 18 KB)
+        img = blob_image(48, seed=19)
+        cfg = AttackConfig(branches=1, distance_threshold=2.0, max_iters=2)
+        face = generate_adversarial_set(emb, img, pts, cfg,
+                                        project=lambda base, stepped: stepped + 0.004)[0]
+        tracemalloc.start()
+        try:
+            data = face.image.data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert np.array_equal(data, warp_image(img, pts, face.control_target).data)
+
     def test_same_size_step_keeps_the_warped_face(self, emb, img, pts):
         moved = pts + np.random.default_rng(7).uniform(-0.04, 0.04, pts.shape)
         step = attack_step(emb, img, pts, moved)

@@ -40,6 +40,14 @@ class TestImageType:
         img = Image(np.zeros((3, 5)))
         assert (img.width, img.height) == (5, 3)
 
+    @pytest.mark.parametrize("rows,cols", [([0, 2], [1, 3, 4]), (slice(None), [4]), ([1], slice(1, 3)),
+                                           (slice(None), slice(None))])
+    def test_pixels_are_the_chosen_rows_and_columns(self, rows, cols):
+        data = np.arange(15.0).reshape(3, 5) / 15.0
+        got = Image(data).pixels(rows, cols)
+        assert isinstance(got, Image)
+        assert np.array_equal(got.data, data[rows][:, cols])
+
 
 class TestPgmIO:
     def test_p2_maxval_division(self, tmp_path):
@@ -354,6 +362,25 @@ class TestGridVjpAndResize:
     def test_resize_vjp_rejects_a_wrong_cotangent_shape(self, src):
         with pytest.raises(ValueError, match=r"\(64, 64\)"):
             resize_bilinear_vjp(blob_image(src, seed=12), 64, 64, np.zeros((63, 64)))
+
+
+class TestResizeSize:
+    # numpy's own errors for these were "negative dimensions are not
+    # allowed" (-1) and a TypeError (4.5)
+    @pytest.mark.parametrize("w,h", [(-1, 4), (4, -1), (0, 4), (4.5, 4), (4, 4.5), (8.0, 8), ("4", 4), (None, 4)])
+    def test_a_size_that_is_not_an_integer_of_at_least_one_raises(self, w, h):
+        img = blob_image(8, seed=14)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            resize_bilinear(img, w, h)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            resize_stencil(8, 8, w, h)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            resize_bilinear_vjp(img, w, h, np.zeros((4, 4)))
+
+    def test_numpy_integers_are_sizes(self):
+        img = blob_image(8, seed=15)
+        assert resize_bilinear(img, np.int64(4), np.int32(3)).data.shape == (3, 4)
+        assert resize_stencil(8, 8, np.int64(8), np.int64(8)).identity
 
 
 # (source width, height, resized width, height)

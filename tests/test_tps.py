@@ -13,6 +13,7 @@ from warpagg.imaging import (
     Image,
     grid_axes,
     normalized_grid,
+    resize_bilinear,
     resize_bilinear_vjp,
     resize_stencil,
     sample_grid,
@@ -363,25 +364,28 @@ class TestWarpImage:
         img = blob_image(256, seed=70)
         pts = rng.uniform(-0.7, 0.7, (68, 2))
         moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
-        warp_image(img, pts, moved)
+        warp_image(img, pts, moved).data
         tracemalloc.start()
         try:
-            warp_image(img, pts, moved)
+            # the pixels are warped when the raster is read
+            warp_image(img, pts, moved).data
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
 
     def test_peak_memory_is_the_output_and_one_band(self):
-        # the 256 px output is 0.5 MB and one band's kernel pair about 1.1 MB
+        # the 256 px output and the source copy are 0.5 MB each and one
+        # band's kernel pair about 1.1 MB
         rng = np.random.default_rng(71)
         img = blob_image(256, seed=71)
         pts = rng.uniform(-0.7, 0.7, (68, 2))
         moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
-        warp_image(img, pts, moved)
+        warp_image(img, pts, moved).data
         tracemalloc.start()
         try:
-            warp_image(img, pts, moved)
+            # the pixels are warped when the raster is read
+            warp_image(img, pts, moved).data
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,6 +446,134 @@ class TestWarpImage:
         shift = centroid(out.data) - centroid(img.data)
         assert shift[0] == pytest.approx(0.1, abs=0.01)
         assert abs(shift[1]) < 0.01
+
+
+def _pick(n, k, rng):
+    """``k`` ascending indices out of ``n``."""
+    return np.sort(rng.choice(n, k, replace=False))
+
+
+class TestDeferredWarp:
+    """warp_image fits now and warps the pixels that are read: the whole
+    raster through ``.data``, the chosen rows and columns through
+    ``pixels``, each pixel bitwise the eager warp's."""
+
+    # (height, width, rows, cols, rows in the last sampled block): an int
+    # picks that many rows or columns with a seeded rng
+    @pytest.mark.parametrize("height,width,rows,cols,last_rows", [
+        (200, 256, 90, 128, 26),            # 8 rows a band: a ragged last block, a 2-row last band
+        (20, 1100, 7, slice(None), 7),      # wider than a band: one row per band
+        (256, 256, "resize", "resize", 64),  # the 256 -> 64 resize support
+        (9, 13, [4], slice(None), 1),       # one row
+        (9, 13, slice(None), [12], 9),      # one column
+        (1, 7, slice(None), [0, 3, 6], 1),
+        (7, 1, [1, 6], slice(None), 2),
+        (1, 1, [0], [0], 1),
+    ], ids=["ragged-last-block", "one-row-bands", "resize-support", "one-row",
+            "one-column", "1x7", "7x1", "1x1"])
+    def test_support_pixels_bitwise(self, height, width, rows, cols, last_rows):
+        rng = np.random.default_rng(height * 1000 + width)
+        if rows == "resize":
+            st = resize_stencil(width, height, 64, 64)
+            rows, cols = st.rows, st.cols
+        if isinstance(rows, int):
+            rows = _pick(height, rows, rng)
+        if isinstance(cols, int):
+            cols = _pick(width, cols, rng)
+        n_rows, n_cols = np.arange(height)[rows].size, np.arange(width)[cols].size
+        block_rows = max(1, tps_mod._BAND_PIXELS // n_cols) * tps_mod._SAMPLE_BANDS
+        assert (n_rows - 1) % block_rows + 1 == last_rows
+        img = Image(rng.uniform(0.0, 1.0, (height, width)))
+        pts = rng.uniform(-0.7, 0.7, (12, 2))
+        moved = pts + rng.uniform(-0.05, 0.05, pts.shape)
+        got = warp_image(img, pts, moved).pixels(rows, cols).data
+        sub, _ = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
+        full = warp_image(img, pts, moved).data
+        assert got.shape == sub.data.shape == (n_rows, n_cols)
+        assert np.array_equal(got, sub.data)
+        assert np.array_equal(got, full[rows][:, cols])
+        # after a full read, pixels slices the raster
+        done = warp_image(img, pts, moved)
+        assert np.array_equal(done.data, full)
+        assert np.array_equal(done.pixels(rows, cols).data, got)
+
+    @pytest.mark.parametrize("width,height,rw,rh", [(256, 256, 64, 64), (250, 97, 48, 32), (40, 40, 32, 32)])
+    def test_resize_of_a_pending_warp_is_the_resize_of_the_raster(self, width, height, rw, rh):
+        rng = np.random.default_rng(width + rw)
+        img = Image(blob_image(max(width, height), seed=rw).data[:height, :width])
+        pts = rng.uniform(-0.7, 0.7, (20, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        eager = Image(warp_image(img, pts, moved).data)
+        assert np.array_equal(resize_bilinear(warp_image(img, pts, moved), rw, rh).data,
+                              resize_bilinear(eager, rw, rh).data)
+
+    def test_resize_samples_only_the_support(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        img = blob_image(256, seed=72)
+        pts = rng.uniform(-0.7, 0.7, (68, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        sampled = []
+
+        def counting(data, pts, with_grad=False):
+            sampled.append(len(pts))
+            return sample_grid(data, pts, with_grad)
+
+        monkeypatch.setattr(tps_mod, "sample_grid", counting)
+        st = resize_stencil(256, 256, 64, 64)
+        resize_bilinear(warp_image(img, pts, moved), 64, 64)
+        assert sum(sampled) == len(st.rows) * len(st.cols) == 128 * 128
+        sampled.clear()
+        warp_image(img, pts, moved).data
+        assert sum(sampled) == 256 * 256
+
+    def test_a_later_write_into_the_source_does_not_reach_the_warp(self):
+        rng = np.random.default_rng(73)
+        img = Image(rng.uniform(0.0, 1.0, (40, 40)))
+        pts = ring_landmarks(8, seed=73)
+        moved = pts + rng.uniform(-0.05, 0.05, pts.shape)
+        want, _ = warp_with_vjp(img, pts, moved)
+        st = resize_stencil(40, 40, 32, 32)
+        full, support = warp_image(img, pts, moved), warp_image(img, pts, moved)
+        img.data[:] = 1.0 - img.data
+        assert np.array_equal(full.data, want.data)
+        assert np.array_equal(support.pixels(st.rows, st.cols).data, want.data[np.ix_(st.rows, st.cols)])
+
+    def test_a_read_keeps_one_raster_and_drops_the_copy_and_the_fit(self, monkeypatch):
+        img = blob_image(24, seed=74)
+        pts = ring_landmarks(8, seed=74)
+        out = warp_image(img, pts, pts + 0.02)
+        assert (out.width, out.height) == (24, 24)
+        raster = out.data
+        assert out.data is raster
+        assert out._pending is None
+
+        def no_warp(*args):
+            raise AssertionError("warped again")
+
+        monkeypatch.setattr(tps_mod, "_warp_pixels", no_warp)
+        assert (out.width, out.height) == (24, 24)
+        assert np.array_equal(out.pixels([3], slice(None)).data, raster[3:4])
+
+    def test_resize_vjp_reads_only_the_shape(self, monkeypatch):
+        img = blob_image(40, seed=76)
+        pts = ring_landmarks(8, seed=76)
+        out = warp_image(img, pts, pts + 0.02)
+        cot = np.random.default_rng(76).normal(size=(32, 32))
+        want = resize_bilinear_vjp(img, 32, 32, cot)
+
+        def no_warp(*args):
+            raise AssertionError("warped to learn the shape")
+
+        monkeypatch.setattr(tps_mod, "_warp_pixels", no_warp)
+        assert np.array_equal(resize_bilinear_vjp(out, 32, 32, cot), want)
+
+    def test_an_empty_selection_raises_like_a_plain_image(self):
+        img = blob_image(16, seed=75)
+        pts = ring_landmarks(6, seed=75)
+        for image in (img, warp_image(img, pts, pts + 0.01)):
+            for rows, cols in (([], slice(None)), (slice(None), [])):
+                with pytest.raises(ValueError, match="non-empty"):
+                    image.pixels(rows, cols)
 
 
 class TestInvertLandmarks:
