@@ -62,8 +62,11 @@ class AttackConfig:
     tps_lambda: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.branches < 1:
-            raise ValueError("branches must be >= 1")
+        # a NaN cap would never be reached, and a float count fails in range()
+        for name in ("branches", "max_iters"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
         # NaN fails every comparison, so a plain bound would let it through
         if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):
             raise ValueError("distance_threshold must be finite and >= 0")
@@ -71,8 +74,6 @@ class AttackConfig:
             raise ValueError("clip_radius must be finite and > 0")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError("step_size must be finite and > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.tps_lambda) and self.tps_lambda >= 0):
             raise ValueError("tps_lambda must be finite and >= 0")
 

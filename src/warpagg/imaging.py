@@ -41,9 +41,11 @@ class PgmDataError(PgmError):
     """Pixel payload contains invalid samples."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
-    """Single-channel raster; ``data`` is (height, width) float64 in [0,1]."""
+    """Single-channel raster; ``data`` is (height, width) float64 in [0,1].
+
+    Two images are equal only if they are the same object."""
 
     data: np.ndarray
 
@@ -203,12 +205,6 @@ def grid_axes(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def normalized_grid(width: int, height: int) -> np.ndarray:
-    """Normalized coordinates of every pixel center, row-major, shape (H*W, 2)."""
-    gx, gy = np.meshgrid(*grid_axes(width, height))
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
-
-
 def _axis_stencil(p: np.ndarray, n: int):
     """The clamp-to-edge bilinear stencil along one axis of ``n`` pixels at
     continuous pixel coordinates ``p``: the two pixels the clamped
@@ -319,7 +315,10 @@ def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
     """Sample ``data`` at normalized points (N,2).
 
     Returns (values, grads) where grads is (N,2) in normalized units or None.
+    A NaN point raises ``ValueError``; an infinite one is clamped to the edge.
     """
+    if np.isnan(pts).any():
+        raise ValueError("sample points must not be NaN")
     h, w = data.shape
     pix = to_pixel(pts, w, h)
     val, gx, gy = _gather_bilinear(data, pix[:, 0], pix[:, 1], with_grad)
@@ -327,18 +326,6 @@ def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
         return val, None
     grads = np.stack([gx * (w - 1) / 2.0, gy * (h - 1) / 2.0], axis=-1)
     return val, grads
-
-
-def sample_grid_vjp_image(data: np.ndarray, pts: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`sample_grid` w.r.t. the raster: scatter cotangents
-    onto the four pixels supporting each sample."""
-    h, w = data.shape
-    pix = to_pixel(pts, w, h)
-    x0, x1, fx = _axis_stencil(pix[:, 0], w)
-    y0, y1, fy = _axis_stencil(pix[:, 1], h)
-    out = np.zeros_like(data)
-    _scatter(out, x0, x1, y0, y1, fx, fy, _cotangent(cotangent, (pix.shape[0],)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ target points; warping is backward: the output image samples the input
 through the spline fitted from the *manipulated* landmarks back to the
 originals, so landmark content ends up at its manipulated location.
 
+:func:`_fill_features` is the one kernel builder: the fit's system matrix,
+:func:`eval_tps`, every warp and the backward take U and log s from it, so
+the spline evaluates the same kernel it was fitted with. The fit builds the
+control-point kernel once, before its ridge retry, and keeps its log s on
+the transform (``TpsTransform.log_s``), from which the backward reads the
+kernel-block coefficient 2 (log s + 1).
+
 The grid kernel is laid out control-point-major: the transposed features
 [U; 1; x; y] are (L+3, Npix) and log s is (L, Npix), so every elementwise
 pass runs over long contiguous rows. On the pixel grid the squared
@@ -134,26 +141,15 @@ class TpsTransform:
     regularization: float
     # the (L+3, L+3) matrix the fit solved; the warp's adjoint solve reuses it
     system: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # log s (L, L) of the control points against each other, -1 where s is
+    # (numerically) zero; the warp's backward reads it for the kernel block
+    log_s: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # warp_image's last fit as the one item (key, fit), see _fit_key. The item is
 # replaced by one assignment, so a reader always sees a key with its own fit,
 # and the module attribute itself stays bound to this list.
 _warp_fit: list[tuple[tuple, TpsTransform] | None] = [None]
-
-
-def _kernel_sq(s: np.ndarray) -> np.ndarray:
-    """U as a function of squared distance s: s*log(s), 0 at s=0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = s * np.log(s)
-    return np.where(s > _TINY_SQ, u, 0.0)
-
-
-def _kernel_dcoef(s: np.ndarray) -> np.ndarray:
-    """dU/d(point) = coef * (difference vector), coef = 2*(log s + 1)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = 2.0 * (np.log(s) + 1.0)
-    return np.where(s > _TINY_SQ, c, 0.0)
 
 
 def _axis_sq(c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -168,25 +164,6 @@ def _with_min(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An axis factor (L, *S) of :func:`_axis_sq` with its minimum over the
     coordinates for every control point, (L,)."""
     return sq, sq.min(axis=tuple(range(1, sq.ndim)), initial=np.inf)
-
-
-def _pairwise_sq(cpts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Squared distances (L, N) from the control points (L,2) to the points
-    (N,2), built per axis so no (L, N, 2) difference array is ever held."""
-    s = _axis_sq(cpts[:, 0], pts[:, 0])
-    s += _axis_sq(cpts[:, 1], pts[:, 1])
-    return s
-
-
-def _system_matrix(cpts: np.ndarray, lam: float) -> np.ndarray:
-    n = cpts.shape[0]
-    a = np.zeros((n + 3, n + 3))
-    a[:n, :n] = _kernel_sq(_pairwise_sq(cpts, cpts)) + lam * np.eye(n)
-    a[:n, n] = 1.0
-    a[:n, n + 1 :] = cpts
-    a[n, :n] = 1.0
-    a[n + 1 :, :n] = cpts.T
-    return a
 
 
 def _fill_features(phi_t: np.ndarray, log_s: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -290,10 +267,16 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"regularization must be finite and >= 0, got {lam}")
 
+    # the control-point kernel once for every attempt: its (L+3, L)
+    # features [U; 1; x; y] are the system's left block columns
+    phi_t, log_s = _features(src, src[:, 0], src[:, 1])
     rhs = np.zeros((n + 3, 2))
     rhs[:n] = dst
     for attempt_lam in (lam, max(lam, _RETRY_LAMBDA)):
-        a = _system_matrix(src, attempt_lam)
+        a = np.zeros((n + 3, n + 3))
+        a[:, :n] = phi_t
+        a[:n, n:] = phi_t[n:].T
+        a[:n, :n] += attempt_lam * np.eye(n)
         if np.linalg.cond(a) < _COND_LIMIT:
             sol = np.linalg.solve(a, rhs)
             t = TpsTransform(
@@ -302,9 +285,10 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
                 kernel_weights=sol[:n].copy(),
                 regularization=attempt_lam,
                 system=a,
+                log_s=log_s,
             )
             # read-only, because warp_image's fit record shares the fit
-            for arr in (t.control_points, t.affine, t.kernel_weights, t.system):
+            for arr in (t.control_points, t.affine, t.kernel_weights, t.system, t.log_s):
                 arr.flags.writeable = False
             return t
     raise DegenerateControlPointsError(
@@ -507,10 +491,9 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
         lam_adj = np.linalg.solve(t.system, v)  # A is symmetric
         m = -lam_adj @ params.T  # (L+3, L+3) = d objective / d A
 
-        # Kernel block: A_ij = U(|c_i - c_j|^2) for i != j.
-        coef_cc = _kernel_dcoef(_pairwise_sq(cpts, cpts))
-        np.fill_diagonal(coef_cc, 0.0)
-        w2 = (m[:n, :n] + m[:n, :n].T) * coef_cc
+        # Kernel block: A_ij = U(|c_i - c_j|^2); the fit's log s is -1 on
+        # the diagonal and at coincident points, so the coefficient is 0 there.
+        w2 = (m[:n, :n] + m[:n, :n].T) * (2.0 * (t.log_s + 1.0))
         grad += cpts * w2.sum(axis=1)[:, None] - w2 @ cpts
 
         # Border blocks: columns/rows (1, x, y); only x and y vary.

@@ -1,6 +1,6 @@
 import numpy as np
 
-from warpagg.imaging import Image
+from warpagg.imaging import Image, grid_axes
 
 
 def blob_image(size: int = 32, seed: int = 0, n_blobs: int = 4) -> Image:
@@ -16,6 +16,13 @@ def blob_image(size: int = 32, seed: int = 0, n_blobs: int = 4) -> Image:
         amp = rng.uniform(-0.35, 0.45)
         img += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sig**2))
     return Image(np.clip(img, 0.02, 0.98))
+
+
+def normalized_grid(width: int, height: int) -> np.ndarray:
+    """Oracle: normalized coordinates of every pixel center, row-major,
+    shape (H*W, 2)."""
+    gx, gy = np.meshgrid(*grid_axes(width, height))
+    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
 def ring_landmarks(count: int = 8, radius: float = 0.55, seed: int | None = None) -> np.ndarray:

@@ -265,7 +265,9 @@ class TestKernelReuse:
 
         def features(*args, **kwargs):
             out = real_features(*args, **kwargs)
-            if inside:
+            # only grid-kernel builds are given a pair to write into; the
+            # fit's control-point kernel is not
+            if inside and (len(args) > 3 or kwargs.get("out") is not None):
                 kernels.append(out)
             return out
 
@@ -349,6 +351,19 @@ class TestConfig:
     def test_tps_lambda(self, bad):
         with pytest.raises(ValueError, match="tps_lambda"):
             AttackConfig(tps_lambda=bad)
+
+    # a NaN cap is never reached and a float branch count fails in range();
+    # each is rejected when the config is built, before any attack runs
+    @pytest.mark.parametrize("field", ["branches", "max_iters"])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, np.nan, np.inf, 0, -1, np.int64(0), "3", None],
+                             ids=repr)
+    def test_integer_fields(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            AttackConfig(**{field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = AttackConfig(branches=np.int64(2), max_iters=np.int32(5))
+        assert (cfg.branches, cfg.max_iters) == (2, 5)
 
     def test_zero_threshold_and_ridge_accepted(self):
         cfg = AttackConfig(distance_threshold=0.0, tps_lambda=0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_image
+from conftest import blob_image, normalized_grid, ring_landmarks
 from warpagg.imaging import (
     Image,
     PgmDataError,
@@ -14,20 +14,46 @@ from warpagg.imaging import (
     PgmTruncatedError,
     PgmUnsupportedError,
     _axis_stencil,
+    _cotangent,
+    _scatter,
     from_pixel,
     load_image,
-    normalized_grid,
     resize_bilinear,
     resize_bilinear_vjp,
     resize_stencil,
     sample_grid,
-    sample_grid_vjp_image,
     save_image,
     to_pixel,
 )
+from warpagg.tps import warp_image
+
+
+def sample_grid_vjp_image(data, pts, cotangent):
+    """Oracle: the adjoint of ``sample_grid`` w.r.t. the raster, scattering
+    the cotangents onto the four pixels supporting each sample."""
+    h, w = data.shape
+    pix = to_pixel(pts, w, h)
+    x0, x1, fx = _axis_stencil(pix[:, 0], w)
+    y0, y1, fy = _axis_stencil(pix[:, 1], h)
+    out = np.zeros_like(data)
+    _scatter(out, x0, x1, y0, y1, fx, fy, _cotangent(cotangent, (pix.shape[0],)))
+    return out
 
 
 class TestImageType:
+    # an image holds an array, so it compares and hashes by identity; a value
+    # comparison would ask numpy for an array's truth value
+    @pytest.mark.parametrize("make", [
+        lambda: Image(np.full((4, 5), 0.5)),
+        lambda: warp_image(blob_image(12, seed=3), ring_landmarks(6, seed=3), ring_landmarks(6, seed=4)),
+    ], ids=["plain", "pending-warp"])
+    def test_eq_ne_and_hash_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Image(np.array([[0.0, 1.5]]))
@@ -308,6 +334,22 @@ class TestBilinearSample:
         i0, i1, f = _axis_stencil(p, n)
         assert np.array_equal(i0 + f, np.clip(p, 0.0, n - 1.0))
         assert np.all((0.0 <= f) & (f <= 1.0)) and np.all(i1 - i0 == min(n - 1, 1))
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_nan_point_raises(self, with_grad):
+        pts = np.array([[0.1, 0.2], [np.nan, 0.0], [0.3, -0.1]])
+        with pytest.raises(ValueError, match="NaN"):
+            sample_grid(blob_image(8, seed=13).data, pts, with_grad)
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_infinite_points_clamp_to_the_edge(self, with_grad):
+        data = blob_image(8, seed=13).data
+        pts = np.array([[-np.inf, np.inf], [np.inf, 0.0], [0.0, -np.inf]])
+        vals, grads = sample_grid(data, pts, with_grad)
+        edge, _ = sample_grid(data, np.array([[-1.0, 1.0], [1.0, 0.0], [0.0, -1.0]]))
+        assert np.array_equal(vals, edge)
+        if with_grad:
+            assert np.all(grads[:, 0][[0, 1]] == 0.0) and np.all(grads[:, 1][[0, 2]] == 0.0)
 
     @pytest.mark.parametrize("with_grad", [False, True])
     def test_non_contiguous_raster(self, with_grad):

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import warpagg.tps as tps_mod
-from conftest import blob_image, ring_landmarks
+from conftest import blob_image, normalized_grid, ring_landmarks
 from warpagg.attack import attack_step
 from warpagg.embedder import ToyEmbedder
 from warpagg.imaging import (
     Image,
     grid_axes,
-    normalized_grid,
     resize_bilinear,
     resize_bilinear_vjp,
     resize_stencil,
@@ -21,7 +20,6 @@ from warpagg.imaging import (
 from warpagg.tps import (
     DegenerateControlPointsError,
     _features,
-    _pairwise_sq,
     eval_tps,
     fit_tps,
     invert_landmarks,
@@ -33,6 +31,13 @@ from warpagg.tps import (
 
 def probe_points(n=100, seed=0):
     return np.random.default_rng(seed).uniform(-0.9, 0.9, (n, 2))
+
+
+def _oracle_sq(pts, cpts):
+    """Squared distances (N, L) from the points (N, 2) to the control
+    points (L, 2), through an (N, L, 2) difference array."""
+    d = pts[:, None, :] - cpts[None, :, :]
+    return np.einsum("ijk,ijk->ij", d, d)
 
 
 class TestFitEval:
@@ -141,25 +146,50 @@ class TestFactorMinimum:
         if on_node:
             cpts[0] = gx[width // 2], gy[height // 2]
         phi_t, log_s = _features(cpts, gx[None, :], gy[:, None])
-        s = _pairwise_sq(cpts, normalized_grid(width, height))
+        s = _oracle_sq(normalized_grid(width, height), cpts).T
         near = s <= 1e-30
         assert np.array_equal(phi_t[: cpts.shape[0]] == 0.0, near | (s == 1.0))
         assert np.array_equal(log_s == -1.0, near)
 
 
-class TestPairwiseSq:
-    def test_matches_einsum_bitwise(self):
-        rng = np.random.default_rng(40)
-        grid = normalized_grid(37, 29)
-        cpts = np.vstack([rng.uniform(-1, 1, (11, 2)), grid[[0, 100, 500]]])
-        diff = cpts[:, None, :] - grid[None, :, :]
-        expected = np.einsum("ijk,ijk->ij", diff, diff)
-        got = _pairwise_sq(cpts, grid)
-        assert got.shape == (14, grid.shape[0])
-        assert np.array_equal(got, expected)
-        # control points sitting on grid nodes give an exact zero there
-        assert got[11, 0] == 0.0 and got[12, 100] == 0.0 and got[13, 500] == 0.0
-        assert np.count_nonzero(got == 0.0) == 3
+class TestFitKernelBlock:
+    """The fit's system holds the kernel the warp evaluates: its kernel
+    block, less the ridge, is bitwise the point-major oracle, and the fit's
+    log s is the oracle's, with U = 0 and log s = -1 on the diagonal and at
+    coincident control points."""
+
+    @staticmethod
+    def _check(src, lam):
+        t = fit_tps(src, src + 0.01, lam)
+        phi, log_s = _oracle_features(src, src)
+        n = src.shape[0]
+        kern = t.system[:n, :n] - t.regularization * np.eye(n)
+        assert np.array_equal(kern, phi[:, :n])
+        assert np.array_equal(t.system[:n, n:], phi[:, n:])
+        assert np.array_equal(t.system[n:, :n], phi[:, n:].T)
+        assert not t.system[n:, n:].any()
+        assert np.array_equal(t.log_s, log_s)
+        return t, kern
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    @pytest.mark.parametrize("count", [3, 8, 20, 68])
+    def test_kernel_block_is_the_oracle(self, count, lam):
+        src = np.random.default_rng(40 + count).uniform(-0.8, 0.8, (count, 2))
+        t, kern = self._check(src, lam)
+        assert t.regularization == lam
+        assert np.array_equal(kern == 0.0, np.eye(count, dtype=bool))
+
+    # lam=0 takes the ridge retry: coincident points make the system singular
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_coincident_points_give_exact_zeros(self, lam):
+        pts = ring_landmarks(8, seed=41)
+        src = np.vstack([pts, pts[2]])
+        t, kern = self._check(src, lam)
+        assert t.regularization == (tps_mod._RETRY_LAMBDA if lam == 0.0 else lam)
+        zero = np.eye(9, dtype=bool)
+        zero[2, 8] = zero[8, 2] = True
+        assert np.array_equal(kern == 0.0, zero)
+        assert np.array_equal(t.log_s == -1.0, zero)
 
 
 def _grid_features(cpts, width, height, rows=slice(None), cols=slice(None)):
@@ -212,8 +242,7 @@ def _oracle_warp_with_vjp(img, pts, moved, lam, rows=slice(None), cols=slice(Non
         grad = cpts * m1.sum(axis=0)[:, None] - m1.T @ grid
         lam_adj = np.linalg.solve(t.system, phi.T @ q)
         m = -lam_adj @ params.T
-        d = cpts[:, None, :] - cpts[None, :, :]
-        s_cc = np.einsum("ijk,ijk->ij", d, d)
+        s_cc = _oracle_sq(cpts, cpts)
         with np.errstate(divide="ignore"):
             coef_cc = np.where(s_cc > 1e-30, 2.0 * (np.log(s_cc) + 1.0), 0.0)
         np.fill_diagonal(coef_cc, 0.0)
@@ -657,7 +686,7 @@ class TestInvertLandmarks:
     def test_fit_arrays_are_read_only(self):
         pts = ring_landmarks(9, seed=82)
         t = fit_tps(pts + 0.01, pts, 1e-6)
-        for arr in (t.control_points, t.affine, t.kernel_weights, t.system):
+        for arr in (t.control_points, t.affine, t.kernel_weights, t.system, t.log_s):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
