@@ -45,7 +45,7 @@ import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
 from .imaging import Image, ResizeStencil, resize_bilinear, resize_stencil
-from .tps import warp_image, warp_with_vjp
+from .tps import DEFAULT_LAMBDA, warp_image, warp_with_vjp
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,7 @@ class AttackConfig:
     clip_radius: float = 0.05     # per-coordinate displacement bound (delta)
     step_size: float = 0.005      # sign-step length (epsilon)
     max_iters: int = 100
-    tps_lambda: float = 1e-6
+    tps_lambda: float = DEFAULT_LAMBDA
 
     def __post_init__(self) -> None:
         # a NaN cap would never be reached, and a float count fails in range()
@@ -129,7 +129,7 @@ def _stencil(emb: ToyEmbedder, img: Image) -> ResizeStencil:
 
 
 def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
-                points_moved: np.ndarray, lam: float = 1e-6,
+                points_moved: np.ndarray, lam: float = DEFAULT_LAMBDA,
                 kernel: tuple[np.ndarray, np.ndarray] | None = None) -> AttackStep:
     """Warp ``img`` so ``points`` move to ``points_moved`` and embed it: one
     TPS fit, one grid kernel and one embedder forward, kept for the backward.
@@ -153,7 +153,7 @@ def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
 
 def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
               points_moved: np.ndarray, peer_embeddings: np.ndarray,
-              lam: float = 1e-6) -> np.ndarray:
+              lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     """Gradient of the summed embedding distances from the candidate warp to
     every peer w.r.t. the moved landmarks, (L,2).
 

@@ -6,14 +6,16 @@ above eyes and mirror pairs symmetric), and the group-constrained adversarial
 attack where every sign-step is projected onto the per-group similarity
 family before clipping.
 
-Known transforms run on arrays that ``SemanticGroups`` builds once: a padded
-(count, width) landmark index whose pads repeat the group's last landmark,
-its validity mask and the group sizes. Each step keeps the bits of the
-per-group loop it replaced:
+Known transforms and the attack's projection run on arrays that
+``SemanticGroups`` builds once: a padded (count, width) landmark index whose
+pads repeat the group's last landmark, its validity mask and the group
+sizes. Each step keeps the bits of the per-group loop it replaced, which
+tests/test_groups.py keeps as its oracle:
 
 - Group means are sums along the padded axis, pads -0.0, over the size.
-  Such a sum adds the rows in turn, as ``group_mean`` does, and x + -0.0 is
-  x for every x. ``np.add.reduceat`` adds in another order and is not used.
+  Such a sum adds the rows in turn, as ``mean(axis=0)`` does on one group's
+  (n, 2) block, and x + -0.0 is x for every x. ``np.add.reduceat`` adds in
+  another order and is not used.
 - Signed zero: numpy 2.4 starts every sum at +0.0, so no group sum is -0.0
   and a +0.0 pad would be exact too. A numpy that seeded a sum with its first
   row would keep an all -0.0 group's sum at -0.0; a +0.0 pad would then make
@@ -21,10 +23,13 @@ per-group loop it replaced:
 - One (drawn groups, 3) ``rng.uniform`` draw per attempt gives the same
   doubles, in the same order, as one scale and one offset per group.
 - Every landmark moves by ``scale[mem] * (p - mean[mem]) + center[mem]``,
-  the operations ``apply_group_transform`` makes per group.
-- Vertical extremes ignore the repeated pads. The mirror check sums each
-  group's products over its own unpadded (n, 2) block, batched by size, as
-  ``fit_group_similarity`` does, and raises or returns pair by pair.
+  the operations the per-group transform makes.
+- Vertical extremes ignore the repeated pads; a group's peak displacement
+  may read them, since a repeated value leaves a maximum as is.
+- Sums of products stay per group: the mirror check sums each group's
+  products over its own unpadded (n, 2) block, batched by size, as
+  ``fit_group_similarity`` does, and raises or returns pair by pair; the
+  projection calls ``fit_group_similarity`` once per group, in gid order.
 """
 
 from __future__ import annotations
@@ -216,19 +221,6 @@ def assign_groups(num_landmarks: int, scheme: str) -> SemanticGroups:
     )
 
 
-def group_mean(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] < 1:
-        raise ValueError("cannot average an empty group")
-    return points.mean(axis=0)
-
-
-def apply_group_transform(points: np.ndarray, scale: float, center) -> np.ndarray:
-    """Map each landmark p to scale*(p - mean) + center."""
-    points = np.asarray(points, dtype=np.float64)
-    return scale * (points - group_mean(points)) + np.asarray(center, dtype=np.float64)
-
-
 def _landmarks(groups: SemanticGroups, points) -> np.ndarray:
     """``points`` as a finite (N, 2) float array, one row per membership entry."""
     pts = np.asarray(points, dtype=np.float64)
@@ -358,17 +350,14 @@ def _project_and_clip(points: np.ndarray, stepped: np.ndarray,
     """Project stepped landmarks onto the per-group similarity family, then
     shrink each group's transform toward identity until the infinity-norm
     displacement bound holds (a straight coordinate clamp would leave the
-    family)."""
-    out = points.copy()
-    for gid in range(groups.count):
-        idx = groups.indices(gid)
-        sim = fit_group_similarity(points[idx], stepped[idx])
-        cand = apply_group_transform(points[idx], sim.scale, sim.center)
-        disp = cand - points[idx]
-        peak = np.abs(disp).max()
-        t = 1.0 if peak <= radius else radius / peak
-        out[idx] = points[idx] + t * disp
-    return out
+    family). Each group keeps its own similarity fit; the transform, the
+    peak and the shrink run on the group arrays, and a group within
+    ``radius`` shrinks by exactly 1.0."""
+    sims = [fit_group_similarity(points[idx], stepped[idx]) for idx in groups._indices]
+    disp = apply_groups(points, groups, sims) - points
+    peak = np.abs(disp)[groups._padded].max(axis=(1, 2))
+    t = radius / np.maximum(peak, radius)
+    return points + t[groups.membership, None] * disp
 
 
 def generate_grouped_adversarial_set(emb: ToyEmbedder, img: Image,
@@ -376,10 +365,8 @@ def generate_grouped_adversarial_set(emb: ToyEmbedder, img: Image,
                                      cfg: AttackConfig, on_step=None) -> list[ManipulatedFace]:
     """Group-constrained attack: identical loop and stopping rule as the raw
     attack, but each raw sign step is replaced by its projection onto the
-    per-group scale+translation family."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] != groups.membership.shape[0]:
-        raise ValueError("landmark count does not match the group scheme")
-
+    per-group scale+translation family. ``points`` is checked as in
+    :func:`apply_groups` before anything is embedded."""
+    points = _landmarks(groups, points)
     project = partial(_project_and_clip, groups=groups, radius=cfg.clip_radius)
     return generate_adversarial_set(emb, img, points, cfg, on_step, project)

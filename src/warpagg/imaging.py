@@ -172,11 +172,15 @@ def save_image(img: Image, path) -> None:
 
 
 def to_pixel(pts, width: int, height: int) -> np.ndarray:
-    """Map normalized [-1,1]^2 points to continuous pixel coordinates."""
+    """Map normalized [-1,1]^2 points to continuous pixel coordinates; a
+    1-pixel axis maps every point, +-inf too, to pixel 0."""
     if width < 1 or height < 1:
         raise ValueError("width and height must be >= 1")
     pts = np.asarray(pts, dtype=np.float64)
     scale = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
+    if width == 1 or height == 1:
+        # -1 maps to 0 on any axis; inf times the 0 scale would be NaN
+        pts = np.where(scale > 0.0, pts, -1.0)
     return (pts + 1.0) * scale
 
 
@@ -328,7 +332,7 @@ def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
     return val, grads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResizeStencil:
     """:func:`resize_bilinear` of a raster to (height, width), held as one
     stencil per axis over the source rows and columns it reads.
@@ -338,7 +342,8 @@ class ResizeStencil:
     row r blends support rows ``y[0][r]`` and ``y[1][r]`` with weight
     ``y[2][r]``, output column c support columns ``x[0][c]`` and ``x[1][c]``
     with ``x[2][c]``. A same-size resize is the identity: its support is
-    every row and column (``slice(None)``) and it has no stencil.
+    every row and column (``slice(None)``) and it has no stencil. Two
+    stencils are equal only if they are the same object.
     """
 
     width: int

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import base_shape_12, blob_image
+import warpagg.attack
 from warpagg.attack import AttackConfig
 from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import (
@@ -14,12 +15,11 @@ from warpagg.groups import (
     SemanticGroups,
     StructureSamplingError,
     _group_means,
-    apply_group_transform,
+    _project_and_clip,
     apply_groups,
     assign_groups,
     fit_group_similarity,
     generate_grouped_adversarial_set,
-    group_mean,
     sample_known_transforms,
     validate_structure,
 )
@@ -27,6 +27,16 @@ from warpagg.groups import (
 
 # The per-group loops the padded array path replaced, kept as the oracle its
 # outputs must equal bit for bit.
+def group_mean(points):
+    return np.asarray(points, dtype=np.float64).mean(axis=0)
+
+
+def apply_group_transform(points, scale, center):
+    """Map each landmark p to scale*(p - mean) + center."""
+    points = np.asarray(points, dtype=np.float64)
+    return scale * (points - group_mean(points)) + np.asarray(center, dtype=np.float64)
+
+
 def apply_groups_loop(points, groups, sims):
     out = np.asarray(points, dtype=np.float64).copy()
     for gid in range(groups.count):
@@ -73,6 +83,19 @@ def sample_known_transforms_loop(groups, base, rng):
         if validate_structure_loop(groups, base, apply_groups_loop(base, groups, result)):
             return result
     raise StructureSamplingError("no structurally valid transform set")
+
+
+def project_and_clip_loop(points, stepped, groups, radius):
+    out = points.copy()
+    for gid in range(groups.count):
+        idx = groups.indices(gid)
+        sim = fit_group_similarity(points[idx], stepped[idx])
+        cand = apply_group_transform(points[idx], sim.scale, sim.center)
+        disp = cand - points[idx]
+        peak = np.abs(disp).max()
+        t = 1.0 if peak <= radius else radius / peak
+        out[idx] = points[idx] + t * disp
+    return out
 
 
 def same_bits(a, b) -> bool:
@@ -172,42 +195,46 @@ class TestPairValidation:
         assert np.array_equal(g.indices(2), [8, 9, 10, 11])
 
 
+def one_group(n: int) -> SemanticGroups:
+    return SemanticGroups(count=1, membership=np.zeros(n, dtype=np.intp))
+
+
 class TestGroupMean:
     def test_simple_mean(self):
-        assert np.allclose(group_mean(np.array([[0.0, 0.0], [2.0, 0.0]])), [1.0, 0.0])
+        assert np.allclose(_group_means(one_group(2), np.array([[0.0, 0.0], [2.0, 0.0]])), [[1.0, 0.0]])
 
     def test_repeated_point(self):
-        assert np.allclose(group_mean(np.array([[0.3, -0.2]] * 4)), [0.3, -0.2])
+        assert np.allclose(_group_means(one_group(4), np.array([[0.3, -0.2]] * 4)), [[0.3, -0.2]])
 
     def test_centered_group_has_zero_mean(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(7, 2))
-        centered = pts - group_mean(pts)
-        assert np.max(np.abs(group_mean(centered))) < 1e-12
-
-    def test_empty_group(self):
-        with pytest.raises(ValueError):
-            group_mean(np.empty((0, 2)))
+        g = one_group(7)
+        centered = pts - _group_means(g, pts)
+        assert np.max(np.abs(_group_means(g, centered))) < 1e-12
 
 
 class TestApplyTransform:
     def test_identity(self):
         pts = np.array([[0.1, 0.2], [0.4, -0.1], [0.0, 0.3]])
-        out = apply_group_transform(pts, 1.0, group_mean(pts))
+        g = one_group(3)
+        out = apply_groups(pts, g, [GroupSimilarity(1.0, _group_means(g, pts)[0])])
         assert np.max(np.abs(out - pts)) < 1e-12
 
     def test_double_about_centroid_at_origin(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        out = apply_group_transform(pts, 2.0, (0.0, 0.0))
-        centered = pts - group_mean(pts)
+        g = one_group(3)
+        out = apply_groups(pts, g, [GroupSimilarity(2.0, (0.0, 0.0))])
+        centered = pts - _group_means(g, pts)
         assert np.allclose(out, 2 * centered)
-        assert np.max(np.abs(group_mean(out))) < 1e-12
+        assert np.max(np.abs(_group_means(g, out))) < 1e-12
 
     def test_transformed_mean_is_center(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(5, 2))
-        out = apply_group_transform(pts, 1.7, (0.25, -0.4))
-        assert np.max(np.abs(group_mean(out) - [0.25, -0.4])) < 1e-12
+        g = one_group(5)
+        out = apply_groups(pts, g, [GroupSimilarity(1.7, (0.25, -0.4))])
+        assert np.max(np.abs(_group_means(g, out) - [0.25, -0.4])) < 1e-12
 
 
 class TestFitSimilarity:
@@ -381,6 +408,25 @@ class TestGroupedAdversarial:
             d = np.linalg.norm(embed(emb, faces[0].image) - embed(emb, faces[1].image))
             assert d >= cfg.distance_threshold
 
+    @pytest.mark.parametrize("bad,message", [
+        (lambda b: b[:11], "need 12 landmarks, got 11"),
+        (lambda b: np.vstack([b, b[:1]]), "need 12 landmarks, got 13"),
+        (lambda b: np.hstack([b, b[:, :1]]), r"\(N, 2\) array"),
+        (lambda b: b.ravel(), r"\(N, 2\) array"),
+        (lambda b: np.where(np.arange(12)[:, None] == 5, np.nan, b), "landmarks must be finite"),
+        (lambda b: np.where(np.arange(12)[:, None] == 5, np.inf, b), "landmarks must be finite"),
+    ], ids=["11-points", "13-points", "three-columns", "flat", "nan", "inf"])
+    def test_bad_landmarks_rejected_before_embedding(self, setup, monkeypatch, bad, message):
+        emb, img, base, g = setup
+
+        def no_embedding(*args, **kwargs):
+            raise AssertionError("embedded before the landmarks were checked")
+
+        monkeypatch.setattr(warpagg.attack, "embed", no_embedding)
+        monkeypatch.setattr(warpagg.attack, "embed_with_vjp", no_embedding)
+        with pytest.raises(ValueError, match=message):
+            generate_grouped_adversarial_set(emb, img, bad(base), g, AttackConfig(branches=1))
+
 
 class TestArrayOracle:
     """The padded array path against the per-group loops, bit for bit."""
@@ -453,6 +499,49 @@ class TestArrayOracle:
             means = _group_means(g, pts)
             for gid in range(g.count):
                 assert same_bits(means[gid], group_mean(pts[g.indices(gid)]))
+
+
+    @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68)])
+    def test_projection_matches_loop_on_3000_draws(self, scheme, length):
+        g = assign_groups(length, scheme)
+        kept = shrunk = 0
+        for seed in range(3000):
+            rng = np.random.default_rng([seed, 4])
+            points = oracle_base(scheme, rng)
+            stepped = points + rng.uniform(-1.0, 1.0, points.shape) * 10.0 ** rng.uniform(-4.0, -1.0)
+            free = np.abs(project_and_clip_loop(points, stepped, g, np.inf) - points)
+            peaks = [free[g.indices(gid)].max() for gid in range(g.count)]
+            # every tenth radius sits exactly on a group's peak, which keeps its step
+            radius = peaks[seed % g.count] if seed % 10 == 0 else 10.0 ** rng.uniform(-3.0, -1.0)
+            expected = project_and_clip_loop(points, stepped, g, radius)
+            assert same_bits(_project_and_clip(points, stepped, g, radius), expected)
+            kept += sum(peak <= radius for peak in peaks)
+            shrunk += sum(peak > radius for peak in peaks)
+        assert min(kept, shrunk) > 1000 * g.count // 2
+
+    @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68)])
+    @pytest.mark.parametrize("first,second", [
+        ("collapsed", "reflected"), ("reflected", "collapsed"), ("flattened", "collapsed"),
+    ])
+    def test_projection_raises_as_the_loop(self, scheme, length, first, second):
+        # the first failing group in gid order decides the error
+        g = assign_groups(length, scheme)
+        points = oracle_base(scheme, np.random.default_rng(10))
+        stepped = points + 0.01
+        for gid, how in ((1, first), (3, second)):
+            idx = g.indices(gid)
+            if how == "collapsed":  # zero spread
+                points[idx] = stepped[idx] = group_mean(points[idx])
+            elif how == "reflected":  # scale -1
+                stepped[idx] = 2 * group_mean(points[idx]) - points[idx]
+            else:  # scale 0: n copies of 0.25 sum and average exactly
+                stepped[idx] = 0.25
+        expected = verdict_or_error(project_and_clip_loop, points, stepped, g, 0.05)
+        assert expected == ("group has zero spatial spread; similarity scale undefined"
+                            if first == "collapsed" else "scale must be finite and positive")
+        with pytest.raises(ValueError) as error:
+            _project_and_clip(points, stepped, g, 0.05)
+        assert str(error.value) == expected
 
 
 class TestSignedZero:

@@ -352,6 +352,23 @@ class TestBilinearSample:
             assert np.all(grads[:, 0][[0, 1]] == 0.0) and np.all(grads[:, 1][[0, 2]] == 0.0)
 
     @pytest.mark.parametrize("with_grad", [False, True])
+    @pytest.mark.parametrize("h,w", [(2, 1), (1, 2)])
+    def test_infinite_points_clamp_on_a_one_pixel_axis(self, h, w, with_grad):
+        # the one-pixel axis maps every point to pixel 0, +-inf too
+        data = np.array([[0.5], [0.7]]).reshape(h, w)
+        pts = np.array([[np.inf, 0.0], [-np.inf, 0.0], [0.0, np.inf], [0.0, -np.inf],
+                        [np.inf, -np.inf]])
+        vals, grads = sample_grid(data, pts, with_grad)
+        edge, _ = sample_grid(data, np.clip(pts, -1.0, 1.0))
+        assert np.array_equal(vals, edge) and np.isfinite(vals).all()
+        one = 0 if w == 1 else 1
+        assert np.array_equal(to_pixel(pts, w, h)[:, one], np.zeros(len(pts)))
+        if with_grad:
+            # no slope along the one-pixel axis, nor along an infinite coordinate
+            assert np.isfinite(grads).all() and np.all(grads[:, one] == 0.0)
+            assert np.all(grads[np.isinf(pts)] == 0.0)
+
+    @pytest.mark.parametrize("with_grad", [False, True])
     def test_non_contiguous_raster(self, with_grad):
         data = np.random.default_rng(8).uniform(0.0, 1.0, (20, 30))[:, ::2]
         assert not data.flags.c_contiguous
@@ -463,6 +480,16 @@ class TestResizeStencil:
     def test_paper_scale_support_is_a_quarter_of_the_raster(self):
         st = resize_stencil(256, 256, 64, 64)
         assert (st.rows.size, st.cols.size) == (128, 128)
+
+    @pytest.mark.parametrize("size", [(256, 256, 64, 64), (16, 16, 16, 16)],
+                             ids=["stencil", "identity"])
+    def test_eq_ne_and_hash_by_identity(self, size):
+        # a stencil holds arrays, so it compares and hashes by identity
+        a, b = resize_stencil(*size), resize_stencil(*size)
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
     def test_same_size_is_the_identity(self):
         img = blob_image(16, seed=13)
