@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
-from .imaging import Image, ResizeStencil, resize_bilinear, resize_stencil
+from .imaging import Image, ResizeStencil, _is_int, resize_bilinear, resize_stencil
 from .tps import DEFAULT_LAMBDA, warp_image, warp_with_vjp
 
 logger = logging.getLogger(__name__)
@@ -65,7 +65,7 @@ class AttackConfig:
         # a NaN cap would never be reached, and a float count fails in range()
         for name in ("branches", "max_iters"):
             n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
         # NaN fails every comparison, so a plain bound would let it through
         if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import Image, from_pixel
+from .imaging import Image, _is_int, from_pixel
 from .layers import _patch_index, avgpool, conv3
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
@@ -61,12 +61,14 @@ class ToyDetector:
 
     def __post_init__(self) -> None:
         h, w = self.input_size
-        if h < 1 or w < 1:
-            raise ValueError(f"input size must be positive, got {h}x{w}")
+        if not (_is_int(h) and _is_int(w) and h >= 1 and w >= 1):
+            raise ValueError(f"input size must be two positive integers, got {self.input_size!r}")
         if h % 4 or w % 4:
             raise ValueError("input size must be divisible by 4 (two 2x pools)")
-        if self.num_landmarks < 1:
-            raise ValueError("need at least one landmark map")
+        if not _is_int(self.num_landmarks) or self.num_landmarks < 1:
+            raise ValueError(f"num_landmarks must be an integer >= 1, got {self.num_landmarks!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.params is None:
             object.__setattr__(self, "params", _init_params(self.num_landmarks, self.seed))
         for name, (_, cin) in _layer_shapes(self.num_landmarks).items():
@@ -187,9 +189,10 @@ def checkpoint_bytes(det: ToyDetector, meta: dict | None = None) -> bytes:
     names = sorted(det.params)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "input_size": list(det.input_size),
-        "num_landmarks": det.num_landmarks,
-        "seed": det.seed,
+        # numpy integers as JSON integers
+        "input_size": [int(v) for v in det.input_size],
+        "num_landmarks": int(det.num_landmarks),
+        "seed": int(det.seed),
         "tensors": [{"name": n, "shape": list(det.params[n].shape)} for n in names],
         "meta": meta or {},
     }
@@ -198,10 +201,6 @@ def checkpoint_bytes(det: ToyDetector, meta: dict | None = None) -> bytes:
         np.ascontiguousarray(det.params[n], dtype="<f4").tobytes() for n in names
     )
     return CHECKPOINT_MAGIC + struct.pack("<I", len(mbytes)) + mbytes + payload
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_checkpoint(blob: bytes) -> tuple[ToyDetector, dict]:

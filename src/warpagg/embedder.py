@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import Image
+from .imaging import Image, _is_int
 from .layers import _pad1, _patch_index, avgpool, avgpool_grad, conv3, conv3_input_grad
 
 
@@ -34,10 +34,12 @@ class ToyEmbedder:
 
     def __post_init__(self) -> None:
         h, w = self.input_size
-        if h < 1 or w < 1:
-            raise ValueError(f"input size must be positive, got {h}x{w}")
-        if self.n_z < 1:
-            raise ValueError(f"n_z must be at least 1, got {self.n_z}")
+        if not (_is_int(h) and _is_int(w) and h >= 1 and w >= 1):
+            raise ValueError(f"input size must be two positive integers, got {self.input_size!r}")
+        if not _is_int(self.n_z) or self.n_z < 1:
+            raise ValueError(f"n_z must be an integer >= 1, got {self.n_z!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if h % 16 or w % 16:
             raise ValueError("input size must be divisible by 16 (two 4x pools)")
         rng = np.random.default_rng(self.seed)

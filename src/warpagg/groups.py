@@ -26,10 +26,11 @@ tests/test_groups.py keeps as its oracle:
   the operations the per-group transform makes.
 - Vertical extremes ignore the repeated pads; a group's peak displacement
   may read them, since a repeated value leaves a maximum as is.
-- Sums of products stay per group: the mirror check sums each group's
-  products over its own unpadded (n, 2) block, batched by size, as
-  ``fit_group_similarity`` does, and raises or returns pair by pair; the
-  projection calls ``fit_group_similarity`` once per group, in gid order.
+- Sums of products stay per group: each group's spread and correlation
+  are summed over its own unpadded (n, 2) block, batched by size, as
+  ``fit_group_similarity`` sums them, and one rule (``_scale``) turns them
+  into scales. The projection raises for the first failing group in gid
+  order; the mirror check raises or returns pair by pair.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .attack import AttackConfig, ManipulatedFace, generate_adversarial_set
 from .embedder import ToyEmbedder
-from .imaging import Image
+from .imaging import Image, _is_int
 
 # Normalized coordinates span [-1, 1], so the image width in those units is 2.
 NORMALIZED_WIDTH = 2.0
@@ -77,25 +78,28 @@ class SemanticGroups:
     mirror_pairs: tuple[tuple[int, int], ...] = ()
     vertical_pairs: tuple[tuple[int, int], ...] = ()
     # __post_init__ also sets ``_indices``, the padded layout (``_padded``,
-    # ``_valid``, ``_sizes``) and the index arrays the checks and draws use
+    # ``_valid``, ``_sizes``), the per-size table ``_blocks`` and the index
+    # arrays the checks and draws use
 
     def __post_init__(self) -> None:
+        if not _is_int(self.count):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
+        raw = np.asarray(self.membership)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise ValueError("membership must be a flat array of integer group ids")
         # a private copy, so the arrays derived from it cannot fall out of step
-        mem = np.array(self.membership, dtype=np.intp)
-        if mem.ndim != 1:
-            raise ValueError("membership must be a flat index array")
-        # ids are range-checked first, so the count array stays count long
+        mem = raw.astype(np.intp)
+        # ids are checked before they are counted, so the count array is
+        # count long and no group is empty
         gids = mem.tolist()
-        if not (gids and min(gids) >= 0 and max(gids) < self.count):
+        if not (gids and min(gids) >= 0 and max(gids) < self.count and len(set(gids)) == self.count):
             raise ValueError("membership must cover group ids 0..count-1")
-        sizes = np.bincount(mem, minlength=self.count).tolist()
-        if 0 in sizes:
-            raise ValueError("membership must cover group ids 0..count-1")
+        sizes = np.bincount(mem).tolist()
         if min(sizes) < 2:
             raise ValueError("every group needs at least 2 landmarks")
         for name in ("mirror_pairs", "vertical_pairs"):
             for a, b in getattr(self, name):
-                if not (0 <= a < self.count and 0 <= b < self.count):
+                if not (_is_int(a) and _is_int(b) and 0 <= a < self.count and 0 <= b < self.count):
                     raise ValueError(f"{name} entry {(a, b)} names a group id outside 0..{self.count - 1}")
                 if a == b:
                     raise ValueError(f"{name} entry {(a, b)} pairs a group with itself")
@@ -104,24 +108,22 @@ class SemanticGroups:
             raise ValueError(f"mirror_pairs {self.mirror_pairs} put a group in more than one pair")
 
         # Landmark indices of each group in ascending order (a stable sort),
-        # and one row per group padded to the widest group with the group's
-        # last landmark. Built from Python lists: at these sizes each numpy
-        # call costs more than the list work it would replace.
+        # one row per group padded to the widest group with the group's last
+        # landmark, and the group ids of each size. Built from Python lists:
+        # at these sizes each numpy call costs more than the list work it
+        # would replace.
         order = np.argsort(mem, kind="stable")
         ranks = order.tolist()
         width = max(sizes)
-        rows, valid, ends, end = [], [], [], 0
-        for n in sizes:
+        rows, valid, ends, end, by_size = [], [], [], 0, {}
+        for gid, n in enumerate(sizes):
             end += n
             ends.append(end)
             rows.append(ranks[end - n:end] + ranks[end - 1:end] * (width - n))
             valid.append([True] * n + [False] * (width - n))
+            by_size.setdefault(n, []).append(gid)
         mem.flags.writeable = order.flags.writeable = False
 
-        # mirror groups batched by size for the mirror check
-        by_size = {}
-        for gid in mirrored:
-            by_size.setdefault(sizes[gid], []).append(gid)
         # each group's row of the per-attempt draw: the second group of a
         # mirror pair reuses its partner's row, with the x offset negated
         partner = {b: a for a, b in self.mirror_pairs}
@@ -136,8 +138,8 @@ class SemanticGroups:
             _valid=np.array(valid)[:, :, None],
             _sizes=np.array(sizes, dtype=np.float64)[:, None],
             # (group ids, (k, n) landmark index) per size
-            _mirror_blocks=tuple((np.array(ids), np.array([rows[gid][:n] for gid in ids]))
-                                 for n, ids in by_size.items()),
+            _blocks=tuple((np.array(ids), np.array([rows[gid][:n] for gid in ids]))
+                          for n, ids in by_size.items()),
             _vertical=np.array([[rows[upper] for upper, _ in self.vertical_pairs],
                                 [rows[lower] for _, lower in self.vertical_pairs]], dtype=np.intp),
             _draw_row=np.array([row_of[partner.get(gid, gid)] for gid in range(self.count)]),
@@ -252,6 +254,18 @@ def apply_groups(points: np.ndarray, groups: SemanticGroups,
     return scale[mem, None] * (pts - _group_means(groups, pts)[mem]) + centers[mem]
 
 
+def _scale(spread: float, corr: float) -> float:
+    """A group's least-squares scale from its spread (the summed squares of
+    its centered coordinates) and its correlation with the centered targets;
+    ``ValueError`` where the scale is undefined or not finite and positive."""
+    if spread <= 1e-20:
+        raise ValueError("group has zero spatial spread; similarity scale undefined")
+    scale = corr / spread
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and positive")
+    return scale
+
+
 def fit_group_similarity(points: np.ndarray, targets: np.ndarray) -> GroupSimilarity:
     """Least-squares scale+translation: scale is the normalized correlation of
     centered coordinates, the center is the target mean. Exact on noiseless
@@ -261,42 +275,39 @@ def fit_group_similarity(points: np.ndarray, targets: np.ndarray) -> GroupSimila
     if p.shape != q.shape or p.shape[0] < 2:
         raise ValueError("need matching groups of at least 2 landmarks")
     pc = p - p.mean(axis=0)
-    spread = float((pc * pc).sum())
-    if spread <= 1e-20:
-        raise ValueError("group has zero spatial spread; similarity scale undefined")
     qc = q - q.mean(axis=0)
-    scale = float((pc * qc).sum() / spread)
-    return GroupSimilarity(scale=scale, center=q.mean(axis=0))
+    return GroupSimilarity(_scale(float((pc * pc).sum()), float((pc * qc).sum())), q.mean(axis=0))
 
 
-def _structure_ok(groups: SemanticGroups, base, means, moved) -> bool:
-    """:func:`validate_structure` on checked landmarks and the base group means."""
+def _spread_and_corr(groups: SemanticGroups, base_c, moved_c):
+    """Every group's spread and correlation for :func:`_scale`, as two lists
+    in gid order, from the landmarks centered on their group means before
+    and after the move. Each group's products are summed over its own
+    (n, 2) block, gathered per size, as :func:`fit_group_similarity` sums
+    them. A sum that overflows is not finite, and ``_scale`` rejects it."""
+    sums = np.empty((2, groups.count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = base_c * np.stack([base_c, moved_c])
+        for ids, sel in groups._blocks:
+            sums[:, ids] = np.take(prods, sel, axis=1).sum(axis=(2, 3))
+    return sums.tolist()
+
+
+def _structure_ok(groups: SemanticGroups, base_c, means, moved) -> bool:
+    """:func:`validate_structure` on checked landmarks, given the base
+    centered on its group means and those means."""
     if groups.vertical_pairs:
         upper, lower = moved[groups._vertical, 1]
         if (upper.max(axis=1) > lower.min(axis=1) - STRUCTURE_TOL).any():
             return False
     moved_means = _group_means(groups, moved)
     offsets = (moved_means - means).tolist()
-    # each mirror group's spread and correlation, as fit_group_similarity sums them
-    spread, corr = {}, {}
-    for ids, sel in groups._mirror_blocks:
-        base_c = base[sel] - means[ids, None]
-        spread.update(zip(ids.tolist(), (base_c * base_c).sum(axis=(1, 2)).tolist()))
-        moved_c = moved[sel] - moved_means[ids, None]
-        corr.update(zip(ids.tolist(), (base_c * moved_c).sum(axis=(1, 2)).tolist()))
-    # pair by pair, raising where fit_group_similarity and GroupSimilarity raise
+    spread, corr = _spread_and_corr(groups, base_c, moved - moved_means[groups.membership])
+    # pair by pair: an earlier mismatched pair returns before a later one raises
     for ga, gb in groups.mirror_pairs:
-        scales = []
-        for gid in (ga, gb):
-            if spread[gid] <= 1e-20:
-                raise ValueError("group has zero spatial spread; similarity scale undefined")
-            scales.append(corr[gid] / spread[gid])
-            if not (math.isfinite(scales[-1]) and scales[-1] > 0):
-                raise ValueError("scale must be finite and positive")
         (xa, ya), (xb, yb) = offsets[ga], offsets[gb]
-        if abs(scales[0] - scales[1]) > STRUCTURE_TOL:
-            return False
-        if abs(xa + xb) > STRUCTURE_TOL or abs(ya - yb) > STRUCTURE_TOL:
+        gap = abs(_scale(spread[ga], corr[ga]) - _scale(spread[gb], corr[gb]))
+        if gap > STRUCTURE_TOL or abs(xa + xb) > STRUCTURE_TOL or abs(ya - yb) > STRUCTURE_TOL:
             return False
     return True
 
@@ -313,7 +324,8 @@ def validate_structure(groups: SemanticGroups, base: np.ndarray,
     """
     base = _landmarks(groups, base)
     transformed = _landmarks(groups, transformed)
-    return _structure_ok(groups, base, _group_means(groups, base), transformed)
+    means = _group_means(groups, base)
+    return _structure_ok(groups, base - means[groups.membership], means, transformed)
 
 
 def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
@@ -337,7 +349,7 @@ def sample_known_transforms(groups: SemanticGroups, base: np.ndarray,
         scale = draw[:, 0]
         centers = means + draw[:, 1:] * groups._mirror_sign
         moved = scale[mem, None] * centered + centers[mem]
-        if _structure_ok(groups, base, means, moved):
+        if _structure_ok(groups, centered, means, moved):
             return [GroupSimilarity(s, c) for s, c in zip(scale.tolist(), centers)]
     raise StructureSamplingError(
         f"no structurally valid transform set in {MAX_ATTEMPTS} attempts; "
@@ -350,14 +362,17 @@ def _project_and_clip(points: np.ndarray, stepped: np.ndarray,
     """Project stepped landmarks onto the per-group similarity family, then
     shrink each group's transform toward identity until the infinity-norm
     displacement bound holds (a straight coordinate clamp would leave the
-    family). Each group keeps its own similarity fit; the transform, the
-    peak and the shrink run on the group arrays, and a group within
-    ``radius`` shrinks by exactly 1.0."""
-    sims = [fit_group_similarity(points[idx], stepped[idx]) for idx in groups._indices]
-    disp = apply_groups(points, groups, sims) - points
+    family). Each group's scale and center are those
+    :func:`fit_group_similarity` fits, and every landmark moves as
+    :func:`apply_groups` moves it; a group within ``radius`` shrinks by
+    exactly 1.0."""
+    mem = groups.membership
+    centers = _group_means(groups, stepped)
+    centered = points - _group_means(groups, points)[mem]
+    scale = np.array(list(map(_scale, *_spread_and_corr(groups, centered, stepped - centers[mem]))))
+    disp = scale[mem, None] * centered + centers[mem] - points
     peak = np.abs(disp)[groups._padded].max(axis=(1, 2))
-    t = radius / np.maximum(peak, radius)
-    return points + t[groups.membership, None] * disp
+    return points + (radius / np.maximum(peak, radius))[mem, None] * disp
 
 
 def generate_grouped_adversarial_set(emb: ToyEmbedder, img: Image,

@@ -275,6 +275,23 @@ def _cotangent(cotangent, shape: tuple[int, ...]) -> np.ndarray:
     return c.reshape(shape)
 
 
+def _node_slope(data: np.ndarray, g: np.ndarray, pc: np.ndarray, i0, i1, f) -> None:
+    """Where the clamped coordinate ``pc`` along the last axis of ``data``
+    sits on a grid node, overwrite the slope ``g`` along that axis with the
+    symmetric average of the two adjacent cells' slopes, counting the region
+    beyond the border as flat. ``i0``, ``i1`` and ``f`` are the samples'
+    stencil along the first axis."""
+    node = np.abs(pc - np.round(pc)) < NODE_TOL
+    if np.any(node):
+        k = np.round(pc[node]).astype(np.intp)
+        i0, i1, f = i0[node], i1[node], f[node]
+        kl = np.maximum(k - 1, 0)
+        kr = np.minimum(k + 1, data.shape[1] - 1)
+        left = (1.0 - f) * (data[i0, k] - data[i0, kl]) + f * (data[i1, k] - data[i1, kl])
+        right = (1.0 - f) * (data[i0, kr] - data[i0, k]) + f * (data[i1, kr] - data[i1, k])
+        g[node] = 0.5 * (left + right)
+
+
 def _gather_bilinear(data: np.ndarray, px: np.ndarray, py: np.ndarray, with_grad: bool):
     """Sample at continuous pixel coords with clamp-to-edge; optional d/d(px,py)."""
     h, w = data.shape
@@ -286,30 +303,12 @@ def _gather_bilinear(data: np.ndarray, px: np.ndarray, py: np.ndarray, with_grad
 
     gx = (1.0 - fy) * (ib - ia) + fy * (id_ - ic)
     gy = (1.0 - fx) * (ic - ia) + fx * (id_ - ib)
-    pxc, pyc = x0 + fx, y0 + fy  # the clamped coordinates (see _axis_stencil)
-
-    # On-node samples sit where adjacent cells disagree on the slope; use the
-    # symmetric average, counting the region beyond the border as flat. Far
-    # outside the raster the sample is pinned to the edge and the slope is 0.
-    node_x = np.abs(pxc - np.round(pxc)) < NODE_TOL
-    if np.any(node_x):
-        k = np.round(pxc[node_x]).astype(np.intp)
-        yy0, yy1, ff = y0[node_x], y1[node_x], fy[node_x]
-        kl = np.maximum(k - 1, 0)
-        kr = np.minimum(k + 1, w - 1)
-        left = (1.0 - ff) * (data[yy0, k] - data[yy0, kl]) + ff * (data[yy1, k] - data[yy1, kl])
-        right = (1.0 - ff) * (data[yy0, kr] - data[yy0, k]) + ff * (data[yy1, kr] - data[yy1, k])
-        gx[node_x] = 0.5 * (left + right)
-    node_y = np.abs(pyc - np.round(pyc)) < NODE_TOL
-    if np.any(node_y):
-        k = np.round(pyc[node_y]).astype(np.intp)
-        xx0, xx1, ff = x0[node_y], x1[node_y], fx[node_y]
-        ku = np.maximum(k - 1, 0)
-        kd = np.minimum(k + 1, h - 1)
-        up = (1.0 - ff) * (data[k, xx0] - data[ku, xx0]) + ff * (data[k, xx1] - data[ku, xx1])
-        down = (1.0 - ff) * (data[kd, xx0] - data[k, xx0]) + ff * (data[kd, xx1] - data[k, xx1])
-        gy[node_y] = 0.5 * (up + down)
-
+    # On-node samples sit where adjacent cells disagree on the slope (see
+    # _node_slope); x + f is the clamped coordinate (see _axis_stencil), and
+    # data.T[x, k] is data[k, x]. Far outside the raster the sample is
+    # pinned to the edge and the slope is 0.
+    _node_slope(data, gx, x0 + fx, y0, y1, fy)
+    _node_slope(data.T, gy, y0 + fy, x0, x1, fx)
     gx = np.where((px < -NODE_TOL) | (px > w - 1.0 + NODE_TOL), 0.0, gx)
     gy = np.where((py < -NODE_TOL) | (py > h - 1.0 + NODE_TOL), 0.0, gy)
     return val, gx, gy
@@ -384,10 +383,16 @@ class ResizeStencil:
         return out
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer (a Python or numpy one, not a bool): the
+    rule every count, size and id the package is given must pass."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_size(width, height) -> None:
     """Raise ``ValueError`` unless both are integers >= 1."""
     for name, n in (("width", width), ("height", height)):
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"target {name} must be an integer >= 1, got {n!r}")
 
 

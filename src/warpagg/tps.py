@@ -121,6 +121,10 @@ _BAND_PIXELS = 1024
 # Bands per sampled block of warp_image: about 8192 pixels, so each of the
 # sampler's temporaries stays under 128 KiB.
 _SAMPLE_BANDS = 8
+# Largest control or evaluation coordinate magnitude: from about 1e154 the
+# squared distances overflow, and at this bound s log s stays near 1e203,
+# far from the float64 limit.
+COORD_LIMIT = 1e100
 
 
 class DegenerateControlPointsError(ValueError):
@@ -248,19 +252,29 @@ def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
     return (params.T @ phi_t).T
 
 
+def _check_coords(pts: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless every coordinate is finite and at most
+    ``COORD_LIMIT`` in magnitude."""
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} must be finite")
+    if np.abs(pts).max(initial=0.0) > COORD_LIMIT:
+        raise ValueError(f"{what} must lie within +-{COORD_LIMIT:g}")
+
+
 def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTransform:
     """Fit the spline mapping ``source`` onto ``target``.
 
     ``lam`` adds a ridge on the kernel block; with lam=0 the fit interpolates
     the targets exactly. Degenerate configurations retry once with a larger
-    ridge, then raise :class:`DegenerateControlPointsError`.
+    ridge, then raise :class:`DegenerateControlPointsError`. A coordinate
+    that is not finite or lies beyond ``COORD_LIMIT`` raises ``ValueError``.
     """
     src = np.asarray(source, dtype=np.float64)
     dst = np.asarray(target, dtype=np.float64)
     if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
         raise ValueError("source and target must both have shape (L, 2)")
-    if not (np.all(np.isfinite(src)) and np.all(np.isfinite(dst))):
-        raise ValueError("control points must be finite")
+    _check_coords(src, "control points")
+    _check_coords(dst, "control points")
     n = src.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 control points, got {n}")
@@ -298,12 +312,11 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
 
 def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
     """Apply the fitted mapping to points (N,2) -> (N,2); anything but a
-    finite (N, 2) array raises ``ValueError``."""
+    finite (N, 2) array within ``COORD_LIMIT`` raises ``ValueError``."""
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    _check_coords(pts, "points")
     phi_t, _ = _features(t.control_points, pts[:, 0], pts[:, 1])
     # Products this small run in a BLAS small-matrix kernel whose summation
     # order follows the operand layout. The row-major (N, L+3) operand, one

@@ -63,6 +63,28 @@ class TestForward:
         with pytest.raises(ValueError, match="positive"):
             ToyDetector(3, (-16, 16))
 
+    # each of these raised a stray numpy TypeError, or built a detector from
+    # a bool
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(num_landmarks=2.5), "num_landmarks must be an integer"),
+        (dict(num_landmarks=3.0), "num_landmarks must be an integer"),
+        (dict(num_landmarks=True), "num_landmarks must be an integer"),
+        (dict(num_landmarks="3"), "num_landmarks must be an integer"),
+        (dict(input_size=(16.0, 16.0)), "two positive integers"),
+        (dict(input_size=(16, 16.5)), "two positive integers"),
+        (dict(input_size=(True, 16)), "two positive integers"),
+        (dict(seed=2.5), "seed must be an integer"),
+    ], ids=repr)
+    def test_non_integer_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ToyDetector(**{"num_landmarks": 3, "input_size": (16, 16), **kwargs})
+
+    def test_numpy_integers_accepted_and_saved(self):
+        det = ToyDetector(np.int64(3), (np.int32(16), np.int64(16)), seed=np.int64(4))
+        assert det.num_landmarks == 3 and det.input_size == (16, 16)
+        back, _ = parse_checkpoint(checkpoint_bytes(det))
+        assert (back.num_landmarks, back.input_size, back.seed) == (3, (16, 16), 4)
+
 
 def concat_forward(det, img):
     """Oracle: the forward as it was before each conv input got one padded

@@ -56,6 +56,25 @@ class TestConstruct:
         with pytest.raises(ValueError, match="n_z"):
             ToyEmbedder(n_z=0)
 
+    # each of these raised a stray numpy TypeError, or built an embedder
+    # from a bool
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n_z=2.5), "n_z must be an integer"),
+        (dict(n_z=4.0), "n_z must be an integer"),
+        (dict(n_z=True), "n_z must be an integer"),
+        (dict(input_size=(32.0, 32.0)), "two positive integers"),
+        (dict(input_size=(32, 32.5)), "two positive integers"),
+        (dict(input_size=(True, 32)), "two positive integers"),
+        (dict(seed=2.5), "seed must be an integer"),
+    ], ids=repr)
+    def test_non_integer_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ToyEmbedder(**{"input_size": (32, 32), **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        emb = ToyEmbedder(n_z=np.int64(8), input_size=(np.int32(32), np.int64(32)))
+        assert emb.n_z == 8 and emb.input_size == (32, 32)
+
 
 def _check_finite_differences(emb, img):
     size = img.height

@@ -426,7 +426,9 @@ class TestGridVjpAndResize:
 class TestResizeSize:
     # numpy's own errors for these were "negative dimensions are not
     # allowed" (-1) and a TypeError (4.5)
-    @pytest.mark.parametrize("w,h", [(-1, 4), (4, -1), (0, 4), (4.5, 4), (4, 4.5), (8.0, 8), ("4", 4), (None, 4)])
+    # and, for a bool, numpy's own errors from np.arange
+    @pytest.mark.parametrize("w,h", [(-1, 4), (4, -1), (0, 4), (4.5, 4), (4, 4.5), (8.0, 8), ("4", 4), (None, 4),
+                                     (True, True), (True, 4), (4, True)])
     def test_a_size_that_is_not_an_integer_of_at_least_one_raises(self, w, h):
         img = blob_image(8, seed=14)
         with pytest.raises(ValueError, match="integer >= 1"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from warpagg.imaging import (
     sample_grid,
 )
 from warpagg.tps import (
+    COORD_LIMIT,
     DegenerateControlPointsError,
     _features,
     eval_tps,
@@ -106,6 +108,34 @@ class TestFitEval:
         with pytest.raises(ValueError, match="finite") as info:
             fit_tps(src, dst, lam=1e-6)
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    # 1e200 overflowed s = dx^2 + dy^2: a fit raised a RuntimeWarning, or
+    # printed a LAPACK complaint to stderr and called the points collinear,
+    # and eval_tps returned NaN
+    @pytest.mark.parametrize("which", ["source", "target", "eval"])
+    @pytest.mark.parametrize("value", [COORD_LIMIT, -COORD_LIMIT, float(np.nextafter(COORD_LIMIT, np.inf)), 1e200, -1e200],
+                             ids=repr)
+    def test_coordinates_beyond_the_limit_rejected(self, capfd, which, value):
+        pts = ring_landmarks(8, seed=8)
+        far = pts.copy()
+        far[3, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if abs(value) > COORD_LIMIT:
+                with pytest.raises(ValueError, match=r"within \+-1e\+100"):
+                    if which == "eval":
+                        eval_tps(fit_tps(pts, pts + 0.01, lam=1e-6), far)
+                    else:
+                        fit_tps(*((far, pts) if which == "source" else (pts, far)), lam=1e-6)
+            elif which == "source":
+                # one control point that far leaves the kernel system singular
+                with pytest.raises(DegenerateControlPointsError):
+                    fit_tps(far, pts, lam=1e-6)
+            elif which == "target":
+                assert np.isfinite(eval_tps(fit_tps(pts, far, lam=1e-6), pts)).all()
+            else:
+                assert np.isfinite(eval_tps(fit_tps(pts, pts + 0.01, lam=1e-6), far)).all()
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     def test_bad_regularization_rejected(self, lam):
