@@ -18,11 +18,12 @@ The step warps only the pixels the embedder reads: the source rows and
 columns that the bilinear resize to the embedder's input gathers (every
 pixel when the face already has that size). Each warped pixel is bitwise the
 full warp's, and the resize reads the same pixels with the same weights, so
-the embedding is exactly the one of the resized full warp. The step keeps no
-full-size face; once a branch stops, :func:`~warpagg.tps.warp_image` at the
-final control points makes ``ManipulatedFace.image``, and the branch reads
-its raster before it returns, so that warp is part of the branch's time and
-the face holds the warped raster alone.
+the embedding is exactly the one of the resized full warp. The step never
+keeps a face, whatever the sizes: once a branch stops,
+:func:`~warpagg.tps.warp_image` at the final control points makes
+``ManipulatedFace.image``, and the branch reads its raster before it
+returns, so that one warp is part of every branch's time and the face holds
+the warped raster alone.
 
 Each branch allocates one grid-kernel pair, (L+3, N) and (L, N) over the N
 pixels a step warps, and every step of the branch builds its kernel into
@@ -96,12 +97,10 @@ class AttackStep:
     landmarks, holding what its backward pass reuses.
 
     The step warps only the pixels the embedder's resize reads (see
-    :func:`attack_step`), so it holds the warped face only when the
-    embedder reads every pixel at the face's own size."""
+    :func:`attack_step`) and holds no face."""
 
     z: np.ndarray                 # the warped face's embedding
     backward: Callable[[np.ndarray], np.ndarray]  # cotangent on z -> (L,2)
-    image: Image | None = None    # the warped face, when every pixel was warped
 
     def distances(self, peers: np.ndarray) -> np.ndarray:
         """Embedding distance to every peer, (K,)."""
@@ -115,11 +114,6 @@ class AttackStep:
         dists = np.linalg.norm(diffs, axis=1)
         scale = np.where(dists > _ZERO_DIST, 1.0 / np.maximum(dists, _ZERO_DIST), 0.0)
         return self.backward((diffs * scale[:, None]).sum(axis=0))
-
-
-def _embedder_input(emb: ToyEmbedder, image: Image) -> Image:
-    eh, ew = emb.input_size
-    return image if (image.height, image.width) == (eh, ew) else resize_bilinear(image, ew, eh)
 
 
 def _stencil(emb: ToyEmbedder, img: Image) -> ResizeStencil:
@@ -148,7 +142,7 @@ def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
     def backward(cot_z: np.ndarray) -> np.ndarray:
         return warp_back(st.vjp(embed_back(cot_z)))
 
-    return AttackStep(z, backward, warped if st.identity else None)
+    return AttackStep(z, backward)
 
 
 def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
@@ -194,7 +188,7 @@ def generate_adversarial_set(emb: ToyEmbedder, img: Image, points: np.ndarray,
             return clip_displacement(stepped, base, cfg.clip_radius)
 
     points = np.asarray(points, dtype=np.float64)
-    peer_z = [embed(emb, _embedder_input(emb, img))]
+    peer_z = [embed(emb, resize_bilinear(img, *emb.input_size[::-1]))]
     faces: list[ManipulatedFace] = []
     for k in range(cfg.branches):
         face, z = _run_branch(emb, img, points, np.stack(peer_z), cfg, project, on_step, k)
@@ -224,11 +218,10 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
         iters += 1
         if on_step is not None:
             on_step(k, iters, float(step.distances(peers).sum()))
-    z, image = step.z, step.image
+    z = step.z
     del step
-    if image is None:
-        image = warp_image(img, points, moved, cfg.tps_lambda)
-        image.data  # warp every pixel now, inside the branch
+    image = warp_image(img, points, moved, cfg.tps_lambda)
+    image.data  # warp every pixel now, inside the branch
     face = ManipulatedFace(
         image=image,
         control_source=points.copy(),

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import Image, _is_int, from_pixel
+from .imaging import Image, _check_input_image, _check_input_size, _is_int, from_pixel
 from .layers import _patch_index, avgpool, conv3
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
@@ -60,11 +60,8 @@ class ToyDetector:
     params: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_input_size(self.input_size, 4)  # two 2x pools
         h, w = self.input_size
-        if not (_is_int(h) and _is_int(w) and h >= 1 and w >= 1):
-            raise ValueError(f"input size must be two positive integers, got {self.input_size!r}")
-        if h % 4 or w % 4:
-            raise ValueError("input size must be divisible by 4 (two 2x pools)")
         if not _is_int(self.num_landmarks) or self.num_landmarks < 1:
             raise ValueError(f"num_landmarks must be an integer >= 1, got {self.num_landmarks!r}")
         if not _is_int(self.seed):
@@ -107,14 +104,6 @@ def _init_params(num_landmarks: int, seed: int) -> dict:
     return p
 
 
-def _check_input(det: ToyDetector, img: Image) -> None:
-    if (img.height, img.width) != det.input_size:
-        raise ValueError(
-            f"image is {img.height}x{img.width}, detector expects "
-            f"{det.input_size[0]}x{det.input_size[1]}"
-        )
-
-
 def _padded(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """A zero (c, h+2, w+2) conv input buffer and its (c, h, w) interior."""
     xp = np.zeros((c, h + 2, w + 2))
@@ -131,7 +120,7 @@ def _up2_into(dst: np.ndarray, x: np.ndarray) -> None:
 
 def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
     """Nonnegative response maps, shape (L, H, W), same spatial size as input."""
-    _check_input(det, img)
+    _check_input_image(img, det.input_size, "detector")
     p = {k: v.astype(np.float64) for k, v in det.params.items()}
     c = _CHANNELS
     h, w = det.input_size
@@ -228,9 +217,9 @@ def parse_checkpoint(blob: bytes) -> tuple[ToyDetector, dict]:
     if missing:
         raise CheckpointFormatError(f"manifest lacks {', '.join(missing)}")
     num_landmarks, input_size = manifest["num_landmarks"], manifest["input_size"]
+    # the detector checks the input size when it is built below
     if not (_is_int(num_landmarks) and num_landmarks >= 1 and _is_int(manifest["seed"])
-            and isinstance(input_size, list) and len(input_size) == 2
-            and all(_is_int(v) and v >= 1 for v in input_size)):
+            and isinstance(input_size, list)):
         raise CheckpointFormatError("manifest fields have the wrong type or range")
     shapes = _param_shapes(num_landmarks)
     if manifest["tensors"] != [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]:

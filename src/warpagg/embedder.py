@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import Image, _is_int
+from .imaging import Image, _check_input_image, _check_input_size, _is_int
 from .layers import _pad1, _patch_index, avgpool, avgpool_grad, conv3, conv3_input_grad
 
 
@@ -33,15 +33,12 @@ class ToyEmbedder:
     weights: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_input_size(self.input_size, 16)  # two 4x pools
         h, w = self.input_size
-        if not (_is_int(h) and _is_int(w) and h >= 1 and w >= 1):
-            raise ValueError(f"input size must be two positive integers, got {self.input_size!r}")
         if not _is_int(self.n_z) or self.n_z < 1:
             raise ValueError(f"n_z must be an integer >= 1, got {self.n_z!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if h % 16 or w % 16:
-            raise ValueError("input size must be divisible by 16 (two 4x pools)")
         rng = np.random.default_rng(self.seed)
         feat = 8 * (h // 16) * (w // 16)
         wts = {
@@ -55,13 +52,6 @@ class ToyEmbedder:
         object.__setattr__(self, "weights", wts)
         _patch_index(1, h, w)
         _patch_index(4, h // 4, w // 4)
-
-    def _check(self, img: Image) -> None:
-        if (img.height, img.width) != self.input_size:
-            raise ValueError(
-                f"image is {img.height}x{img.width}, embedder expects "
-                f"{self.input_size[0]}x{self.input_size[1]}"
-            )
 
     def _forward(self, img: Image) -> dict:
         w = self.weights
@@ -82,7 +72,7 @@ def embed_with_vjp(e: ToyEmbedder, img: Image):
     Returns ``(z, vjp)``: the unit-norm identity vector and a function mapping
     a cotangent on z (n_z,) to d <cotangent, z> / d img, shape (H, W).
     """
-    e._check(img)
+    _check_input_image(img, e.input_size, "embedder")
     w = e.weights
     c = e._forward(img)
     y, norm = c["y"], c["norm"]

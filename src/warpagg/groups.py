@@ -98,7 +98,11 @@ class SemanticGroups:
         if min(sizes) < 2:
             raise ValueError("every group needs at least 2 landmarks")
         for name in ("mirror_pairs", "vertical_pairs"):
-            for a, b in getattr(self, name):
+            pairs = getattr(self, name)
+            if not (isinstance(pairs, (tuple, list))
+                    and all(isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs)):
+                raise ValueError(f"{name} must be a sequence of (id, id) pairs, got {pairs!r}")
+            for a, b in pairs:
                 if not (_is_int(a) and _is_int(b) and 0 <= a < self.count and 0 <= b < self.count):
                     raise ValueError(f"{name} entry {(a, b)} names a group id outside 0..{self.count - 1}")
                 if a == b:

@@ -4,7 +4,27 @@ with analytic coordinate gradients.
 Coordinate convention: normalized coordinates live in [-1,1]^2 with (-1,-1)
 at the *center* of the top-left pixel and (1,1) at the center of the
 bottom-right pixel, so sampling at a pixel center reproduces the raster
-exactly. Samples outside the raster are clamped to the edge.
+exactly (the align-corners sampler of Spatial Transformer Networks). Samples
+outside the raster are clamped to the edge.
+
+Each rule the warp, the resize and the networks must agree on is written
+once, here:
+
+- raster sizes: :func:`_check_size` (integers >= 1, not bools) is the only
+  width/height check; the coordinate maps, :func:`grid_axes`,
+  :func:`sample_grid` (through :func:`to_pixel`) and :func:`resize_stencil`
+  call it;
+- network input sizes: :func:`_check_input_size` (a (height, width) tuple
+  of such integers divisible by the network's pool factor) and
+  :func:`_check_input_image` (an image of exactly that size), which the
+  detector and the embedder call;
+- points: :func:`_points` (a float array of shape (..., 2)), for
+  :func:`to_pixel`, :func:`from_pixel` and :func:`sample_grid`;
+- the pixel map: :func:`_pixel_scale` is the forward scale of
+  :func:`to_pixel` and :func:`resize_stencil`, and :func:`_from_axis` the
+  per-axis inverse of :func:`from_pixel` and :func:`grid_axes`;
+- same-size resizes: :func:`resize_stencil` alone decides that one is the
+  identity.
 """
 
 from __future__ import annotations
@@ -171,13 +191,62 @@ def save_image(img: Image, path) -> None:
     Path(path).write_bytes(header + q.tobytes())
 
 
-def to_pixel(pts, width: int, height: int) -> np.ndarray:
-    """Map normalized [-1,1]^2 points to continuous pixel coordinates; a
-    1-pixel axis maps every point, +-inf too, to pixel 0."""
-    if width < 1 or height < 1:
-        raise ValueError("width and height must be >= 1")
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer (a Python or numpy one, not a bool): the
+    rule every count, size and id the package is given must pass."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_size(width, height) -> None:
+    """Raise ``ValueError`` unless both are integers >= 1: the one rule for
+    the size of a raster."""
+    for name, n in (("width", width), ("height", height)):
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
+def _check_input_size(size, pool: int) -> None:
+    """Raise ``ValueError`` unless ``size`` is a (height, width) tuple of
+    integers >= 1 divisible by ``pool``, the factor by which the network
+    pools its input: the one rule for a network's input size."""
+    if not (isinstance(size, tuple) and len(size) == 2
+            and all(_is_int(n) and n >= 1 and n % pool == 0 for n in size)):
+        raise ValueError(f"input size must be two positive integers divisible by {pool}, got {size!r}")
+
+
+def _check_input_image(img: Image, size: tuple[int, int], net: str) -> None:
+    """Raise ``ValueError`` unless ``img`` is (height, width) ``size``, the
+    input the network ``net`` reads."""
+    if (img.height, img.width) != size:
+        raise ValueError(f"image is {img.height}x{img.width}, {net} expects {size[0]}x{size[1]}")
+
+
+def _points(pts) -> np.ndarray:
+    """``pts`` as a float64 array of shape (..., 2), or ``ValueError``."""
     pts = np.asarray(pts, dtype=np.float64)
-    scale = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
+    if pts.ndim < 1 or pts.shape[-1] != 2:
+        raise ValueError(f"points must have shape (..., 2), got {pts.shape}")
+    return pts
+
+
+def _pixel_scale(n: int) -> float:
+    """Pixels per normalized unit on an axis of ``n`` pixels: the forward
+    map is ``(v + 1) * _pixel_scale(n)``."""
+    return (n - 1) / 2.0
+
+
+def _from_axis(p: np.ndarray, n: int) -> np.ndarray:
+    """Normalized coordinates of the pixel coordinates ``p`` on an axis of
+    ``n`` pixels; 0 on a one-pixel axis."""
+    return 2.0 * p / (n - 1) - 1.0 if n > 1 else np.zeros_like(p)
+
+
+def to_pixel(pts, width: int, height: int) -> np.ndarray:
+    """Map normalized [-1,1]^2 points (..., 2) to continuous pixel
+    coordinates; a 1-pixel axis maps every point, +-inf too, to pixel 0."""
+    _check_size(width, height)
+    pts = _points(pts)
+    scale = np.array([_pixel_scale(width), _pixel_scale(height)])
     if width == 1 or height == 1:
         # -1 maps to 0 on any axis; inf times the 0 scale would be NaN
         pts = np.where(scale > 0.0, pts, -1.0)
@@ -186,25 +255,20 @@ def to_pixel(pts, width: int, height: int) -> np.ndarray:
 
 def from_pixel(pts, width: int, height: int) -> np.ndarray:
     """Inverse of :func:`to_pixel`; a 1-pixel axis collapses to coordinate 0."""
-    if width < 1 or height < 1:
-        raise ValueError("width and height must be >= 1")
-    pts = np.asarray(pts, dtype=np.float64)
-    out = np.empty_like(pts)
-    for axis, n in ((0, width), (1, height)):
-        if n > 1:
-            out[..., axis] = 2.0 * pts[..., axis] / (n - 1) - 1.0
-        else:
-            out[..., axis] = 0.0
-    return out
+    _check_size(width, height)
+    pts = _points(pts)
+    return np.stack([_from_axis(pts[..., 0], width), _from_axis(pts[..., 1], height)], axis=-1)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def grid_axes(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized x of every pixel column (W,) and y of every pixel row (H,),
     read-only and cached per raster shape: every warp of a shape reads the
-    same axes."""
-    xs = from_pixel(np.stack([np.arange(width, dtype=np.float64), np.zeros(width)], axis=-1), width, height)[:, 0]
-    ys = from_pixel(np.stack([np.zeros(height), np.arange(height, dtype=np.float64)], axis=-1), width, height)[:, 1]
+    same axes. The cache is typed, so a bool or float size is checked, not
+    taken for an integer one already cached."""
+    _check_size(width, height)
+    xs = _from_axis(np.arange(width, dtype=np.float64), width)
+    ys = _from_axis(np.arange(height, dtype=np.float64), height)
     xs.flags.writeable = ys.flags.writeable = False
     return xs, ys
 
@@ -315,20 +379,24 @@ def _gather_bilinear(data: np.ndarray, px: np.ndarray, py: np.ndarray, with_grad
 
 
 def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
-    """Sample ``data`` at normalized points (N,2).
+    """Sample the 2-D raster ``data`` at normalized points (..., 2).
 
-    Returns (values, grads) where grads is (N,2) in normalized units or None.
-    A NaN point raises ``ValueError``; an infinite one is clamped to the edge.
+    Returns (values, grads): values has the points' leading shape, and grads
+    is (..., 2) in normalized units, or None. A NaN point raises
+    ``ValueError``; an infinite one is clamped to the edge.
     """
+    if data.ndim != 2:
+        raise ValueError(f"data must be a 2-D raster, got shape {data.shape}")
+    pts = _points(pts)
     if np.isnan(pts).any():
         raise ValueError("sample points must not be NaN")
     h, w = data.shape
-    pix = to_pixel(pts, w, h)
+    pix = to_pixel(pts, w, h).reshape(-1, 2)
     val, gx, gy = _gather_bilinear(data, pix[:, 0], pix[:, 1], with_grad)
     if not with_grad:
-        return val, None
+        return val.reshape(pts.shape[:-1]), None
     grads = np.stack([gx * (w - 1) / 2.0, gy * (h - 1) / 2.0], axis=-1)
-    return val, grads
+    return val.reshape(pts.shape[:-1]), grads.reshape(pts.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +408,10 @@ class ResizeStencil:
     *support raster* holds just them, shape (len(rows), len(cols)). Output
     row r blends support rows ``y[0][r]`` and ``y[1][r]`` with weight
     ``y[2][r]``, output column c support columns ``x[0][c]`` and ``x[1][c]``
-    with ``x[2][c]``. A same-size resize is the identity: its support is
-    every row and column (``slice(None)``) and it has no stencil. Two
-    stencils are equal only if they are the same object.
+    with ``x[2][c]``. This is the only place that decides a same-size resize
+    is the identity: its support is every row and column (``slice(None)``)
+    and it has no stencil, so :meth:`resize` returns the support raster it
+    is given. Two stencils are equal only if they are the same object.
     """
 
     width: int
@@ -383,19 +452,6 @@ class ResizeStencil:
         return out
 
 
-def _is_int(v) -> bool:
-    """Whether ``v`` is an integer (a Python or numpy one, not a bool): the
-    rule every count, size and id the package is given must pass."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _check_size(width, height) -> None:
-    """Raise ``ValueError`` unless both are integers >= 1."""
-    for name, n in (("width", width), ("height", height)):
-        if not _is_int(n) or n < 1:
-            raise ValueError(f"target {name} must be an integer >= 1, got {n!r}")
-
-
 def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> ResizeStencil:
     """The stencil of :func:`resize_bilinear` from (src_height, src_width) to
     (height, width).
@@ -403,15 +459,16 @@ def resize_stencil(src_width: int, src_height: int, width: int, height: int) -> 
     The output pixel centers are mapped to source pixel coordinates as
     :func:`to_pixel` maps them, one axis at a time, and take the clamp and
     floor of :func:`sample_grid`, so the stencil reads the same pixels with
-    the same weights. A target size that is not an integer >= 1 raises
+    the same weights. A size that is not an integer >= 1 raises
     ``ValueError``.
     """
+    _check_size(src_width, src_height)
     _check_size(width, height)
     if (width, height) == (src_width, src_height):
         return ResizeStencil(width, height, slice(None), slice(None))
     axes = []
     for v, n in zip(grid_axes(width, height), (src_width, src_height)):
-        i0, i1, f = _axis_stencil((v + 1.0) * ((n - 1) / 2.0), n)
+        i0, i1, f = _axis_stencil((v + 1.0) * _pixel_scale(n), n)
         # a mask, not np.union1d: the first sort in a process maps about
         # 1.6 MB of numpy's sorting code
         read = np.zeros(n, dtype=bool)
@@ -427,11 +484,9 @@ def resize_bilinear(img: Image, width: int, height: int) -> Image:
 
     The source is read through :meth:`Image.pixels` over the stencil's
     support, so a source made on demand (a pending
-    :func:`~warpagg.tps.warp_image`) makes only the pixels the resize reads.
-    A target size that is not an integer >= 1 raises ``ValueError``."""
-    _check_size(width, height)
-    if width == img.width and height == img.height:
-        return Image(img.data.copy())
+    :func:`~warpagg.tps.warp_image`) makes only the pixels the resize reads;
+    a same-size resize reads every pixel into a new image. A target size
+    that is not an integer >= 1 raises ``ValueError``."""
     st = resize_stencil(img.width, img.height, width, height)
     return st.resize(img.pixels(st.rows, st.cols))
 

@@ -52,7 +52,7 @@ class TestForward:
         assert np.array_equal(predict_heatmaps(a, img16), predict_heatmaps(b, img16))
 
     def test_size_mismatch(self, det16):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="image is 32x32, detector expects 16x16"):
             predict_heatmaps(det16, blob_image(32))
 
     def test_zero_size_rejected(self):
@@ -73,6 +73,10 @@ class TestForward:
         (dict(input_size=(16.0, 16.0)), "two positive integers"),
         (dict(input_size=(16, 16.5)), "two positive integers"),
         (dict(input_size=(True, 16)), "two positive integers"),
+        (dict(input_size=64), "two positive integers"),
+        (dict(input_size=(16, 16, 16)), "two positive integers"),
+        (dict(input_size=[16, 16]), "two positive integers"),
+        (dict(input_size=(16, 18)), "divisible by 4"),
         (dict(seed=2.5), "seed must be an integer"),
     ], ids=repr)
     def test_non_integer_settings_rejected(self, kwargs, message):

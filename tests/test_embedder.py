@@ -39,7 +39,7 @@ class TestEmbed:
         assert d < 1e-3
 
     def test_dimension_mismatch(self, emb):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="image is 16x16, embedder expects 32x32"):
             embed(emb, blob_image(16))
 
 
@@ -65,6 +65,10 @@ class TestConstruct:
         (dict(input_size=(32.0, 32.0)), "two positive integers"),
         (dict(input_size=(32, 32.5)), "two positive integers"),
         (dict(input_size=(True, 32)), "two positive integers"),
+        (dict(input_size=64), "two positive integers"),
+        (dict(input_size=(32, 32, 32)), "two positive integers"),
+        (dict(input_size=[32, 32]), "two positive integers"),
+        (dict(input_size=(32, 40)), "divisible by 16"),
         (dict(seed=2.5), "seed must be an integer"),
     ], ids=repr)
     def test_non_integer_settings_rejected(self, kwargs, message):

@@ -200,7 +200,13 @@ class TestPairValidation:
         (dict(vertical_pairs=((0, 7),)), "outside 0..4"),
         (dict(mirror_pairs=((2, 2),)), "with itself"),
         (dict(vertical_pairs=((-1, 2),)), "outside 0..4"),
-    ], ids=["chained-mirror", "mirror-out-of-range", "vertical-out-of-range", "mirror-self", "vertical-negative"])
+        # a bare TypeError and Python's "too many values to unpack"
+        (dict(mirror_pairs=(0, 1)), "mirror_pairs must be a sequence of"),
+        (dict(mirror_pairs=((0, 1, 2),)), "mirror_pairs must be a sequence of"),
+        (dict(vertical_pairs=((0, 1), [2])), "vertical_pairs must be a sequence of"),
+        (dict(vertical_pairs=3), "vertical_pairs must be a sequence of"),
+    ], ids=["chained-mirror", "mirror-out-of-range", "vertical-out-of-range", "mirror-self", "vertical-negative",
+            "mirror-not-pairs", "mirror-triple", "vertical-one-item", "vertical-not-a-sequence"])
     def test_bad_pairs_rejected_when_built(self, pairs, message):
         membership = assign_groups(68, "ibug68").membership
         with pytest.raises(ValueError, match=message):

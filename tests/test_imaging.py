@@ -17,6 +17,7 @@ from warpagg.imaging import (
     _cotangent,
     _scatter,
     from_pixel,
+    grid_axes,
     load_image,
     resize_bilinear,
     resize_bilinear_vjp,
@@ -252,6 +253,34 @@ class TestCoordinates:
         with pytest.raises(ValueError):
             to_pixel([0.0, 0.0], 0, 4)
 
+    # from_pixel read a third element from uninitialised memory, the (3, 1)
+    # column was broadcast against both scales and sampled the diagonal,
+    # and the rest raised numpy's broadcast or unpacking errors
+    @pytest.mark.parametrize("call,message", [
+        (lambda: from_pixel(np.zeros(3), 4, 4), r"shape \(\.\.\., 2\)"),
+        (lambda: from_pixel(np.zeros((2, 1)), 4, 4), r"shape \(\.\.\., 2\)"),
+        (lambda: to_pixel(np.zeros((3, 3)), 4, 4), r"shape \(\.\.\., 2\)"),
+        (lambda: to_pixel(0.5, 4, 4), r"shape \(\.\.\., 2\)"),
+        (lambda: sample_grid(np.zeros((4, 4)), np.zeros((3, 1))), r"shape \(\.\.\., 2\)"),
+        (lambda: sample_grid(np.zeros((4, 4)), np.zeros((3, 1)), True), r"shape \(\.\.\., 2\)"),
+        (lambda: sample_grid(np.zeros(4), np.zeros((3, 2))), "2-D raster"),
+        (lambda: sample_grid(np.zeros((2, 4, 4)), np.zeros((3, 2))), "2-D raster"),
+        (lambda: sample_grid(np.zeros((0, 4)), np.zeros((3, 2))), "height must be an integer >= 1"),
+    ], ids=["from-1d", "from-one-column", "to-three-columns", "to-scalar", "sample-one-column",
+            "sample-one-column-grad", "sample-1d-data", "sample-3d-data", "sample-empty-data"])
+    def test_points_must_be_pairs_and_data_a_raster(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_points_of_any_leading_shape(self):
+        data = blob_image(9, seed=4).data
+        pts = np.random.default_rng(5).uniform(-1.2, 1.2, (3, 4, 2))
+        flat_v, flat_g = sample_grid(data, pts.reshape(-1, 2), True)
+        v, g = sample_grid(data, pts, True)
+        assert np.array_equal(v, flat_v.reshape(3, 4)) and np.array_equal(g, flat_g.reshape(3, 4, 2))
+        assert np.array_equal(to_pixel(pts, 9, 7), to_pixel(pts.reshape(-1, 2), 9, 7).reshape(3, 4, 2))
+        assert np.array_equal(from_pixel(pts, 9, 7), from_pixel(pts.reshape(-1, 2), 9, 7).reshape(3, 4, 2))
+
     @given(
         st.floats(-1, 1), st.floats(-1, 1),
         st.integers(2, 512), st.integers(2, 512),
@@ -430,6 +459,16 @@ class TestResizeSize:
     @pytest.mark.parametrize("w,h", [(-1, 4), (4, -1), (0, 4), (4.5, 4), (4, 4.5), (8.0, 8), ("4", 4), (None, 4),
                                      (True, True), (True, 4), (4, True)])
     def test_a_size_that_is_not_an_integer_of_at_least_one_raises(self, w, h):
+        # the coordinate maps and the grid axes share the resize's rule:
+        # to_pixel(pts, 4.5, 4) returned points, grid_axes(4.5, 4) raised
+        # numpy's TypeError, and a bool size was taken for 1
+        for call in (to_pixel, from_pixel):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                call(np.zeros((1, 2)), w, h)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            grid_axes(w, h)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            resize_stencil(w, h, 8, 8)
         img = blob_image(8, seed=14)
         with pytest.raises(ValueError, match="integer >= 1"):
             resize_bilinear(img, w, h)
