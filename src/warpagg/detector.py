@@ -147,9 +147,11 @@ def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
 def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intensity-weighted centroid of each map, in normalized coordinates.
 
-    Returns (landmarks (L,2), per-map mass (L,)). All-zero maps raise
-    :class:`DegenerateHeatmapError`; negative or non-finite values and a
-    stack with no maps or a zero-size axis are invalid input.
+    Returns (landmarks (L,2) in [-1, 1], per-map mass (L,)). All-zero maps
+    raise :class:`DegenerateHeatmapError`; negative or non-finite values, a
+    stack with no maps or a zero-size axis, and maps whose sums overflow
+    float64 raise ``ValueError``. A centroid that rounding puts past the
+    last pixel is clamped to it.
     """
     heat = np.asarray(heat, dtype=np.float64)
     if heat.ndim != 3:
@@ -161,15 +163,18 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if heat.min() < 0:
         raise ValueError("heatmaps must be nonnegative")
     n, h, w = heat.shape
-    mass = heat.sum(axis=(1, 2))
-    if np.any(mass <= 0.0):
-        bad = int(np.argmin(mass))
-        raise DegenerateHeatmapError(f"map {bad} has zero total mass")
-    us = np.arange(h, dtype=np.float64)
-    vs = np.arange(w, dtype=np.float64)
-    ys = (heat.sum(axis=2) @ us) / mass
-    xs = (heat.sum(axis=1) @ vs) / mass
-    return from_pixel(np.stack([xs, ys], axis=-1), w, h), mass
+    # an overflowing sum is inf (or nan, as inf * 0), and is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = heat.sum(axis=(1, 2))
+        if np.any(mass <= 0.0):
+            raise DegenerateHeatmapError(f"map {int(np.argmin(mass))} has zero total mass")
+        ys = (heat.sum(axis=2) @ np.arange(h, dtype=np.float64)) / mass
+        xs = (heat.sum(axis=1) @ np.arange(w, dtype=np.float64)) / mass
+    if not np.isfinite([mass, xs, ys]).all():
+        raise ValueError("heatmap sums overflow float64")
+    # no centroid lies before the first pixel, but rounding can put one past
+    # the last
+    return from_pixel(np.minimum(np.stack([xs, ys], axis=-1), (w - 1, h - 1)), w, h), mass
 
 
 def checkpoint_bytes(det: ToyDetector, meta: dict | None = None) -> bytes:

@@ -6,38 +6,35 @@ above eyes and mirror pairs symmetric), and the group-constrained adversarial
 attack where every sign-step is projected onto the per-group similarity
 family before clipping.
 
-Known transforms and the attack's projection run on arrays that
-``SemanticGroups`` builds once: a padded (count, width) landmark index whose
-pads repeat the group's last landmark, its validity mask and the group
-sizes. Each step keeps the bits of the per-group loop it replaced, which
-tests/test_groups.py keeps as its oracle:
+Known transforms and the attack's projection run on one layout that
+``SemanticGroups`` builds once: ``_blocks``, the groups of each size with
+their landmark indices as one (k, n) array. Every per-group reduction
+(:func:`_per_group`) gathers each size's groups as one (..., k, n, 2) block
+and reduces it. Each step keeps the bits of the per-group loop it replaced,
+which tests/test_groups.py keeps as its oracle:
 
-- Group means are sums along the padded axis, pads -0.0, over the size.
-  Such a sum adds the rows in turn, as ``mean(axis=0)`` does on one group's
-  (n, 2) block, and x + -0.0 is x for every x. ``np.add.reduceat`` adds in
-  another order and is not used.
-- Signed zero: numpy 2.4 starts every sum at +0.0, so no group sum is -0.0
-  and a +0.0 pad would be exact too. A numpy that seeded a sum with its first
-  row would keep an all -0.0 group's sum at -0.0; a +0.0 pad would then make
-  its mean +0.0 and, with a -0.0 center, flip a zero in ``apply_groups``.
+- A group mean is ``mean`` over the block's landmark axis: a sum that adds
+  the rows in turn, over the size, as ``mean(axis=0)`` does on one group's
+  (n, 2) array. ``np.add.reduceat`` adds in another order and is not used.
 - One (drawn groups, 3) ``rng.uniform`` draw per attempt gives the same
   doubles, in the same order, as one scale and one offset per group.
 - Every landmark moves by ``scale[mem] * (p - mean[mem]) + center[mem]``,
   the operations the per-group transform makes.
-- Vertical extremes ignore the repeated pads; a group's peak displacement
-  may read them, since a repeated value leaves a maximum as is.
-- Sums of products stay per group: each group's spread and correlation
-  are summed over its own unpadded (n, 2) block, batched by size, as
-  ``fit_group_similarity`` sums them, and one rule (``_scale``) turns them
-  into scales. The projection raises for the first failing group in gid
-  order; the mirror check raises or returns pair by pair.
+- A group's spread and its correlation are each one sum over its whole
+  (n, 2) block, as ``fit_group_similarity``'s ``.sum()`` is, and one rule
+  (``_scale``) turns them into scales. Its peak displacement is the
+  maximum over the same block. The projection raises for the first
+  failing group in gid order; the vertical and mirror checks return or
+  raise pair by pair.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,9 +74,8 @@ class SemanticGroups:
     membership: np.ndarray
     mirror_pairs: tuple[tuple[int, int], ...] = ()
     vertical_pairs: tuple[tuple[int, int], ...] = ()
-    # __post_init__ also sets ``_indices``, the padded layout (``_padded``,
-    # ``_valid``, ``_sizes``), the per-size table ``_blocks`` and the index
-    # arrays the checks and draws use
+    # __post_init__ also sets ``_indices``, the per-size table ``_blocks``
+    # and the index arrays the draws use
 
     def __post_init__(self) -> None:
         if not _is_int(self.count):
@@ -112,20 +108,13 @@ class SemanticGroups:
             raise ValueError(f"mirror_pairs {self.mirror_pairs} put a group in more than one pair")
 
         # Landmark indices of each group in ascending order (a stable sort),
-        # one row per group padded to the widest group with the group's last
-        # landmark, and the group ids of each size. Built from Python lists:
-        # at these sizes each numpy call costs more than the list work it
-        # would replace.
+        # and the group ids of each size. Built from Python lists: at these
+        # sizes each numpy call costs more than the list work it would
+        # replace.
         order = np.argsort(mem, kind="stable")
         ranks = order.tolist()
-        width = max(sizes)
-        rows, valid, ends, end, by_size = [], [], [], 0, {}
-        for gid, n in enumerate(sizes):
-            end += n
-            ends.append(end)
-            rows.append(ranks[end - n:end] + ranks[end - 1:end] * (width - n))
-            valid.append([True] * n + [False] * (width - n))
-            by_size.setdefault(n, []).append(gid)
+        spans = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
+        by_size = {n: [gid for gid, m in enumerate(sizes) if m == n] for n in sizes}
         mem.flags.writeable = order.flags.writeable = False
 
         # each group's row of the per-attempt draw: the second group of a
@@ -137,15 +126,10 @@ class SemanticGroups:
         # frozen, so the fields are set through the instance dict
         vars(self).update(
             membership=mem,
-            _indices=tuple(order[end - n:end] for end, n in zip(ends, sizes)),
-            _padded=np.array(rows, dtype=np.intp),
-            _valid=np.array(valid)[:, :, None],
-            _sizes=np.array(sizes, dtype=np.float64)[:, None],
+            _indices=tuple(order[span] for span in spans),
             # (group ids, (k, n) landmark index) per size
-            _blocks=tuple((np.array(ids), np.array([rows[gid][:n] for gid in ids]))
-                          for n, ids in by_size.items()),
-            _vertical=np.array([[rows[upper] for upper, _ in self.vertical_pairs],
-                                [rows[lower] for _, lower in self.vertical_pairs]], dtype=np.intp),
+            _blocks=tuple((np.array(ids), np.array([ranks[spans[gid]] for gid in ids]))
+                          for ids in by_size.values()),
             _draw_row=np.array([row_of[partner.get(gid, gid)] for gid in range(self.count)]),
             _mirror_sign=np.array([(-1.0, 1.0) if gid in partner else (1.0, 1.0)
                                    for gid in range(self.count)]),
@@ -164,12 +148,13 @@ class GroupSimilarity:
     center: np.ndarray  # (2,) location the group mean maps to
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.center, dtype=np.float64).reshape(2)
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be finite and positive")
-        if not all(map(math.isfinite, c.tolist())):
-            raise ValueError("center must be finite")
-        object.__setattr__(self, "center", c)
+        if not (isinstance(self.scale, numbers.Real) and not isinstance(self.scale, bool)
+                and math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
+        c = np.asarray(self.center, dtype=np.float64)
+        if c.size != 2 or not all(map(math.isfinite, c.ravel().tolist())):
+            raise ValueError(f"center must be finite and hold 2 coordinates, got {self.center!r}")
+        object.__setattr__(self, "center", c.reshape(2))
 
 
 # iBUG 68-point layout: jaw 0-16, right brow 17-21, left brow 22-26,
@@ -239,9 +224,29 @@ def _landmarks(groups: SemanticGroups, points) -> np.ndarray:
     return pts
 
 
+def _per_group(groups: SemanticGroups, values: np.ndarray, reduce, axis) -> np.ndarray:
+    """``reduce(block, axis, keepdims=True)`` of every group's rows of
+    ``values`` (..., N, 2), as (..., count, 1, 2 or 1) in gid order. The
+    groups of each size are gathered as one (..., k, n, 2) block and
+    reduced together."""
+    out = None
+    for ids, sel in groups._blocks:
+        block = reduce(np.take(values, sel, axis=-2), axis, keepdims=True)
+        if out is None:
+            out = np.empty(block.shape[:-3] + (groups.count,) + block.shape[-2:])
+        out[..., ids, :, :] = block
+    return out
+
+
+def _mean(block: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """``block.mean(axis, keepdims=keepdims)`` bit for bit: ``mean`` also
+    divides this sum by the size, at several times the per-call cost."""
+    return np.add.reduce(block, axis, keepdims=keepdims) / block.shape[axis]
+
+
 def _group_means(groups: SemanticGroups, pts: np.ndarray) -> np.ndarray:
-    """(count, 2) means: sums along the padded axis, pads -0.0, over the sizes."""
-    return np.where(groups._valid, pts[groups._padded], -0.0).sum(axis=1) / groups._sizes
+    """(..., count, 2) means of the landmarks ``pts`` (..., N, 2)."""
+    return _per_group(groups, pts, _mean, -2)[..., 0, :]
 
 
 def apply_groups(points: np.ndarray, groups: SemanticGroups,
@@ -286,23 +291,20 @@ def fit_group_similarity(points: np.ndarray, targets: np.ndarray) -> GroupSimila
 def _spread_and_corr(groups: SemanticGroups, base_c, moved_c):
     """Every group's spread and correlation for :func:`_scale`, as two lists
     in gid order, from the landmarks centered on their group means before
-    and after the move. Each group's products are summed over its own
-    (n, 2) block, gathered per size, as :func:`fit_group_similarity` sums
+    and after the move. Each group's products are summed over its whole
+    (n, 2) block in one reduction, as :func:`fit_group_similarity` sums
     them. A sum that overflows is not finite, and ``_scale`` rejects it."""
-    sums = np.empty((2, groups.count))
     with np.errstate(over="ignore", invalid="ignore"):
         prods = base_c * np.stack([base_c, moved_c])
-        for ids, sel in groups._blocks:
-            sums[:, ids] = np.take(prods, sel, axis=1).sum(axis=(2, 3))
-    return sums.tolist()
+        return _per_group(groups, prods, np.add.reduce, (-2, -1))[:, :, 0, 0].tolist()
 
 
 def _structure_ok(groups: SemanticGroups, base_c, means, moved) -> bool:
     """:func:`validate_structure` on checked landmarks, given the base
     centered on its group means and those means."""
-    if groups.vertical_pairs:
-        upper, lower = moved[groups._vertical, 1]
-        if (upper.max(axis=1) > lower.min(axis=1) - STRUCTURE_TOL).any():
+    y = moved[:, 1]
+    for upper, lower in groups.vertical_pairs:
+        if y[groups.indices(upper)].max() > y[groups.indices(lower)].min() - STRUCTURE_TOL:
             return False
     moved_means = _group_means(groups, moved)
     offsets = (moved_means - means).tolist()
@@ -371,11 +373,11 @@ def _project_and_clip(points: np.ndarray, stepped: np.ndarray,
     :func:`apply_groups` moves it; a group within ``radius`` shrinks by
     exactly 1.0."""
     mem = groups.membership
-    centers = _group_means(groups, stepped)
-    centered = points - _group_means(groups, points)[mem]
+    means, centers = _group_means(groups, np.stack([points, stepped]))
+    centered = points - means[mem]
     scale = np.array(list(map(_scale, *_spread_and_corr(groups, centered, stepped - centers[mem]))))
     disp = scale[mem, None] * centered + centers[mem] - points
-    peak = np.abs(disp)[groups._padded].max(axis=(1, 2))
+    peak = _per_group(groups, np.abs(disp), np.maximum.reduce, (-2, -1))[:, 0, 0]
     return points + (radius / np.maximum(peak, radius))[mem, None] * disp
 
 

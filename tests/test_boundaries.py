@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from warpagg.detector import ToyDetector, predict_heatmaps
+from warpagg.detector import DegenerateHeatmapError, ToyDetector, predict_heatmaps, soft_argmax
 from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import SemanticGroups
 from warpagg.imaging import (
@@ -130,6 +130,29 @@ def test_resize_and_sampler(src_w, src_h, width, height, raster, pts, with_grad,
         assert vals.shape == pts.shape[:-1]
         assert np.all(grid.min() - 1e-12 <= vals) and np.all(vals <= grid.max() + 1e-12)
         assert grads is None if not with_grad else grads.shape == pts.shape and np.all(np.isfinite(grads))
+
+
+# heatmap values: zeros (so that whole maps can be empty), subnormals,
+# ordinary magnitudes, and magnitudes up to 1e308, whose sums overflow
+HEAT = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
+                 st.floats(0.0, 1e3), st.floats(1e300, 1e308))
+
+
+@BOUNDARY
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 8)),
+              elements=HEAT))
+def test_soft_argmax(heat):
+    out = _call(soft_argmax, heat)
+    if not heat.any(axis=(1, 2)).all():
+        assert isinstance(out, DegenerateHeatmapError)
+    elif heat.max() < 1e300 or not isinstance(out, ValueError):
+        # at most 192 values below 1e300, times a pixel index below 8,
+        # cannot reach float64's limit
+        pts, mass = out
+        assert pts.shape == (heat.shape[0], 2) and np.all(np.abs(pts) <= 1.0)
+        assert np.all(np.isfinite(mass) & (mass > 0.0))
+    else:
+        assert _rejected(out, "overflow")
 
 
 # 4 suits the detector alone

@@ -199,6 +199,25 @@ class TestSoftArgmax:
         with pytest.raises(ValueError, match="finite"):
             soft_argmax(heat)
 
+    @pytest.mark.parametrize("spikes", [
+        [((slice(None), slice(None)), 1e308)],  # the mass overflows
+        [((2, 2), 1e308), ((0, 0), 1e-300)],  # the mass holds, 2 * 1e308 does not
+    ])
+    def test_overflowing_sums_rejected(self, spikes):
+        heat = np.zeros((1, 3, 3))
+        for at, value in spikes:
+            heat[(0, *at)] = value
+        with pytest.raises(ValueError, match="overflow"):
+            soft_argmax(heat)
+
+    def test_centroid_rounded_past_the_edge_is_clamped(self):
+        # 3 * 0.1 rounds up, and 0.30000000000000004 / 0.1 is
+        # 3.0000000000000004, past the last pixel center
+        heat = np.zeros((1, 4, 4))
+        heat[0, 3, 3] = 0.1
+        pts, _ = soft_argmax(heat)
+        assert pts.tolist() == [[1.0, 1.0]]
+
     @pytest.mark.parametrize("shape", [(3, 0, 5), (0, 4, 4)])
     def test_empty_stack_rejected(self, shape):
         with pytest.raises(ValueError, match="at least one pixel"):

@@ -25,8 +25,8 @@ from warpagg.groups import (
 )
 
 
-# The per-group loops the padded array path replaced, kept as the oracle its
-# outputs must equal bit for bit.
+# The per-group loops the array path replaced, kept as the oracle its outputs
+# must equal bit for bit.
 def group_mean(points):
     return np.asarray(points, dtype=np.float64).mean(axis=0)
 
@@ -485,7 +485,7 @@ class TestGroupedAdversarial:
 
 
 class TestArrayOracle:
-    """The padded array path against the per-group loops, bit for bit."""
+    """The array path against the per-group loops, bit for bit."""
 
     @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68), ("interleaved", 12)])
     def test_sampling_matches_loop_on_3000_draws(self, scheme, length):
@@ -535,7 +535,7 @@ class TestArrayOracle:
         assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("scheme,length", [("synthetic", 12), ("ibug68", 68), ("interleaved", 12)])
-    def test_padded_means_are_per_group_means(self, scheme, length):
+    def test_block_means_are_per_group_means(self, scheme, length):
         g = oracle_groups(scheme, length)
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -544,8 +544,9 @@ class TestArrayOracle:
             for gid in range(g.count):
                 assert same_bits(means[gid], pts[g.indices(gid)].mean(axis=0))
 
-    def test_padded_means_on_uneven_groups(self):
-        # groups of 2 to 30 landmarks, interleaved, so most rows carry pads
+    def test_block_means_on_uneven_groups(self):
+        # groups of 2 to 30 landmarks, interleaved, so a size's block mostly
+        # holds one group and the blocks are not in gid order
         rng = np.random.default_rng(8)
         for _ in range(200):
             sizes = rng.integers(2, 31, rng.integers(1, 7))
@@ -606,7 +607,7 @@ class TestSignedZero:
     def test_mean_of_negative_zero_group(self):
         g = assign_groups(68, "ibug68")
         pts = np.random.default_rng(9).uniform(-0.5, 0.5, (68, 2))
-        nose = g.indices(2)  # 9 landmarks, padded to 20
+        nose = g.indices(2)  # 9 landmarks, the only group of its size
         pts[nose] = -0.0
         assert same_bits(_group_means(g, pts)[2], group_mean(pts[nose]))
 
@@ -661,6 +662,17 @@ class TestLandmarkChecks:
             GroupSimilarity(1.0, [bad, 0.0])
         with pytest.raises(ValueError, match="center must be finite"):
             GroupSimilarity(1.0, [0.0, bad])
+
+    @pytest.mark.parametrize("scale,center,message", [
+        (1.0, (0, 0, 0), "center must be finite and hold 2 coordinates"),
+        (1.0, (0,), "center must be finite and hold 2 coordinates"),
+        ("1", (0, 0), "scale must be finite and positive"),
+        (True, (0, 0), "scale must be finite and positive"),
+        (None, (0, 0), "scale must be finite and positive"),
+    ])
+    def test_malformed_similarity_rejected(self, scale, center, message):
+        with pytest.raises(ValueError, match=message):
+            GroupSimilarity(scale, center)
 
 
 def verdict_or_error(check, *args):
