@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
-from .imaging import Image, ResizeStencil, _is_int, resize_bilinear, resize_stencil
+from .imaging import Image, ResizeStencil, _is_int, _is_real, resize_bilinear, resize_stencil
 from .tps import DEFAULT_LAMBDA, warp_image, warp_with_vjp
 
 logger = logging.getLogger(__name__)
@@ -68,14 +68,15 @@ class AttackConfig:
             n = getattr(self, name)
             if not _is_int(n) or n < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-        # NaN fails every comparison, so a plain bound would let it through
-        if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):
+        # finite real numbers (see _is_real): NaN fails every comparison, so a
+        # plain bound would let it through
+        if not (_is_real(self.distance_threshold) and self.distance_threshold >= 0):
             raise ValueError("distance_threshold must be finite and >= 0")
-        if not (math.isfinite(self.clip_radius) and self.clip_radius > 0):
+        if not (_is_real(self.clip_radius) and self.clip_radius > 0):
             raise ValueError("clip_radius must be finite and > 0")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
+        if not (_is_real(self.step_size) and self.step_size > 0):
             raise ValueError("step_size must be finite and > 0")
-        if not (math.isfinite(self.tps_lambda) and self.tps_lambda >= 0):
+        if not (_is_real(self.tps_lambda) and self.tps_lambda >= 0):
             raise ValueError("tps_lambda must be finite and >= 0")
 
 

@@ -158,9 +158,10 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("heatmap stack must have shape (L, H, W)")
     if heat.size == 0:
         raise ValueError(f"heatmap stack must hold at least one pixel, got shape {heat.shape}")
-    if not np.isfinite(heat).all():
+    lo, hi = heat.min(), heat.max()  # NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("heatmaps must be finite")
-    if heat.min() < 0:
+    if lo < 0:
         raise ValueError("heatmaps must be nonnegative")
     n, h, w = heat.shape
     # an overflowing sum is inf (or nan, as inf * 0), and is rejected below

@@ -31,7 +31,6 @@ which tests/test_groups.py keeps as its oracle:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -40,7 +39,7 @@ import numpy as np
 
 from .attack import AttackConfig, ManipulatedFace, generate_adversarial_set
 from .embedder import ToyEmbedder
-from .imaging import Image, _is_int
+from .imaging import Image, _is_int, _is_real
 
 # Normalized coordinates span [-1, 1], so the image width in those units is 2.
 NORMALIZED_WIDTH = 2.0
@@ -148,8 +147,7 @@ class GroupSimilarity:
     center: np.ndarray  # (2,) location the group mean maps to
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.scale, numbers.Real) and not isinstance(self.scale, bool)
-                and math.isfinite(self.scale) and self.scale > 0):
+        if not (_is_real(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         c = np.asarray(self.center, dtype=np.float64)
         if c.size != 2 or not all(map(math.isfinite, c.ravel().tolist())):

@@ -10,6 +10,10 @@ outside the raster are clamped to the edge.
 Each rule the warp, the resize and the networks must agree on is written
 once, here:
 
+- settings: :func:`_is_int` (an integer, not a bool) is the rule for every
+  count, size and id, and :func:`_is_real` (a real number, not a bool, that
+  a float holds finitely) the rule for the attack's float settings and a
+  group's scale;
 - raster sizes: :func:`_check_size` (integers >= 1, not bools) is the only
   width/height check; the coordinate maps, :func:`grid_axes`,
   :func:`sample_grid` (through :func:`to_pixel`) and :func:`resize_stencil`
@@ -30,6 +34,9 @@ once, here:
 from __future__ import annotations
 
 import functools
+import math
+import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,9 +80,10 @@ class Image:
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image data must be 2-D and non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()  # NaN propagates through both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("image intensities must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("image intensities must lie in [0,1]")
         object.__setattr__(self, "data", arr)
 
@@ -97,87 +105,72 @@ class Image:
         return Image(self.data[np.ix_(rows, cols)])
 
 
-def _header_tokens(buf: bytes):
-    """Yield (token, end_offset) for whitespace/comment-delimited header fields."""
-    i, n = 0, len(buf)
-    while True:
-        while i < n and buf[i : i + 1].isspace():
-            i += 1
-        if i < n and buf[i : i + 1] == b"#":
-            while i < n and buf[i : i + 1] != b"\n":
-                i += 1
-            continue
-        if i >= n:
-            return
-        j = i
-        while j < n and not buf[j : j + 1].isspace() and buf[j : j + 1] != b"#":
-            j += 1
-        yield buf[i:j], j
-        i = j
+# One header field or plain sample at the start of a match: whitespace and
+# comments are skipped, then group 1 is the run of bytes up to the next
+# whitespace or "#". A comment must end at a line end or at the end of the
+# file, so no byte of a comment that ends the file is given back as a field.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
 
 
 def load_image(path) -> Image:
-    """Read a binary (P5) or ASCII (P2) portable graymap, scaled by its maxval."""
+    """Read a binary (P5) or ASCII (P2) portable graymap, scaled by its maxval.
+
+    Header fields and plain samples are separated by whitespace and by
+    comments, which run from ``#`` to the end of their line. A binary raster
+    starts after the one byte that ends maxval. Every failure raises a
+    :class:`PgmError`, and a payload too short for the header's size does so
+    before a raster is allocated.
+    """
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such image file: {p}")
     buf = p.read_bytes()
-    toks = _header_tokens(buf)
-    try:
-        magic, _ = next(toks)
-    except StopIteration:
-        raise PgmHeaderError("empty file") from None
+    tok = _TOKEN.match(buf)
+    if tok is None:
+        raise PgmHeaderError("empty file")
+    magic = tok[1]
     if magic in (b"P1", b"P3", b"P4", b"P6"):
-        raise PgmUnsupportedError(
-            f"{magic.decode('ascii')} not supported; only grayscale P2/P5 maps"
-        )
+        raise PgmUnsupportedError(f"{magic.decode('ascii')} not supported; only grayscale P2/P5 maps")
     if magic not in (b"P2", b"P5"):
         raise PgmHeaderError(f"not a portable graymap (magic {magic[:8]!r})")
     fields = []
-    end = 0
     for name in ("width", "height", "maxval"):
+        tok = _TOKEN.match(buf, tok.end())
+        if tok is None:
+            raise PgmHeaderError(f"header ends before {name}")
         try:
-            tok, end = next(toks)
-        except StopIteration:
-            raise PgmHeaderError(f"header ends before {name}") from None
-        try:
-            fields.append(int(tok))
+            fields.append(int(tok[1]))
         except ValueError:
-            raise PgmHeaderError(f"non-integer {name} field {tok!r}") from None
+            raise PgmHeaderError(f"non-integer {name} field {tok[1]!r}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PgmHeaderError("width and height must be positive")
     if not 1 <= maxval <= 65535:
         raise PgmHeaderError(f"maxval {maxval} outside [1, 65535]")
 
-    count = width * height
+    count, end = width * height, tok.end()
     if magic == b"P5":
-        raster = buf[end + 1 :]  # exactly one whitespace byte after maxval
-        bpp = 1 if maxval < 256 else 2
-        need = count * bpp
-        if len(raster) < need:
-            raise PgmTruncatedError(f"expected {need} raster bytes, got {len(raster)}")
-        dtype = np.uint8 if bpp == 1 else np.dtype(">u2")
-        samples = np.frombuffer(raster[:need], dtype=dtype).astype(np.float64)
+        # the raster starts after exactly one whitespace byte after maxval
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        need, have = count * dtype.itemsize, max(len(buf) - end - 1, 0)
+        if have < need:
+            raise PgmTruncatedError(f"expected {need} raster bytes, got {have}")
+        samples = np.frombuffer(buf, dtype, count, end + 1).astype(np.float64)
     else:
         # each sample is at least one digit after one delimiter byte, so a
         # payload this short cannot hold the header's width*height samples
         if len(buf) - end < 2 * count:
-            raise PgmTruncatedError(
-                f"expected {count} samples, payload has only {len(buf) - end} bytes"
-            )
-        samples = np.empty(count, dtype=np.float64)
-        for k in range(count):
-            try:
-                tok, end = next(toks)
-            except StopIteration:
-                raise PgmTruncatedError(f"expected {count} samples, got {k}") from None
-            try:
-                samples[k] = int(tok)
-            except ValueError:
-                raise PgmDataError(f"non-integer sample {tok!r}") from None
-            except OverflowError:
-                raise PgmDataError("sample value exceeds maxval") from None
+            raise PgmTruncatedError(f"expected {count} samples, payload has only {len(buf) - end} bytes")
+        # the samples are the first width*height tokens once the comments
+        # are blanked; they are converted before they are counted, so a bad
+        # sample is a data error in a short payload too
+        tokens = re.sub(rb"#[^\n]*", b" ", buf[end:]).split(maxsplit=count)[:count]
+        try:
+            samples = np.array(list(map(int, tokens)), dtype=np.float64)
+        except (ValueError, OverflowError) as err:  # not an integer, or too large for a float
+            raise PgmDataError(f"invalid sample: {err}") from None
+        if len(samples) < count:
+            raise PgmTruncatedError(f"expected {count} samples, got {len(samples)}")
     if samples.min() < 0 or samples.max() > maxval:
         raise PgmDataError("sample value exceeds maxval")
     samples /= maxval  # in place: no second full-size float64 raster
@@ -195,6 +188,16 @@ def _is_int(v) -> bool:
     """Whether ``v`` is an integer (a Python or numpy one, not a bool): the
     rule every count, size and id the package is given must pass."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number (a Python or numpy one, not a bool)
+    that is finite as a float: the rule the attack's float settings and a
+    group's scale must pass. An integer too large for a float fails."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_size(width, height) -> None:

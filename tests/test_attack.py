@@ -324,20 +324,22 @@ class TestStepAndClip:
 
 
 class TestConfig:
-    """Every float field must be finite: NaN fails every comparison, so a
-    NaN threshold would stop each branch at iteration 0, unflagged."""
+    """Every float field must be a finite real number: NaN fails every
+    comparison, so a NaN threshold would stop each branch at iteration 0,
+    unflagged. A string, None, a complex number, a bool or an integer too
+    large for a float is rejected with the same ``ValueError``."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "0.5"])
     def test_distance_threshold(self, bad):
         with pytest.raises(ValueError, match="distance_threshold"):
             AttackConfig(distance_threshold=bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, None, pytest.param(10**400, id="huge-int")])
     def test_clip_radius(self, bad):
         with pytest.raises(ValueError, match="clip_radius"):
             AttackConfig(clip_radius=bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, 1 + 0j, True])
     def test_step_size(self, bad):
         with pytest.raises(ValueError, match="step_size"):
             AttackConfig(step_size=bad)

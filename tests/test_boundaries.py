@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from warpagg.attack import AttackConfig
 from warpagg.detector import DegenerateHeatmapError, ToyDetector, predict_heatmaps, soft_argmax
 from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import SemanticGroups
@@ -27,6 +28,7 @@ from warpagg.imaging import (
     sample_grid,
     to_pixel,
 )
+from warpagg.tps import COORD_LIMIT, DegenerateControlPointsError, eval_tps, fit_tps, invert_landmarks
 
 BOUNDARY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -215,3 +217,119 @@ def test_group_pairs(mirror, vertical):
         # the message names a field that is wrong
         named = [name for name, ok in (("mirror_pairs", mirror_ok), ("vertical_pairs", vertical_ok)) if not ok]
         assert isinstance(out, ValueError) and any(name in str(out) for name in named)
+
+
+# a spline's point set: unit-scale coordinates, scaled as a whole down to
+# subnormals or up to COORD_LIMIT, and in one draw in five one coordinate
+# replaced by NaN, an infinity, a subnormal or a magnitude at, just past or
+# far past the bound
+SCALES = st.one_of(st.just(1.0), st.sampled_from([1e-3, 1e-300, 1e-320, 1e99, COORD_LIMIT]))
+ODD_COORDS = st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -COORD_LIMIT,
+                              np.nextafter(COORD_LIMIT, np.inf), 1e200])
+# valid ridges in three draws in four
+LAMBDAS = st.one_of(st.sampled_from([0.0, 1e-6, 1e-4]), st.sampled_from([0.0, 1e-6, 1e-4, -1.0, np.nan, np.inf]))
+
+
+@st.composite
+def _control_points(draw, count=None):
+    """0-6 points (3-6 in one draw in two), or ``count``: drawn freely, or
+    with the last point on (or one ulp from) the first, or all on one line."""
+    n = draw(st.one_of(st.integers(3, 6), st.integers(0, 6))) if count is None else count
+    # no fill value, so that every coordinate is drawn for itself
+    pts = draw(arrays(np.float64, (n, 2), elements=st.floats(-1.0, 1.0), fill=st.nothing()))
+    kind = draw(st.sampled_from(["free", "free", "coincident", "near", "collinear"]))
+    if n >= 2 and kind == "coincident":
+        pts[-1] = pts[0]
+    elif n >= 2 and kind == "near":
+        pts[-1] = np.nextafter(pts[0], np.inf)
+    elif n >= 2 and kind == "collinear":
+        pts = pts[0] + draw(arrays(np.float64, (n, 1), elements=st.floats(-2.0, 2.0))) * (pts[1] - pts[0])
+    pts = pts * draw(SCALES)
+    if n and draw(st.sampled_from([False, False, False, False, True])):
+        pts[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = draw(ODD_COORDS)
+    return pts
+
+
+def _paired_points(count: int):
+    """The other point set of a fit: of ``count`` points in two draws in
+    three, of any size otherwise."""
+    return st.one_of(_control_points(count), _control_points(count), _control_points())
+
+
+def _spline_coords_ok(pts: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(pts)) and np.all(np.abs(pts) <= COORD_LIMIT))
+
+
+def _fit_ok(source: np.ndarray, target: np.ndarray, lam) -> bool:
+    """Whether the spline's inputs are valid: two (L, 2) sets of L >= 3
+    coordinates within the bound, and a finite ridge >= 0."""
+    return (source.shape == target.shape and len(source) >= 3 and _spline_coords_ok(source)
+            and _spline_coords_ok(target) and np.isfinite(lam) and lam >= 0)
+
+
+def _check_fit(out, ok: bool) -> None:
+    """A valid fit is a finite spline or a typed degenerate-set error; an
+    invalid one is a ``ValueError`` of another kind."""
+    if not ok:
+        assert isinstance(out, ValueError) and not isinstance(out, DegenerateControlPointsError)
+    elif not isinstance(out, DegenerateControlPointsError):
+        assert np.all(np.isfinite(out.affine)) and np.all(np.isfinite(out.kernel_weights))
+
+
+@BOUNDARY
+@given(_control_points(), st.data(), LAMBDAS)
+def test_fit_tps(source, data, lam):
+    target = data.draw(_paired_points(len(source)))
+    _check_fit(_call(fit_tps, source, target, lam), _fit_ok(source, target, lam))
+
+
+@BOUNDARY
+@given(_control_points(), st.data(), _control_points(), LAMBDAS)
+def test_eval_and_invert(points, data, predicted, lam):
+    moved = data.draw(_paired_points(len(points)))
+    t = _call(fit_tps, moved, points, lam)
+    ok = _fit_ok(moved, points, lam)
+    _check_fit(t, ok)
+    inverted = _call(invert_landmarks, points, moved, predicted, lam)
+    if isinstance(t, ValueError):
+        # invert_landmarks makes the same fit, so it fails the same way
+        assert type(inverted) is type(t) and str(inverted) == str(t)
+        return
+    for out in (_call(eval_tps, t, predicted), inverted):
+        if _spline_coords_ok(predicted):
+            assert out.shape == predicted.shape and np.all(np.isfinite(out))
+        else:
+            assert isinstance(out, ValueError)
+
+
+def _finite_real(v) -> bool:
+    """A real number, not a bool, that a float holds finitely (every integer
+    drawn below is either small or 10**400)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    return abs(v) < 10**300 if isinstance(v, int) else bool(np.isfinite(v))
+
+
+CONFIG_VALUES = st.one_of(
+    st.integers(-2, 4), st.sampled_from([0.0, 0.05, 1e-6, -1.0, 3.0, np.float32(0.5), np.int64(2)]),
+    st.sampled_from([True, False, np.True_, 10**400, -10**400, "1", "0.5", None, np.nan, np.inf,
+                     -np.inf, 1 + 0j, 0.5 + 0j]))
+CONFIG_RULES = {
+    "branches": _is_side, "max_iters": _is_side,
+    "distance_threshold": lambda v: _finite_real(v) and v >= 0,
+    "clip_radius": lambda v: _finite_real(v) and v > 0,
+    "step_size": lambda v: _finite_real(v) and v > 0,
+    "tps_lambda": lambda v: _finite_real(v) and v >= 0,
+}
+
+
+@BOUNDARY
+@given(st.fixed_dictionaries({}, optional={name: CONFIG_VALUES for name in CONFIG_RULES}))
+def test_attack_config(fields):
+    out = _call(lambda: AttackConfig(**fields))
+    bad = [name for name, value in fields.items() if not CONFIG_RULES[name](value)]
+    if not bad:
+        assert all(getattr(out, name) is value for name, value in fields.items())
+    else:
+        # the message names a field that is wrong
+        assert isinstance(out, ValueError) and any(name in str(out) for name in bad)

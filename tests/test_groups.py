@@ -669,6 +669,8 @@ class TestLandmarkChecks:
         ("1", (0, 0), "scale must be finite and positive"),
         (True, (0, 0), "scale must be finite and positive"),
         (None, (0, 0), "scale must be finite and positive"),
+        # too large for a float: math.isfinite would raise OverflowError
+        pytest.param(10**400, (0, 0), "scale must be finite and positive", id="huge-int"),
     ])
     def test_malformed_similarity_rejected(self, scale, center, message):
         with pytest.raises(ValueError, match=message):

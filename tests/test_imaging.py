@@ -146,6 +146,24 @@ class TestPgmIO:
         save_image(Image(np.array([[0.0]])), f)
         assert f.read_bytes().endswith(b"\x00")
 
+    def test_p2_comment_between_samples_and_crlf(self, tmp_path):
+        f = tmp_path / "m.pgm"
+        f.write_bytes(b"P2\r\n2 1\r\n9\r\n3 # c\r\n4\r\n")
+        assert np.array_equal(load_image(f).data, [[3 / 9, 4 / 9]])
+
+    def test_p5_raster_bytes_are_samples(self, tmp_path):
+        # after the one byte that ends the header, "#" and whitespace are
+        # raster bytes like any other
+        f = tmp_path / "n.pgm"
+        f.write_bytes(b"P5\n2 2\n255\n# \t\n")
+        assert np.array_equal(load_image(f).data, np.array([[35, 32], [9, 10]]) / 255)
+
+    def test_comment_that_ends_the_file_is_not_a_field(self, tmp_path):
+        f = tmp_path / "o.pgm"
+        f.write_bytes(b"P2 #c")
+        with pytest.raises(PgmHeaderError, match="header ends before width"):
+            load_image(f)
+
     def test_round_trip_error_bound(self, tmp_path):
         img = blob_image(16, seed=3)
         f = tmp_path / "l.pgm"
