@@ -164,18 +164,20 @@ def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if lo < 0:
         raise ValueError("heatmaps must be nonnegative")
     n, h, w = heat.shape
+    # the centroids in pixel coordinates, one (x, y) row per map
+    xy = np.empty((n, 2))
     # an overflowing sum is inf (or nan, as inf * 0), and is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         mass = heat.sum(axis=(1, 2))
-        if np.any(mass <= 0.0):
-            raise DegenerateHeatmapError(f"map {int(np.argmin(mass))} has zero total mass")
-        ys = (heat.sum(axis=2) @ np.arange(h, dtype=np.float64)) / mass
-        xs = (heat.sum(axis=1) @ np.arange(w, dtype=np.float64)) / mass
-    if not np.isfinite([mass, xs, ys]).all():
+        if (mass <= 0.0).any():
+            raise DegenerateHeatmapError(f"map {int(mass.argmin())} has zero total mass")
+        np.divide(heat.sum(axis=2) @ np.arange(h, dtype=np.float64), mass, out=xy[:, 1])
+        np.divide(heat.sum(axis=1) @ np.arange(w, dtype=np.float64), mass, out=xy[:, 0])
+    if not (np.isfinite(mass).all() and np.isfinite(xy).all()):
         raise ValueError("heatmap sums overflow float64")
     # no centroid lies before the first pixel, but rounding can put one past
     # the last
-    return from_pixel(np.minimum(np.stack([xs, ys], axis=-1), (w - 1, h - 1)), w, h), mass
+    return from_pixel(np.minimum(xy, (w - 1, h - 1), out=xy), w, h), mass
 
 
 def checkpoint_bytes(det: ToyDetector, meta: dict | None = None) -> bytes:

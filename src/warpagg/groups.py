@@ -229,7 +229,7 @@ def _per_group(groups: SemanticGroups, values: np.ndarray, reduce, axis) -> np.n
     reduced together."""
     out = None
     for ids, sel in groups._blocks:
-        block = reduce(np.take(values, sel, axis=-2), axis, keepdims=True)
+        block = reduce(values.take(sel, axis=-2), axis, keepdims=True)
         if out is None:
             out = np.empty(block.shape[:-3] + (groups.count,) + block.shape[-2:])
         out[..., ids, :, :] = block
@@ -293,7 +293,7 @@ def _spread_and_corr(groups: SemanticGroups, base_c, moved_c):
     (n, 2) block in one reduction, as :func:`fit_group_similarity` sums
     them. A sum that overflows is not finite, and ``_scale`` rejects it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = base_c * np.stack([base_c, moved_c])
+        prods = base_c * np.array([base_c, moved_c])
         return _per_group(groups, prods, np.add.reduce, (-2, -1))[:, :, 0, 0].tolist()
 
 

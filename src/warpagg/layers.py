@@ -61,7 +61,7 @@ def im2col(xp: np.ndarray) -> np.ndarray:
     Gathered from the flat padded input one band of rows at a time through
     the cached :func:`_patch_index`; the indices are in range by
     construction, so ``mode="clip"`` changes none of them and only spares
-    ``np.take`` the buffered copy of ``out`` that ``mode="raise"`` makes. A
+    ``take`` the buffered copy of ``out`` that ``mode="raise"`` makes. A
     C-contiguous ``xp`` is read in place."""
     cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
     if cin < 1 or h < 1 or wd < 1:
@@ -72,7 +72,7 @@ def im2col(xp: np.ndarray) -> np.ndarray:
     rows = idx.shape[0] // wd
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        np.take(flat[r0 * (wd + 2):], idx[: (r1 - r0) * wd], out=a[r0 * wd : r1 * wd], mode="clip")
+        flat[r0 * (wd + 2):].take(idx[: (r1 - r0) * wd], out=a[r0 * wd : r1 * wd], mode="clip")
     return a
 
 
@@ -122,4 +122,4 @@ def avgpool(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def avgpool_grad(g: np.ndarray, k: int) -> np.ndarray:
-    return np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k)
+    return g.repeat(k, axis=1).repeat(k, axis=2) / (k * k)

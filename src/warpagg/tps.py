@@ -29,87 +29,50 @@ GEMMs over the grid kernel: the direct term contracts log s with six
 per-pixel rows Y = [q; q x; q y] (q the cotangent on the sampled location),
 folding the kernel derivative 2 (log s + 1) into 2 (log_s @ Y^T + sum_p Y);
 the adjoint term is phi^T @ q^T, solved against the fit's stored system
-matrix. Neither allocates an (L, Npix) temporary.
+matrix. Neither allocates an (L, Npix) temporary. Both GEMMs run over the
+whole grid: accumulated band by band they would sum in another order.
+
+:func:`warp_with_vjp` warps a sub-grid: the pixels of chosen output rows and
+columns, by default every row and column, with the separable build over the
+chosen axes. The attack step warps just the rows and columns its resize to
+the embedder reads, and writes every step of a branch into one kernel pair
+(``out``); a warp's ``vjp`` is valid only until the next kernel is written
+there.
 
 The plain path is :func:`warp_image`. It fits the spline and records the
 fit when it is called, and returns an image whose pixels are warped when
 they are read: reading ``.data`` warps every pixel, and
 :meth:`~warpagg.imaging.Image.pixels` warps just the chosen rows and
-columns, which is how :func:`~warpagg.imaging.resize_bilinear` reads it. A
-256 px face resized to 64 px is warped on its 128 x 128 support, a quarter
-of its pixels. The image holds a copy of the source raster and the fit until
-``.data`` is read; then it holds the warped raster alone.
-
-Both reads run one band loop (:func:`_warp_pixels`) over the chosen rows and
-columns, in which every temporary is band or block sized. It builds the grid
-kernel one band of whole rows at a time, about ``_BAND_PIXELS`` pixels
-each, and a band costs only its add, log and multiply passes and its GEMM:
-
-- the column factor dx^2 (L, W) and its minimum per control point are built
-  once per call; each band adds its own rows of dy^2 to it in one broadcast
-  add, written by :func:`_fill_features` (the body every kernel build
-  shares) into one (L+3, band) and one (L, band) buffer that every band
-  reuses;
-- whether a band needs the near-zero mask is read off the factor minima,
-  not off a pass over the band's s (see :func:`_fill_features`), and the
-  answer is the same;
-- both band buffers start on a 64-byte cache line (:func:`_aligned_empty`);
-  ``np.empty`` returns whatever offset the allocation history leaves.
-
-One GEMM per band writes that band's columns of a (2, block) mapped block.
-After every ``_SAMPLE_BANDS`` bands (about 8192 pixels) the block is sampled
-and clipped into its rows of the output, so each sampler temporary stays
-under 128 KiB. The buffers stay in cache, no (L, Npix) or (2, Npix) array is
-allocated (at 256 px with L=68 the full features take 37 MB), and a call
-does not hand megabytes of fresh pages to the allocator that the next call
-has to fault in again. Each output of the GEMM is one dot product over the
-L+3 parameters, and the band GEMMs give the same bits as the full-range
-one, so the plain and the fused image are bitwise equal; the tests pin
-this on both the small-matrix and the blocked BLAS kernel. Every kernel
-entry, mapped coordinate and sample is computed on its own, so a pixel
-warped on a support is bitwise the one a full read gives.
-
-:func:`warp_with_vjp` keeps the full-range kernel: its backward is two
-GEMMs whose inner dimension is the pixel grid. Accumulated band by band they
-sum in another order: at 256 px with L=68 the gradient then sits 7e-12
-(relative) from the point-major reference that the tests hold it to within
-1e-12, against 3e-13 for the full-range GEMMs, although both orders are
-equally accurate against a long-double evaluation.
-
-:func:`warp_with_vjp` also warps a sub-grid: the pixels of chosen output rows
-and columns, by default every row and column. Its kernel is
-``_features(cpts, xs[cols][None, :], ys[rows][:, None])``, the separable
-build over the chosen axes, and each warped pixel is bitwise the one
-:func:`warp_image` gives. The attack step warps just the rows and
-columns its resize to the embedder reads (a quarter of the pixels from
-256 px to 64 px), so its kernel and its backward shrink with them. Its
-kernel pair can be given (``out``): the attack writes every step of a
-branch into one pair, and a warp's ``vjp`` is valid only until the next
-kernel is written there.
+columns, which is how :func:`~warpagg.imaging.resize_bilinear` reads it.
+The image holds a copy of the source raster and the fit until ``.data`` is
+read; then it holds the warped raster alone. Both reads run one band loop
+(:func:`_warp_pixels`) in which every temporary is band or block sized:
+the grid kernel is built one band of whole rows at a time into one pair of
+cache-line-aligned buffers, and the mapped coordinates are sampled one
+block of bands at a time. Every kernel entry, mapped coordinate and sample
+is computed on its own, and the band GEMMs give the same bits as the
+full-range one, so a pixel is bitwise the same whichever call warps it.
 
 A branch is warped and then mapped back through the inverse of the same
 spline, so :func:`warp_image` records its last fit at module level: one
 ``(key, fit)`` tuple, assigned at once into a one-slot list. The key is
-what the fit depends on: both shapes, the exact float64 bytes of
-``points_moved`` and ``points``, and ``lam``. :func:`invert_landmarks`
+what the fit depends on (see :func:`_fit_key`). :func:`invert_landmarks`
 evaluates the recorded fit when its key matches and fits afresh otherwise;
-a fit is deterministic, so either way its landmarks are the same bits, and
-a miss only costs the fit. The fit's arrays are read-only because the
-record shares them. :func:`fit_tps` itself stays uncached, and
-:func:`warp_with_vjp` neither writes nor reads the record: the attack fits
-once per step at landmarks that change every step, so a cache there would
-only hit on steps that do not move the landmarks and would hide what a
-step costs.
+a fit is deterministic, so either way its landmarks are the same bits. The
+fit's arrays are read-only because the record shares them.
+:func:`fit_tps` itself stays uncached, and :func:`warp_with_vjp` neither
+writes nor reads the record: the attack fits once per step at landmarks
+that change every step, so a cache there would only hit on steps that do
+not move the landmarks and would hide what a step costs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import Image, grid_axes, sample_grid
+from .imaging import Image, _is_real, grid_axes, sample_grid
 
 DEFAULT_LAMBDA = 1e-6
 _COND_LIMIT = 1e12
@@ -181,8 +144,10 @@ def _fill_features(phi_t: np.ndarray, log_s: np.ndarray, x: np.ndarray, y: np.nd
     in row-major order, and so do the factors to (L, *S). s = dx^2 + dy^2 is
     one broadcast add of the factors, written into the top block of the
     feature matrix and turned into U = s log s there. Where s is
-    (numerically) zero the feature is 0 and log s is set to -1, so the
-    kernel-derivative coefficient 2 (log s + 1) is exactly 0 there too.
+    (numerically) zero it is set to 1 before the log, so the feature is
+    U = 1 log 1 = 0 and no log of 0 is taken; log s is then set to -1
+    there, so the kernel-derivative coefficient 2 (log s + 1) is exactly 0
+    too.
 
     Rounded addition is monotone, so no s_j is below fl(min dx^2_j + min
     dy^2_j), and when the factors are two axes of a grid some s_j equals it.
@@ -196,11 +161,11 @@ def _fill_features(phi_t: np.ndarray, log_s: np.ndarray, x: np.ndarray, y: np.nd
     kern = phi_t[:m]
     np.add(ax, ay, out=kern.reshape((m, *shape)))
     near = kern <= _TINY_SQ if (ax_min + ay_min).min(initial=np.inf) <= _TINY_SQ else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(kern, out=log_s)
-        kern *= log_s
     if near is not None:
-        kern[near] = 0.0
+        kern[near] = 1.0
+    np.log(kern, out=log_s)
+    kern *= log_s
+    if near is not None:
         log_s[near] = -1.0
     phi_t[m] = 1.0
     phi_t[m + 1].reshape(shape)[...] = x
@@ -229,19 +194,30 @@ def _features(cpts: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 def _aligned_empty(n: int) -> np.ndarray:
     """An uninitialised float64 array of ``n`` elements that starts on a
-    64-byte cache line: one line more is allocated and the front sliced off.
-    The band kernel build is alignment sensitive: at 256 px with L=68 one
-    band took a median 224 us from aligned buffers against 249-267 us at a
-    16-, 32- or 48-byte offset (2-vCPU Linux VM, numpy 2.4.6, 1 BLAS
-    thread)."""
+    64-byte cache line (the band kernel build is alignment sensitive): one
+    line more is allocated and the front sliced off."""
     raw = np.empty(n + 8)
     k = (-raw.ctypes.data % 64) // raw.itemsize
     return raw[k : k + n]
 
 
+def _check_kernel_pair(out, m: int, n: int) -> None:
+    """Raise ``ValueError`` unless ``out`` is a tuple of two writeable
+    C-contiguous float64 arrays of shapes (m+3, n) and (m, n) in separate
+    memory: the kernel pair :func:`_features` writes the features and log s
+    of ``n`` points against ``m`` control points into."""
+    shapes = (m + 3, n), (m, n)
+    if not (isinstance(out, tuple) and len(out) == 2 and all(
+            isinstance(b, np.ndarray) and b.dtype == np.float64 and b.shape == shape
+            and b.flags.c_contiguous and b.flags.writeable for b, shape in zip(out, shapes))
+            and not np.may_share_memory(*out)):
+        raise ValueError(f"kernel pair must be writeable C-contiguous float64 arrays of shapes "
+                         f"{shapes[0]} and {shapes[1]} in separate memory")
+
+
 def _params(t: TpsTransform) -> np.ndarray:
     """Stacked spline parameters (L+3, 2): kernel weights, then the affine part."""
-    return np.vstack([t.kernel_weights, t.affine.T])
+    return np.concatenate((t.kernel_weights, t.affine.T))
 
 
 def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
@@ -264,10 +240,16 @@ def _check_coords(pts: np.ndarray, what: str) -> None:
 def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTransform:
     """Fit the spline mapping ``source`` onto ``target``.
 
-    ``lam`` adds a ridge on the kernel block; with lam=0 the fit interpolates
-    the targets exactly. Degenerate configurations retry once with a larger
-    ridge, then raise :class:`DegenerateControlPointsError`. A coordinate
-    that is not finite or lies beyond ``COORD_LIMIT`` raises ``ValueError``.
+    ``lam``, a real number >= 0 (see :func:`~warpagg.imaging._is_real`),
+    is a ridge added on the kernel block's diagonal; with lam=0 the fit
+    interpolates the targets exactly. The system is solved only if its
+    2-norm condition number, the ratio of its largest to its smallest
+    singular value, is below ``_COND_LIMIT``; a singular system fails that
+    check. A system that fails it is built again with the ridge raised to
+    at least ``_RETRY_LAMBDA`` and checked again, and a second failure
+    raises :class:`DegenerateControlPointsError`. Any other ``lam``, or a
+    coordinate that is not finite or lies beyond ``COORD_LIMIT``, raises
+    ``ValueError``.
     """
     src = np.asarray(source, dtype=np.float64)
     dst = np.asarray(target, dtype=np.float64)
@@ -278,8 +260,9 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
     n = src.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 control points, got {n}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"regularization must be finite and >= 0, got {lam}")
+    if not (_is_real(lam) and lam >= 0):
+        raise ValueError(f"regularization must be a finite real number >= 0, got {lam!r}")
+    lam = float(lam)
 
     # the control-point kernel once for every attempt: its (L+3, L)
     # features [U; 1; x; y] are the system's left block columns
@@ -290,8 +273,12 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
         a = np.zeros((n + 3, n + 3))
         a[:, :n] = phi_t
         a[:n, n:] = phi_t[n:].T
-        a[:n, :n] += attempt_lam * np.eye(n)
-        if np.linalg.cond(a) < _COND_LIMIT:
+        # the kernel block's diagonal: every (n + 4)-th entry of the flat system
+        a.reshape(-1)[: n * (n + 4) : n + 4] += attempt_lam
+        # the condition number s[0] / s[-1] as np.linalg.cond forms it; a
+        # zero s[-1] fails, and an overflowing ratio is inf and fails
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] > 0.0 and float(s[0]) / float(s[-1]) < _COND_LIMIT:
             sol = np.linalg.solve(a, rhs)
             t = TpsTransform(
                 control_points=src.copy(),
@@ -327,10 +314,11 @@ def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
 
 def _fit_key(points_moved: np.ndarray, points: np.ndarray, lam: float) -> tuple:
     """What ``fit_tps(points_moved, points, lam)`` depends on: both shapes,
-    the exact float64 bytes of both point sets, and ``lam``."""
+    the exact float64 bytes of both point sets, and ``lam`` with its type,
+    so that a bool, which the fit rejects, never matches a ridge of 0 or 1."""
     src = np.asarray(points_moved, dtype=np.float64)
     dst = np.asarray(points, dtype=np.float64)
-    return src.shape, dst.shape, src.tobytes(), dst.tobytes(), lam
+    return src.shape, dst.shape, src.tobytes(), dst.tobytes(), type(lam), lam
 
 
 def _warp_pixels(data: np.ndarray, t: TpsTransform, rows, cols) -> np.ndarray:
@@ -372,7 +360,7 @@ def _warp_pixels(data: np.ndarray, t: TpsTransform, rows, cols) -> np.ndarray:
                            dx2, _with_min(_axis_sq(cpts[:, 1], y)))
             np.matmul(params.T, phi_t, out=mapped[:, at : at + n])
         vals, _ = sample_grid(data, mapped[:, : (b1 - b0) * width].T)
-        np.clip(vals.reshape(b1 - b0, width), 0.0, 1.0, out=out[b0:b1])
+        vals.reshape(b1 - b0, width).clip(0.0, 1.0, out=out[b0:b1])
     return out
 
 
@@ -461,10 +449,12 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
     does not depend on the moved points). The warp's one fit and one grid
     kernel are held until ``vjp`` is dropped.
 
-    ``out``, when given, is the C-contiguous pair of buffers, (L+3, N) and
-    (L, N) for the N warped pixels, that the grid kernel is written into
-    instead of fresh arrays; ``vjp`` reads it, so it is valid only until
-    the next kernel is written there.
+    ``out``, when given, is the pair of buffers, (L+3, N) and (L, N) for
+    the N warped pixels, that the grid kernel is written into instead of
+    fresh arrays; ``vjp`` reads it, so it is valid only until the next
+    kernel is written there. Anything but a tuple of two writeable
+    C-contiguous float64 arrays of those shapes in separate memory raises
+    ``ValueError``.
     """
     pts = np.asarray(points, dtype=np.float64)
     t = fit_tps(points_moved, pts, lam)
@@ -472,11 +462,13 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
     n = cpts.shape[0]
     xs, ys = grid_axes(img.width, img.height)
     xs, ys = xs[cols], ys[rows]
+    if out is not None:
+        _check_kernel_pair(out, n, ys.size * xs.size)
     phi_t, log_s = _features(cpts, xs[None, :], ys[:, None], out)
     params = _params(t)
     vals, grads = sample_grid(img.data, _mapped(params, phi_t), with_grad=True)
     shape = (ys.size, xs.size)
-    warped = Image(np.clip(vals.reshape(shape), 0.0, 1.0))
+    warped = Image(vals.reshape(shape).clip(0.0, 1.0))
 
     def vjp(cotangent: np.ndarray) -> np.ndarray:
         cot = np.asarray(cotangent, dtype=np.float64).ravel()

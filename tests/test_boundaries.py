@@ -28,7 +28,15 @@ from warpagg.imaging import (
     sample_grid,
     to_pixel,
 )
-from warpagg.tps import COORD_LIMIT, DegenerateControlPointsError, eval_tps, fit_tps, invert_landmarks
+from warpagg.tps import (
+    COORD_LIMIT,
+    DegenerateControlPointsError,
+    eval_tps,
+    fit_tps,
+    invert_landmarks,
+    warp_image,
+    warp_with_vjp,
+)
 
 BOUNDARY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -226,8 +234,10 @@ def test_group_pairs(mirror, vertical):
 SCALES = st.one_of(st.just(1.0), st.sampled_from([1e-3, 1e-300, 1e-320, 1e99, COORD_LIMIT]))
 ODD_COORDS = st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -COORD_LIMIT,
                               np.nextafter(COORD_LIMIT, np.inf), 1e200])
-# valid ridges in three draws in four
-LAMBDAS = st.one_of(st.sampled_from([0.0, 1e-6, 1e-4]), st.sampled_from([0.0, 1e-6, 1e-4, -1.0, np.nan, np.inf]))
+# valid ridges in three draws in four, of any real type; the invalid ones
+# are negative, not finite, or no real number
+LAMBDAS = st.one_of(st.sampled_from([0.0, 1e-6, 1e-4, 0, np.float32(1e-6)]), st.sampled_from(
+    [0.0, 1e-6, 1e-4, -1.0, np.nan, np.inf, "0.1", None, 10**400, True, np.True_, 1 + 0j]))
 
 
 @st.composite
@@ -262,9 +272,9 @@ def _spline_coords_ok(pts: np.ndarray) -> bool:
 
 def _fit_ok(source: np.ndarray, target: np.ndarray, lam) -> bool:
     """Whether the spline's inputs are valid: two (L, 2) sets of L >= 3
-    coordinates within the bound, and a finite ridge >= 0."""
+    coordinates within the bound, and a real ridge >= 0."""
     return (source.shape == target.shape and len(source) >= 3 and _spline_coords_ok(source)
-            and _spline_coords_ok(target) and np.isfinite(lam) and lam >= 0)
+            and _spline_coords_ok(target) and _finite_real(lam) and lam >= 0)
 
 
 def _check_fit(out, ok: bool) -> None:
@@ -302,9 +312,48 @@ def test_eval_and_invert(points, data, predicted, lam):
             assert isinstance(out, ValueError)
 
 
+# a selection of output rows or columns of an axis of 1-4 pixels: every
+# one, a slice, or an index array of in-range indices, which may repeat,
+# run backwards or be empty
+def _selection(n: int):
+    return st.one_of(st.just(slice(None)),
+                     st.builds(slice, st.integers(0, n), st.integers(0, n), st.integers(1, 3)),
+                     st.lists(st.integers(0, n - 1), max_size=5).map(lambda v: np.array(v, dtype=np.intp)))
+
+
+# about one draw in five makes a spline, so this test draws twice as many
+@settings(BOUNDARY, max_examples=400)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1), _control_points(), st.data(),
+       LAMBDAS)
+def test_warp_image_and_warp_with_vjp(width, height, seed, points, data, lam):
+    moved = data.draw(_paired_points(len(points)))
+    rows, cols = data.draw(_selection(height)), data.draw(_selection(width))
+    img = Image(np.random.default_rng(seed).uniform(0.0, 1.0, (height, width)))
+    ok = _fit_ok(moved, points, lam)
+    warped = _call(warp_image, img, points, moved, lam)
+    both = _call(warp_with_vjp, img, points, moved, lam, rows, cols)
+    if isinstance(warped, ValueError):
+        # the fit is made when warp_image is called, and fails as fit_tps does
+        _check_fit(warped, ok)
+        assert type(both) is type(warped) and str(both) == str(warped)
+        return
+    assert ok
+    # before .data is read, pixels() warps just the selection
+    picked = _call(warped.pixels, rows, cols)
+    raster = _call(lambda: warped.data)
+    assert raster.shape == (height, width) and np.all((raster >= 0.0) & (raster <= 1.0))
+    if np.arange(height)[rows].size * np.arange(width)[cols].size == 0:
+        # an empty selection is no image, from either call
+        assert _rejected(picked, "non-empty") and _rejected(both, "non-empty")
+        return
+    pixels, _ = both
+    assert np.array_equal(pixels.data, picked.data)
+    assert np.array_equal(pixels.data, raster[np.ix_(np.arange(height)[rows], np.arange(width)[cols])])
+
+
 def _finite_real(v) -> bool:
     """A real number, not a bool, that a float holds finitely (every integer
-    drawn below is either small or 10**400)."""
+    drawn in this module is either small or 10**400)."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
         return False
     return abs(v) < 10**300 if isinstance(v, int) else bool(np.isfinite(v))

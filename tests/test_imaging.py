@@ -427,6 +427,64 @@ class TestBilinearSample:
             assert np.array_equal(grads, ref_grads)
 
 
+def _slope_at(data, px, py):
+    """``sample_grid``'s slope of ``data`` at the pixel coordinates (px, py),
+    in pixel units: its normalized gradient divided by pixels per unit."""
+    h, w = data.shape
+    _, (g,) = sample_grid(data, from_pixel(np.array([[px, py]]), w, h), with_grad=True)
+    return g[0] / ((w - 1) / 2.0) if w > 1 else g[0], g[1] / ((h - 1) / 2.0) if h > 1 else g[1]
+
+
+class TestNodeSlope:
+    """The slope rule on grid nodes, against hand-computed values. Along
+    an axis, the cells between nodes a and a+1 have these slopes, blended
+    over the other axis by its weight:
+
+    - x at y = 0.25 (rows 0 and 1, weights 0.75 and 0.25): cells 0, 1, 2
+      have slopes 0.75*0.2 + 0.25*0.4 = 0.25, 0.75*0.5 + 0.25*0.1 = 0.4 and
+      0.75*0.2 + 0.25*0.2 = 0.2;
+    - y at x = 2.25 (columns 2 and 3): cells 0, 1 have slopes
+      0.75*-0.1 + 0.25*-0.1 = -0.1 and 0.75*0.2 + 0.25*-0.4 = 0.05.
+
+    An interior node takes the mean of its two cells, a border node half
+    its inner cell (the region beyond the border counts as flat), and a
+    point 2e-9 off a node (beyond ``NODE_TOL``) the cell it lies in."""
+
+    DATA = np.array([[0.0, 0.2, 0.7, 0.9],
+                     [0.1, 0.5, 0.6, 0.8],
+                     [0.3, 0.3, 0.8, 0.4]])
+
+    @pytest.mark.parametrize("px,want", [
+        (1.0, (0.25 + 0.4) / 2), (2.0, (0.4 + 0.2) / 2),     # interior nodes
+        (0.0, 0.25 / 2), (3.0, 0.2 / 2),                     # border nodes
+        (1.0 + 2e-9, 0.4), (1.0 - 2e-9, 0.25), (3.0 - 2e-9, 0.2), (2e-9, 0.25),
+    ])
+    def test_x_axis(self, px, want):
+        assert _slope_at(self.DATA, px, 0.25)[0] == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("py,want", [
+        (1.0, (-0.1 + 0.05) / 2),                            # interior node
+        (0.0, -0.1 / 2), (2.0, 0.05 / 2),                    # border nodes
+        (1.0 + 2e-9, 0.05), (1.0 - 2e-9, -0.1), (2.0 - 2e-9, 0.05),
+    ])
+    def test_y_axis(self, py, want):
+        assert _slope_at(self.DATA, 2.25, py)[1] == pytest.approx(want, abs=1e-14)
+
+    # the first row alone: cells of slope 0.2, 0.5 and 0.2, no other axis
+    # to blend over, and no slope along the one-pixel axis
+    @pytest.mark.parametrize("p,want", [
+        (1.0, (0.2 + 0.5) / 2), (2.0, (0.5 + 0.2) / 2), (0.0, 0.2 / 2), (3.0, 0.2 / 2),
+        (1.0 + 2e-9, 0.5), (1.0 - 2e-9, 0.2),
+    ])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["one-row", "one-column"])
+    def test_one_pixel_axis(self, p, want, axis):
+        row = self.DATA[:1]
+        data, pt = (row, (p, 0.0)) if axis == 0 else (row.T.copy(), (0.0, p))
+        slope = _slope_at(data, *pt)
+        assert slope[axis] == pytest.approx(want, abs=1e-14)
+        assert slope[1 - axis] == 0.0
+
+
 class TestGridVjpAndResize:
     def test_scatter_is_adjoint_of_gather(self):
         img = blob_image(12, seed=6)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -144,6 +145,42 @@ class TestFitEval:
             fit_tps(pts, pts + 0.01, lam=lam)
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
+    # the ridge rule of imaging._is_real: a real number, not a bool, that a
+    # float holds finitely
+    @pytest.mark.parametrize("lam", ["0.1", None, 10**400, True, np.True_, 1 + 0j],
+                             ids=["str", "None", "huge-int", "True", "np.True_", "complex"])
+    @pytest.mark.parametrize("call", ["fit_tps", "warp_image", "invert_landmarks", "warp_with_vjp"])
+    def test_a_ridge_that_is_not_a_real_number_rejected(self, call, lam):
+        pts = ring_landmarks(8, seed=8)
+        moved = pts + 0.01
+        img = blob_image(12, seed=8)
+        calls = {
+            "fit_tps": lambda: fit_tps(moved, pts, lam),
+            "warp_image": lambda: warp_image(img, pts, moved, lam),
+            "invert_landmarks": lambda: invert_landmarks(pts, moved, moved, lam),
+            "warp_with_vjp": lambda: warp_with_vjp(img, pts, moved, lam),
+        }
+        with pytest.raises(ValueError, match="regularization must be a finite real number >= 0"):
+            calls[call]()
+
+    @pytest.mark.parametrize("lam", [1, np.int64(0), np.float32(1e-6), 1e-6])
+    def test_a_ridge_of_any_real_type_is_its_float(self, lam):
+        pts = ring_landmarks(8, seed=8)
+        t, want = fit_tps(pts, pts + 0.01, lam), fit_tps(pts, pts + 0.01, float(lam))
+        assert type(t.regularization) is float and t.regularization == float(lam)
+        assert np.array_equal(t.system, want.system)
+        assert np.array_equal(t.kernel_weights, want.kernel_weights)
+
+    def test_a_bool_ridge_does_not_take_the_recorded_fit(self):
+        # True == 1.0, but a bool is no ridge: the record of a warp made with
+        # lam=1.0 must not stand in for it
+        pts = ring_landmarks(8, seed=8)
+        moved = pts + 0.01
+        warp_image(blob_image(12, seed=8), pts, moved, 1.0)
+        assert np.array_equal(invert_landmarks(pts, moved, pts, 1.0), eval_tps(fit_tps(moved, pts, 1.0), pts))
+        with pytest.raises(ValueError, match="regularization"):
+            invert_landmarks(pts, moved, pts, True)
+
     def test_near_coincident_recovers_with_ridge(self):
         pts = ring_landmarks(8, seed=8)
         src = np.vstack([pts, pts[0] + 1e-13])
@@ -220,6 +257,60 @@ class TestFitKernelBlock:
         zero[2, 8] = zero[8, 2] = True
         assert np.array_equal(kern == 0.0, zero)
         assert np.array_equal(t.log_s == -1.0, zero)
+
+
+class TestRidgeRetry:
+    """The fit solves its system when np.linalg.cond of it is below the
+    limit, and otherwise retries once with the larger ridge: an oracle that
+    builds the point-major system with the ridge on ``np.eye`` and asks
+    np.linalg.cond gives the same verdict on every attempt."""
+
+    @staticmethod
+    def _oracle_cond(src, lam):
+        phi, _ = _oracle_features(src, src)
+        n = src.shape[0]
+        a = np.zeros((n + 3, n + 3))
+        a[:n, :n] = phi[:, :n] + lam * np.eye(n)
+        a[:n, n:] = phi[:, n:]
+        a[n:, :n] = phi[:, n:].T
+        return np.linalg.cond(a)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-13])
+    def test_the_verdict_is_np_linalg_cond(self, lam):
+        pts = ring_landmarks(8, seed=42)
+        # a ninth point ever closer to the first takes the system from well
+        # conditioned to the retry; points on a line fail both attempts
+        sets = [np.vstack([pts, pts[0] + 10.0**-k]) for k in range(2, 17)]
+        sets.append(np.linspace(-0.5, 0.5, 8)[:, None] * np.array([1.0, 0.3]))
+        verdicts = set()
+        for src in sets:
+            first = self._oracle_cond(src, lam) < tps_mod._COND_LIMIT
+            retry = self._oracle_cond(src, max(lam, tps_mod._RETRY_LAMBDA)) < tps_mod._COND_LIMIT
+            if first:
+                want = lam
+            elif retry:
+                want = tps_mod._RETRY_LAMBDA
+            else:
+                with pytest.raises(DegenerateControlPointsError):
+                    fit_tps(src, src + 0.01, lam)
+                verdicts.add("degenerate")
+                continue
+            t = fit_tps(src, src + 0.01, lam)
+            assert t.regularization == want
+            verdicts.add(want)
+        assert verdicts == {lam, tps_mod._RETRY_LAMBDA, "degenerate"}
+
+    def test_a_singular_system_fails_without_a_warning(self):
+        # three points on the origin: the system's smallest singular value is
+        # exactly 0, on both attempts
+        pts = np.zeros((3, 2))
+        a = np.zeros((6, 6))
+        a[:3, 3] = a[3, :3] = 1.0
+        assert np.linalg.svd(a, compute_uv=False)[-1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateControlPointsError):
+                fit_tps(pts, pts, 0.0)
 
 
 def _grid_features(cpts, width, height, rows=slice(None), cols=slice(None)):
@@ -807,6 +898,35 @@ class TestWarpWithVjp:
         got_img, got_vjp = warp_with_vjp(img, pts, moved, rows=rows, cols=cols, out=pair)
         assert np.array_equal(got_img.data, want_img.data)
         assert np.array_equal(got_vjp(cot), want_vjp(cot))
+
+    @pytest.mark.parametrize("make", [
+        lambda m, n: (np.empty((m + 3, n), np.float32), np.empty((m, n), np.float32)),
+        lambda m, n: (np.empty((m + 3, n + 1)), np.empty((m, n + 1))),
+        lambda m, n: (np.empty((m + 3, n)), np.empty((m + 1, n))),
+        lambda m, n: (np.empty((m, n)), np.empty((m + 3, n))),
+        lambda m, n: (np.empty((m + 3, n)), np.empty((m, n), order="F")),
+        lambda m, n: (np.empty((m + 3, 2 * n))[:, ::2], np.empty((m, n))),
+        lambda m, n: (np.empty((m + 3, n)), np.empty(m * n)),
+        lambda m, n: [np.empty((m + 3, n)), np.empty((m, n))],
+        lambda m, n: (np.empty((m + 3, n)), np.empty((m, n)), np.empty((m, n))),
+        lambda m, n: (lambda b: (b[: (m + 3) * n].reshape(m + 3, n), b[3 * n :].reshape(m, n)))(
+            np.empty((m + 3) * n)),
+        lambda m, n: (np.empty((m + 3, n)), np.broadcast_to(np.empty((m, n)), (m, n))),
+    ], ids=["float32", "one-pixel-more", "one-point-more", "swapped", "fortran", "strided",
+            "flat", "list", "three", "overlapping", "read-only"])
+    @pytest.mark.parametrize("through", ["warp_with_vjp", "attack_step"])
+    def test_a_kernel_pair_that_does_not_fit_raises(self, case, make, through):
+        img, pts, moved, _ = case
+        if through == "attack_step":
+            emb = ToyEmbedder(input_size=(16, 16))
+            st_ = resize_stencil(img.width, img.height, 16, 16)
+            pair = make(len(pts), math.prod(st_.support_shape))
+            call = lambda: attack_step(emb, img, pts, moved, kernel=pair)  # noqa: E731
+        else:
+            pair = make(len(pts), img.width * img.height)
+            call = lambda: warp_with_vjp(img, pts, moved, out=pair)  # noqa: E731
+        with pytest.raises(ValueError, match="kernel pair must be"):
+            call()
 
     def test_wrong_cotangent_size(self, case):
         img, pts, moved, _ = case

@@ -12,9 +12,19 @@ Runs from the root of a source checkout and imports the program from its
    ``perfbench/workloads.py`` on seeds 0 and 1, three operations each.
    It covers attack faces, control targets, iteration counts and flags,
    and pipeline landmarks and moved points. Every operation must pass the
-   benchmark's own item checks, or the script exits with status 1.
+   benchmark's own item checks, or the script exits with status 1;
+3. one SHA-256 over attack gradients, for every attack workload and seed.
+   The benchmark's attack branches start at the identity, where their only
+   peer sits at distance 0, so their gradient is 0 and the output digest
+   does not see the backward (the sampler slopes, the resize adjoint, the
+   warp and the embedder VJPs). Two ``attack_step(...).grad(...)`` results
+   are hashed instead: one at a seeded +-0.02 displacement of the
+   workload's landmarks against the embedding of the unwarped face, and
+   one at the identity, where every sample sits on a grid node, against a
+   seeded perturbation of that embedding. A gradient that is 0 everywhere
+   exits with status 1.
 
-A refactor that keeps the outputs prints the same digest before and after;
+A refactor that keeps the outputs prints the same digests before and after;
 the line count shows what it removed. The script only reads and prints.
 """
 
@@ -34,6 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "warpagg"
 SEEDS = (0, 1)
 OPS = 3
+# the landmark displacement and the peer perturbation of the gradient digest
+GRAD_MOVE = 0.02
+GRAD_PEER = 0.05
 # the benchmark pins BLAS to one thread; the digest is taken the same way
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -82,6 +95,35 @@ def output_digest() -> str:
     return h.hexdigest()
 
 
+def gradient_digest() -> str:
+    """SHA-256 over two attack gradients per attack workload and seed (see
+    the module docstring); raises if one is 0 everywhere."""
+    import numpy as np
+
+    from perfbench import workloads as wl
+    from warpagg.attack import attack_step
+
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in wl.SPECS.items():
+            if spec.kind != "attack":
+                continue
+            for seed in SEEDS:
+                state = wl.set_up(wl.write_assets(spec, seed, tmp))
+                rng = np.random.default_rng([seed, 2])
+                pts = state.points
+                z = attack_step(state.emb, state.img, pts, pts).z
+                moved = pts + rng.uniform(-GRAD_MOVE, GRAD_MOVE, pts.shape)
+                peer = z + rng.uniform(-GRAD_PEER, GRAD_PEER, z.shape)
+                for what, at, against in (("moved", moved, z), ("identity", pts, peer)):
+                    grad = attack_step(state.emb, state.img, pts, at).grad(against[None])
+                    if not grad.any():
+                        raise RuntimeError(f"{name} seed {seed}: the gradient {what} is 0")
+                    h.update(f"{name}/{seed}/{what};".encode())
+                    h.update(grad.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -100,6 +142,12 @@ def main() -> int:
         print(f"output check failed: {exc}")
         return 1
     print(f"output sha256: {digest}")
+    try:
+        digest = gradient_digest()
+    except RuntimeError as exc:
+        print(f"gradient check failed: {exc}")
+        return 1
+    print(f"gradient sha256: {digest}")
     return 0
 
 
