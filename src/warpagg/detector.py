@@ -5,18 +5,23 @@ weighted-mean decode is always defined).
 
 The detector only runs forward: its weights are a seeded initialization or
 come from a checkpoint, and nothing here trains them. Parameters are stored
-float32 (the checkpoint payload dtype); all math runs in float64. The conv
-and pool layers come from :mod:`warpagg.layers`, the toolkit the embedder
-uses too; each conv layer's im2col matrix is freed as soon as its GEMM is
-done, and the gather indices that build it are cached when the detector is
-built.
+float32 (the checkpoint payload dtype) and checked, copied and converted to
+float64 once, when the detector is built; all math runs in float64. The
+conv and pool layers come from :mod:`warpagg.layers`, the toolkit the
+embedder uses too, whose conv multiplies its im2col matrix in equal bands
+(the band rule in that module); the caches it reads are filled when the
+detector is built.
 
 Each conv layer's input is built once, in one zero-padded (Cin, H+2, W+2)
 buffer that :func:`~warpagg.layers.conv3` reads: the encoder activations
 are written by their ``tanh`` straight into the channels the skip
 connections give them in a decoder layer's buffer, and each decoder
 activation is up-sampled by one broadcast assignment into the interior of
-the next buffer. No concatenated, up-sampled or padded copy is made.
+the next buffer. No concatenated, up-sampled or padded copy is made. Every
+buffer but the output layer's input is freed before that layer runs, and
+the softplus is applied in place on its output (``np.logaddexp(0.0, pre,
+out=pre)``: the same bits and strides as a fresh array), so a 64 px, L=68
+pass peaks at its output, one GEMM band and the output layer's input.
 """
 
 from __future__ import annotations
@@ -24,13 +29,16 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .imaging import Image, _check_input_image, _check_input_size, _is_int, from_pixel
-from .layers import _patch_index, avgpool, conv3
+from .layers import _cache_conv, avgpool, conv3
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
@@ -52,12 +60,19 @@ class CheckpointFormatError(ValueError):
 @dataclass(frozen=True)
 class ToyDetector:
     """Forward-only stand-in for a full hourglass landmark network; its
-    weights are seeded or loaded from a checkpoint."""
+    weights are seeded or loaded from a checkpoint.
+
+    ``params`` maps every tensor name of the architecture to an array of
+    its shape, or is None for the seeded weights. The detector keeps a
+    copy, exposed as a read-only mapping of read-only arrays, and converts
+    it to float64 once, here; a missing, extra or wrongly shaped tensor
+    raises ``ValueError``."""
 
     num_landmarks: int
     input_size: tuple[int, int] = (64, 64)  # (height, width)
     seed: int = 0
-    params: dict = field(default=None, repr=False, compare=False)
+    params: Mapping = field(default=None, repr=False, compare=False)
+    # __post_init__ also sets ``_weights``, the float64 copies the forward reads
 
     def __post_init__(self) -> None:
         _check_input_size(self.input_size, 4)  # two 2x pools
@@ -67,9 +82,20 @@ class ToyDetector:
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.params is None:
-            object.__setattr__(self, "params", _init_params(self.num_landmarks, self.seed))
+            params = _init_params(self.num_landmarks, self.seed)
+        else:
+            params = _checked_params(self.params, _param_shapes(self.num_landmarks))
+        for a in params.values():
+            a.setflags(write=False)
+        # frozen, so the fields are set through the instance dict
+        vars(self).update(params=MappingProxyType(params),
+                          _weights={k: v.astype(np.float64) for k, v in params.items()})
         for name, (_, cin) in _layer_shapes(self.num_landmarks).items():
-            _patch_index(cin, h // _POOLED[name], w // _POOLED[name])
+            _cache_conv(cin, h // _POOLED[name], w // _POOLED[name])
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the settings and a plain dict do
+        return type(self), (self.num_landmarks, self.input_size, self.seed, dict(self.params))
 
 
 def _layer_shapes(num_landmarks: int) -> dict[str, tuple[int, int]]:
@@ -104,6 +130,25 @@ def _init_params(num_landmarks: int, seed: int) -> dict:
     return p
 
 
+def _checked_params(params, shapes: dict[str, tuple[int, ...]]) -> dict:
+    """Copies of the given tensors, in the dtypes given; anything but
+    exactly the architecture's tensors, each a real array of its shape,
+    raises ``ValueError``."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params must be a mapping of tensor names to arrays, got {type(params).__name__}")
+    if params.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - params.keys())
+        extra = sorted(params.keys() - shapes.keys(), key=repr)
+        raise ValueError(f"params must hold exactly the detector's tensors; missing {missing}, extra {extra}")
+    out = {}
+    for name, shape in shapes.items():
+        a = np.array(params[name])
+        if a.dtype.kind not in "fiu" or a.shape != shape:
+            raise ValueError(f"params[{name!r}] must be a real array of shape {shape}, got {a.dtype} {a.shape}")
+        out[name] = a
+    return out
+
+
 def _padded(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """A zero (c, h+2, w+2) conv input buffer and its (c, h, w) interior."""
     xp = np.zeros((c, h + 2, w + 2))
@@ -121,7 +166,16 @@ def _up2_into(dst: np.ndarray, x: np.ndarray) -> None:
 def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
     """Nonnegative response maps, shape (L, H, W), same spatial size as input."""
     _check_input_image(img, det.input_size, "detector")
-    p = {k: v.astype(np.float64) for k, v in det.params.items()}
+    p = det._weights
+    pre = conv3(_output_layer_input(det, img), p["out.w"], p["out.b"])
+    return np.logaddexp(0.0, pre, out=pre)
+
+
+def _output_layer_input(det: ToyDetector, img: Image) -> np.ndarray:
+    """The padded input of the output conv layer: the up-sampled decoder
+    activation, then the enc1 skip. Every other buffer of the pass is
+    freed when this returns, before the output layer's GEMMs."""
+    p = det._weights
     c = _CHANNELS
     h, w = det.input_size
     # the padded input of every conv layer; the two decoder inputs are the
@@ -140,8 +194,7 @@ def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
     _up2_into(dec1_in[: c["mid"]], m)
     d1 = np.tanh(conv3(x_dec1, p["dec1.w"], p["dec1.b"]))
     _up2_into(out_in[: c["dec1"]], d1)
-    pre = conv3(x_out, p["out.w"], p["out.b"])
-    return np.logaddexp(0.0, pre)
+    return x_out
 
 
 def soft_argmax(heat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,16 +285,17 @@ def parse_checkpoint(blob: bytes) -> tuple[ToyDetector, dict]:
     shapes = _param_shapes(num_landmarks)
     if manifest["tensors"] != [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]:
         raise CheckpointFormatError("tensor list does not match the detector architecture")
-    params = {}
-    offset = _HEADER_BYTES + mlen
-    for name in sorted(shapes):
-        end = offset + 4 * math.prod(shapes[name])
-        if end > len(blob):
-            raise CheckpointFormatError("payload shorter than manifest promises")
-        params[name] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shapes[name]).copy()
-        offset = end
-    if offset != len(blob):
-        raise CheckpointFormatError(f"{len(blob) - offset} bytes after the payload")
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[n]) for n in names]
+    extra = len(blob) - (_HEADER_BYTES + mlen) - 4 * sum(sizes)
+    if extra < 0:
+        raise CheckpointFormatError("payload shorter than manifest promises")
+    if extra:
+        raise CheckpointFormatError(f"{extra} bytes after the payload")
+    # views of the payload; the detector keeps its own copy
+    flat = np.frombuffer(blob, dtype="<f4", count=sum(sizes), offset=_HEADER_BYTES + mlen)
+    params = {n: flat[end - size : end].reshape(shapes[n])
+              for n, size, end in zip(names, sizes, accumulate(sizes))}
     try:
         det = ToyDetector(num_landmarks, tuple(input_size), manifest["seed"], params)
     except ValueError as exc:

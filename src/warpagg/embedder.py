@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import Image, _check_input_image, _check_input_size, _is_int
-from .layers import _pad1, _patch_index, avgpool, avgpool_grad, conv3, conv3_input_grad
+from .layers import _cache_conv, _pad1, avgpool, avgpool_grad, conv3, conv3_input_grad
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class ToyEmbedder:
             "pb": rng.normal(0.0, 0.01, self.n_z),
         }
         object.__setattr__(self, "weights", wts)
-        _patch_index(1, h, w)
-        _patch_index(4, h // 4, w // 4)
+        _cache_conv(1, h, w)
+        _cache_conv(4, h // 4, w // 4)
 
     def _forward(self, img: Image) -> dict:
         w = self.weights

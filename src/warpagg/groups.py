@@ -135,6 +135,10 @@ class SemanticGroups:
         )
 
     def indices(self, gid: int) -> np.ndarray:
+        """Read-only landmark indices of group ``gid``, in ascending order;
+        anything but an integer id in 0..count-1 raises ``ValueError``."""
+        if not (_is_int(gid) and 0 <= gid < self.count):
+            raise ValueError(f"group id must be an integer in 0..{self.count - 1}, got {gid!r}")
         return self._indices[gid]
 
 
@@ -301,8 +305,10 @@ def _structure_ok(groups: SemanticGroups, base_c, means, moved) -> bool:
     """:func:`validate_structure` on checked landmarks, given the base
     centered on its group means and those means."""
     y = moved[:, 1]
+    # the pairs were checked when the groups were built
+    idx = groups._indices
     for upper, lower in groups.vertical_pairs:
-        if y[groups.indices(upper)].max() > y[groups.indices(lower)].min() - STRUCTURE_TOL:
+        if y[idx[upper]].max() > y[idx[lower]].min() - STRUCTURE_TOL:
             return False
     moved_means = _group_means(groups, moved)
     offsets = (moved_means - means).tolist()

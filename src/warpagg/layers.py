@@ -1,19 +1,40 @@
 """The conv/pool toolkit shared by the embedder and the detector.
 
 All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
-convolution as one GEMM over the (H*W, Cin*9) matrix :func:`im2col`
-builds, with the bias added in place; the matrix is freed once the GEMM is
-done. Both read the input already zero-padded, a (Cin, H+2, W+2) buffer
-whose one-pixel border the caller leaves zero and whose interior it fills:
-the detector writes each layer's input straight into such a buffer, and the
-embedder pads its inputs with :func:`_pad1`. :func:`im2col` gathers the
-matrix from the flat padded input one band of output rows at a time,
-through a read-only index that is the same for every band and is cached
-per input shape (:func:`_patch_index`); the networks fill the cache for
-their own layers when they are built, so a forward pass allocates nothing
-that outlives it. :func:`conv3_input_grad` is its adjoint w.r.t. the
-(unpadded) input as nine shifted GEMMs; :func:`avgpool` and
-:func:`avgpool_grad` are a non-overlapping k x k mean pool and its adjoint.
+convolution as GEMMs over the (H*W, Cin*9) im2col matrix, with the bias
+added in place. It reads the input already zero-padded, a (Cin, H+2, W+2)
+buffer whose one-pixel border the caller leaves zero and whose interior it
+fills: the detector writes each layer's input straight into such a buffer,
+and the embedder pads its inputs with :func:`_pad1`. The matrix is gathered
+from the flat padded input through a read-only index of one band of output
+rows, the same for every band and cached per input shape
+(:func:`_patch_index`); :func:`im2col` builds the whole matrix that way.
+
+Band rule (:func:`_gemm_rows`): a matrix of up to :data:`_GEMM_ENTRIES`
+entries (1 MB), such as every embedder layer and every layer of a 32 px
+detector, is one GEMM. A larger one is cut into equal bands of whole rows
+of about 512 KB; :func:`conv3` gathers each into one reused band buffer and
+multiplies it into its rows of one (H*W, Cout) output.
+
+- Why 512 KB: glibc trims the heap when its free top exceeds twice the
+  largest block it has unmapped so far. A 64 px, L=68 forward in 512 KB bands stays
+  under that on every pipeline image; in 1 MB bands some images still
+  trimmed and regrew the heap. Smaller networks keep their one GEMM, and so
+  the largest block they free: cut smaller, it set a lower threshold, and
+  the heap was trimmed on about a third of the 32 px pipeline images.
+- Why equal: OpenBLAS multiplies a GEMM with a small output (at most 1200
+  entries on an AVX-512 host) by another kernel, which sums in another
+  order. A greedy 1 MB cut of 64 px dec1 would leave a short last band of
+  128 x 8 outputs with other bits. Equal bands keep every band as large as
+  the cut allows, and the product bitwise that of one GEMM on every network
+  layer (tests/test_layers.py).
+
+The networks fill both caches for their own layers when they are built
+(:func:`_cache_conv`), so a forward pass allocates nothing that outlives it.
+
+:func:`conv3_input_grad` is the adjoint w.r.t. the (unpadded) input as nine
+shifted GEMMs; :func:`avgpool` and :func:`avgpool_grad` are a
+non-overlapping k x k mean pool and its adjoint.
 """
 
 from __future__ import annotations
@@ -24,6 +45,9 @@ import numpy as np
 
 # entries per band index (8192 intp is 64 KB); a 256 KB index was no faster
 _BAND_ENTRIES = 8192
+# an im2col matrix of at most this many entries (1 MB of float64) is one
+# GEMM; a larger one is cut into equal bands of about half as many
+_GEMM_ENTRIES = 131072
 
 
 def _pad1(x: np.ndarray) -> np.ndarray:
@@ -52,40 +76,80 @@ def _patch_index(cin: int, h: int, wd: int) -> np.ndarray:
     return idx
 
 
+def _cache_conv(cin: int, h: int, wd: int) -> None:
+    """Fill the caches :func:`conv3` reads for one input shape."""
+    _patch_index(cin, h, wd)
+    _gemm_rows(cin, h, wd)
+
+
+def _dims(xp: np.ndarray) -> tuple[int, int, int]:
+    """(Cin, H, W) of the input x that xp (Cin, H+2, W+2) pads."""
+    cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
+    if cin < 1 or h < 1 or wd < 1:
+        raise ValueError(f"im2col needs a nonempty padded (Cin, H+2, W+2) stack, got {xp.shape}")
+    return cin, h, wd
+
+
+@functools.lru_cache(maxsize=64)
+def _gemm_rows(cin: int, h: int, wd: int) -> int:
+    """Input rows per GEMM band of the (H*W, Cin*9) im2col matrix: all H
+    rows up to :data:`_GEMM_ENTRIES` entries, else the divisor of H whose
+    band of whole rows holds nearest (by ratio) half that many, so every
+    band has the same size."""
+    per_row = wd * cin * 9
+    if h * per_row <= _GEMM_ENTRIES:
+        return h
+    target = _GEMM_ENTRIES / 2
+    return min((r for r in range(1, h + 1) if h % r == 0),
+               key=lambda r: max(r * per_row / target, target / (r * per_row)))
+
+
+def _gather(flat: np.ndarray, idx: np.ndarray, wd: int, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    """Rows r0*W .. r1*W of the im2col matrix of the flat padded input,
+    gathered into out, of that many rows, one index band at a time; returns
+    out. The indices are in range by construction, so ``mode="clip"``
+    changes none of them and only spares ``take`` the buffered copy of
+    ``out`` that ``mode="raise"`` makes."""
+    step = idx.shape[0] // wd
+    for s0 in range(r0, r1, step):
+        s1 = min(s0 + step, r1)
+        flat[s0 * (wd + 2):].take(idx[: (s1 - s0) * wd], out=out[(s0 - r0) * wd : (s1 - r0) * wd], mode="clip")
+    return out
+
+
 def im2col(xp: np.ndarray) -> np.ndarray:
     """The im2col matrix of a 3x3 same-pad convolution over the input x
     (Cin,H,W), given zero-padded as xp (Cin,H+2,W+2) (see the module
     docstring), shape (H*W, Cin*9), C-contiguous: row r*W + c holds the 3x3
-    patch of every input channel around pixel (r, c).
-
-    Gathered from the flat padded input one band of rows at a time through
-    the cached :func:`_patch_index`; the indices are in range by
-    construction, so ``mode="clip"`` changes none of them and only spares
-    ``take`` the buffered copy of ``out`` that ``mode="raise"`` makes. A
-    C-contiguous ``xp`` is read in place."""
-    cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
-    if cin < 1 or h < 1 or wd < 1:
-        raise ValueError(f"im2col needs a nonempty padded (Cin, H+2, W+2) stack, got {xp.shape}")
-    idx = _patch_index(cin, h, wd)
-    flat = xp.reshape(-1)
-    a = np.empty((h * wd, cin * 9), dtype=flat.dtype)
-    rows = idx.shape[0] // wd
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        flat[r0 * (wd + 2):].take(idx[: (r1 - r0) * wd], out=a[r0 * wd : r1 * wd], mode="clip")
-    return a
+    patch of every input channel around pixel (r, c). A C-contiguous ``xp``
+    is read in place."""
+    cin, h, wd = _dims(xp)
+    a = np.empty((h * wd, cin * 9), dtype=xp.dtype)
+    return _gather(xp.reshape(-1), _patch_index(cin, h, wd), wd, 0, h, a)
 
 
 def conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 same-pad convolution of the input x (Cin,H,W), given zero-padded
     as xp (Cin,H+2,W+2); w (Cout,Cin,3,3), b (Cout,) -> (Cout,H,W).
 
-    The result is the transposed view of the (H*W, Cout) GEMM output, so
-    its channel axis has unit stride."""
-    h, wd = xp.shape[1] - 2, xp.shape[2] - 2
-    out = im2col(xp) @ w.reshape(w.shape[0], -1).T
-    out += b
-    return out.T.reshape(w.shape[0], h, wd)
+    The im2col matrix is gathered and multiplied one GEMM band
+    (:func:`_gemm_rows`) at a time, into one reused band buffer, and each
+    GEMM writes its rows of one (H*W, Cout) output; the result is the
+    transposed view of that output, so its channel axis has unit stride.
+    A C-contiguous ``xp`` is read in place."""
+    cin, h, wd = _dims(xp)
+    cout = w.shape[0]
+    wt = w.reshape(cout, -1).T
+    idx = _patch_index(cin, h, wd)
+    flat = xp.reshape(-1)
+    rows = _gemm_rows(cin, h, wd)
+    band = np.empty((rows * wd, cin * 9), dtype=flat.dtype)
+    out = np.empty((h * wd, cout), dtype=np.result_type(flat, wt))
+    for r0 in range(0, h, rows):
+        part = out[r0 * wd : (r0 + rows) * wd]
+        np.matmul(_gather(flat, idx, wd, r0, r0 + rows, band), wt, out=part)
+        part += b
+    return out.T.reshape(cout, h, wd)
 
 
 def conv3_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:

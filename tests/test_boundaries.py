@@ -193,6 +193,19 @@ NOT_IDS = st.sampled_from([4, -1, True, 1.0, 2.5, None])
 ANY_IDS = st.one_of(GROUP_IDS, NOT_IDS)
 PAIR_ENTRIES = st.one_of(st.tuples(ANY_IDS, ANY_IDS), st.lists(ANY_IDS, min_size=2, max_size=2),
                          st.tuples(ANY_IDS, ANY_IDS, ANY_IDS), st.tuples(ANY_IDS), ANY_IDS)
+
+
+@BOUNDARY
+@given(st.one_of(ANY_IDS, st.sampled_from([np.uint8(3), np.int64(-1), -4, 2**70, "1", np.float64(1.0)])))
+def test_group_indices(gid):
+    g = SemanticGroups(4, np.repeat(np.arange(4), 2))
+    out = _call(g.indices, gid)
+    if isinstance(gid, (int, np.integer)) and not isinstance(gid, bool) and 0 <= gid < 4:
+        assert out.tolist() == [2 * gid, 2 * gid + 1]
+    else:
+        assert _rejected(out, "group id must be an integer in 0..3")
+
+
 # four groups hold at most two disjoint pairs
 PAIR_FIELDS = st.one_of(
     st.one_of(st.lists(st.tuples(GROUP_IDS, GROUP_IDS), max_size=2).map(tuple),

@@ -1,6 +1,8 @@
 import json
+import pickle
 import struct
 import tracemalloc
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blob_image
+from warpagg import detector as detector_module
 from warpagg.detector import (
     CheckpointFormatError,
     DegenerateHeatmapError,
@@ -20,7 +23,7 @@ from warpagg.detector import (
     soft_argmax,
 )
 from warpagg.imaging import to_pixel
-from warpagg.layers import _pad1, conv3
+from warpagg.layers import _gemm_rows, _pad1, conv3
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +135,8 @@ class TestForwardOracle:
 
 
 class TestForwardMemory:
-    """At 64 px with 68 maps each conv layer's (H*W, Cin*9) im2col matrix is
-    freed as soon as its GEMM is done."""
+    """At 64 px with 68 maps a forward pass holds at most its output, one
+    GEMM band of an im2col matrix and the padded conv inputs."""
 
     @pytest.fixture(scope="class")
     def det64(self):
@@ -149,6 +152,90 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_peak_is_the_output_one_band_and_the_padded_inputs(self, det64):
+        # 2.2 MB of output, a 0.4 MB band of the output layer's (4096, 108)
+        # matrix and 0.7 MB of padded inputs; one GEMM over the whole matrix
+        # and a second heat stack for the softplus peaked at 6.6 MB
+        img = blob_image(64, seed=5)
+        band = 8 * _gemm_rows(12, 64, 64) * 64 * 12 * 9
+        padded = 8 * (66 * 66 * (1 + 12) + 34 * 34 * (4 + 16) + 18 * 18 * 8)
+        heat = predict_heatmaps(det64, img)
+        tracemalloc.start()
+        try:
+            predict_heatmaps(det64, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert heat.nbytes + band <= peak <= heat.nbytes + band + padded
+
+    def test_softplus_is_applied_in_place(self, det64, monkeypatch):
+        # the heat stack is the output layer's GEMM result itself
+        outputs = []
+
+        def recording_conv3(xp, w, b):
+            outputs.append(conv3(xp, w, b))
+            return outputs[-1]
+
+        monkeypatch.setattr(detector_module, "conv3", recording_conv3)
+        heat = predict_heatmaps(det64, blob_image(64, seed=5))
+        assert np.shares_memory(heat, outputs[-1]) and heat.strides == outputs[-1].strides
+
+
+class TestParams:
+    """The parameters are checked, copied and converted once, when the
+    detector is built; nothing can edit them afterwards."""
+
+    # each of these built a detector whose forward raised a bare KeyError or
+    # numpy's matmul error
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: {}, "missing"),
+        (lambda p: {k: v for k, v in p.items() if k != "enc1.w"}, r"missing \['enc1\.w'\]"),
+        (lambda p: {**p, "extra.w": p["out.w"]}, r"extra \['extra\.w'\]"),
+        (lambda p: {**p, "out.b": np.zeros(4, np.float32)}, r"params\['out\.b'\] must be a real array of shape \(3,\)"),
+        (lambda p: {**p, "out.w": p["out.w"][None]}, r"params\['out\.w'\] must be a real array"),
+        (lambda p: {**p, "out.b": np.array(["a", "b", "c"])}, r"params\['out\.b'\] must be a real array"),
+        (lambda p: {**p, "out.b": np.ones(3, bool)}, r"params\['out\.b'\] must be a real array"),
+        (lambda p: {**p, "out.b": np.ones(3, complex)}, r"params\['out\.b'\] must be a real array"),
+        (lambda p: list(p.items()), "must be a mapping"),
+    ], ids=["empty", "missing", "extra", "short", "extra-axis", "strings", "bools", "complex", "list"])
+    def test_bad_params_rejected_at_build(self, det16, edit, message):
+        with pytest.raises(ValueError, match=message):
+            ToyDetector(3, (16, 16), 0, edit(dict(det16.params)))
+
+    def test_empty_params_at_paper_size(self):
+        with pytest.raises(ValueError, match="missing"):
+            ToyDetector(12, (32, 32), 0, {})
+
+    def test_params_are_read_only(self, det16, img16):
+        before = predict_heatmaps(det16, img16)
+        with pytest.raises(ValueError, match="read-only"):
+            det16.params["out.b"][:] = 100
+        with pytest.raises(TypeError):
+            det16.params["out.b"] = np.full(3, 100, np.float32)
+        assert np.array_equal(predict_heatmaps(det16, img16), before)
+
+    def test_given_params_are_copied(self, det16, img16):
+        given = {k: v.copy() for k, v in det16.params.items()}
+        det = ToyDetector(3, (16, 16), 0, given)
+        given["out.b"][:] = 100  # the caller's array; the detector keeps its own
+        assert given["out.b"].flags.writeable
+        assert np.array_equal(predict_heatmaps(det, img16), predict_heatmaps(det16, img16))
+
+    def test_given_dtypes_are_kept(self, img16):
+        rng = np.random.default_rng(8)
+        shapes = {k: v.shape for k, v in ToyDetector(3, (16, 16)).params.items()}
+        given = {k: rng.normal(0.0, 0.3, s) for k, s in shapes.items()}
+        det = ToyDetector(3, (16, 16), 0, given)
+        assert all(det.params[k].dtype == np.float64 and np.array_equal(det.params[k], v)
+                   for k, v in given.items())
+        assert np.array_equal(predict_heatmaps(det, img16), concat_forward(det, img16))
+
+    def test_pickle_and_deepcopy(self, det16, img16):
+        for copy in (pickle.loads(pickle.dumps(det16)), deepcopy(det16)):
+            assert copy == det16 and copy is not det16
+            assert not copy.params["out.w"].flags.writeable
+            assert np.array_equal(predict_heatmaps(copy, img16), predict_heatmaps(det16, img16))
 
 
 class TestSoftArgmax:

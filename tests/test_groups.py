@@ -242,6 +242,19 @@ class TestPairValidation:
             assert np.array_equal(idx, np.flatnonzero(g.membership == gid))
             assert idx is g.indices(gid) and not idx.flags.writeable
 
+    # indices(-1) returned the last group, indices(True) group 1 and
+    # indices(6) raised a bare IndexError
+    @pytest.mark.parametrize("gid", [-1, 6, True, False, 1.0, "1", None, np.int64(-1)], ids=repr)
+    def test_indices_reject_a_bad_group_id(self, gid):
+        g = assign_groups(12, "synthetic")
+        with pytest.raises(ValueError, match=r"group id must be an integer in 0\.\.5"):
+            g.indices(gid)
+
+    def test_indices_accept_numpy_ids_at_both_ends(self):
+        g = assign_groups(12, "synthetic")
+        assert g.indices(np.int64(0)).tolist() == [0, 1]
+        assert g.indices(np.uint8(5)).tolist() == [10, 11]
+
     def test_membership_is_a_read_only_copy(self):
         membership = np.repeat(np.arange(3), 4)
         g = SemanticGroups(count=3, membership=membership)

@@ -3,9 +3,19 @@ import pytest
 
 from conftest import blob_image
 from warpagg import detector as detector_module
+from warpagg import embedder as embedder_module
 from warpagg.detector import _CHANNELS, ToyDetector, predict_heatmaps
 from warpagg.embedder import ToyEmbedder, embed_with_vjp
-from warpagg.layers import _pad1, _patch_index, avgpool, conv3, conv3_input_grad, im2col
+from warpagg.layers import (
+    _GEMM_ENTRIES,
+    _gemm_rows,
+    _pad1,
+    _patch_index,
+    avgpool,
+    conv3,
+    conv3_input_grad,
+    im2col,
+)
 
 
 def loop_conv3(x, w, b):
@@ -155,6 +165,102 @@ class TestIm2colGather:
     def test_zero_size_raises(self, shape):
         with pytest.raises(ValueError, match="im2col needs a nonempty"):
             im2col(_pad1(np.zeros(shape)))
+
+
+def one_gemm_conv3(xp, w, b):
+    """Oracle: the convolution as one GEMM over the whole im2col matrix, as
+    conv3 computed it before its GEMM bands."""
+    cout, h, wd = w.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
+    return (im2col(xp) @ w.reshape(cout, -1).T + b).T.reshape(cout, h, wd)
+
+
+def _assert_one_gemm_bits(xp, w, b):
+    got, want = conv3(xp, w, b), one_gemm_conv3(xp, w, b)
+    assert got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
+def _layer_calls(module, monkeypatch, run):
+    """(padded input, weights, bias) of every conv3 call ``run()`` makes
+    through ``module``."""
+    calls = []
+
+    def recording_conv3(xp, w, b):
+        calls.append((xp.copy(), w, b))
+        return conv3(xp, w, b)
+
+    monkeypatch.setattr(module, "conv3", recording_conv3)
+    run()
+    return calls
+
+
+class TestGemmBands:
+    """conv3 multiplies its im2col matrix in equal bands and gives the bits
+    of one GEMM over the whole matrix."""
+
+    # (68, 68): the 34-row dec1 input, whose only cuts into more than two
+    # bands are rows of 2 or 1, at most 68 x 8 outputs (BLAS's small-matrix
+    # kernel)
+    @pytest.mark.parametrize("num_landmarks,size", [(3, 16), (12, 32), (68, 64), (68, 68)])
+    def test_every_detector_layer(self, num_landmarks, size, monkeypatch):
+        det = ToyDetector(num_landmarks, (size, size), seed=0)
+        calls = _layer_calls(detector_module, monkeypatch,
+                             lambda: predict_heatmaps(det, blob_image(size, seed=3)))
+        assert len(calls) == 5
+        for xp, w, b in calls:
+            _assert_one_gemm_bits(xp, w, b)
+
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_every_embedder_layer(self, size, monkeypatch):
+        emb = ToyEmbedder(input_size=(size, size))
+        calls = _layer_calls(embedder_module, monkeypatch,
+                             lambda: embed_with_vjp(emb, blob_image(size, seed=4)))
+        assert len(calls) == 2
+        for xp, w, b in calls:
+            cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
+            assert _gemm_rows(cin, h, wd) == h  # one band
+            _assert_one_gemm_bits(xp, w, b)
+
+    def test_many_bands(self):
+        # the output layer of a 128 px detector with 68 maps: 32 bands
+        x, w, b, _ = _layer(12, 68, 128, seed=11)
+        assert 128 // _gemm_rows(12, 128, 128) == 32
+        _assert_one_gemm_bits(_pad1(x), w, b)
+
+    @pytest.mark.parametrize("build,run", [
+        (lambda: ToyDetector(68, (64, 64), seed=0), predict_heatmaps),
+        (lambda: ToyEmbedder(input_size=(64, 64)), embed_with_vjp),
+    ], ids=["detector", "embedder"])
+    def test_band_cache_filled_at_build(self, build, run):
+        _gemm_rows.cache_clear()
+        net = build()
+        misses = _gemm_rows.cache_info().misses
+        run(net, blob_image(64, seed=5))
+        assert _gemm_rows.cache_info().misses == misses
+
+    @pytest.mark.parametrize("cin,h,wd,rows", [
+        (12, 64, 64, 8),    # 64 px output layer: 8 bands of 512 rows, not 4 of 1024
+        (16, 32, 32, 16),   # 64 px dec1: 2 bands, where a greedy cut leaves 28 + 4 rows
+        (16, 34, 34, 17),   # 68 px dec1: 2 bands, not 17 of 2 rows
+        (12, 32, 32, 32),   # 32 px output layer: one GEMM
+        (1, 64, 64, 64),    # the embedder's first layer at 64 px: one GEMM
+        (3, 5, 7, 5),
+    ])
+    def test_bands_are_equal_and_near_the_target(self, cin, h, wd, rows):
+        assert _gemm_rows(cin, h, wd) == rows
+        assert h % rows == 0
+        entries = h * wd * cin * 9
+        if entries <= _GEMM_ENTRIES:
+            assert rows == h
+            return
+        # no other equal cut is nearer half the one-GEMM size by ratio
+        target = _GEMM_ENTRIES / 2
+
+        def off(r):
+            band = r * wd * cin * 9
+            return max(band / target, target / band)
+
+        assert all(off(rows) <= off(r) for r in range(1, h + 1) if h % r == 0)
 
 
 def reshape_mean_pool(x, k):
