@@ -18,21 +18,23 @@ The step warps only the pixels the embedder reads: the source rows and
 columns that the bilinear resize to the embedder's input gathers (every
 pixel when the face already has that size). Each warped pixel is bitwise the
 full warp's, and the resize reads the same pixels with the same weights, so
-the embedding is exactly the one of the resized full warp. The step never
-keeps a face, whatever the sizes: once a branch stops,
+the embedding is exactly the one of the resized full warp. The step keeps
+that support raster, never a face. Once a branch stops,
 :func:`~warpagg.tps.warp_image` at the final control points makes
-``ManipulatedFace.image``, and the branch reads its raster before it
-returns, so that one warp is part of every branch's time and the face holds
-the warped raster alone.
+``ManipulatedFace.image`` (its one fit, recorded for
+:func:`~warpagg.tps.invert_landmarks`), and the branch completes it from
+its last step before it returns: only the pixels outside the support are
+warped, none when the support is the whole face, and the support is
+written in. The face is bitwise the full warp and holds the raster alone,
+neither the support nor the fit.
 
 Each branch allocates one grid-kernel pair, (L+3, N) and (L, N) over the N
 pixels a step warps, and every step of the branch builds its kernel into
-it, so a paper-scale branch does not allocate and free about 18 MB per
-iteration. A step built into the pair is valid until the next step is
-built into it; the loop drops each step before building the next. The
-pair is released when the branch returns, after its final warp: released
-before it, the next branch faulted about 8 MB of its pair in again (at
-256 px with L=68).
+it, so a branch does not allocate and free a grid kernel per iteration. A
+step built into the pair is valid until the next step is built into it;
+the loop drops each step before building the next. The pair is released
+when the branch returns, after its face is completed: released earlier,
+the next branch faults its pair in again.
 """
 
 from __future__ import annotations
@@ -105,10 +107,11 @@ class AttackStep:
     landmarks, holding what its backward pass reuses.
 
     The step warps only the pixels the embedder's resize reads (see
-    :func:`attack_step`) and holds no face."""
+    :func:`attack_step`) and holds them, not a face."""
 
     z: np.ndarray                 # the warped face's embedding
     backward: Callable[[np.ndarray], np.ndarray]  # cotangent on z -> (L,2)
+    support: Image                # the warped pixels the resize reads
 
     def distances(self, peers: np.ndarray) -> np.ndarray:
         """Embedding distance to every peer, (K,)."""
@@ -151,7 +154,7 @@ def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
     def backward(cot_z: np.ndarray) -> np.ndarray:
         return warp_back(st.vjp(embed_back(cot_z)))
 
-    return AttackStep(z, backward)
+    return AttackStep(z, backward, warped)
 
 
 def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
@@ -210,7 +213,8 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
                 cfg: AttackConfig, project, on_step, k: int) -> tuple[ManipulatedFace, np.ndarray]:
     moved = points.copy()
     # every step of the branch builds its grid kernel into this one pair
-    n, npix = len(points), math.prod(_stencil(emb, img).support_shape)
+    st = _stencil(emb, img)
+    n, npix = len(points), math.prod(st.support_shape)
     kernel = np.empty((n + 3, npix)), np.empty((n, npix))
     step = attack_step(emb, img, points, moved, cfg.tps_lambda, kernel)
     iters = 0
@@ -227,10 +231,11 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
         iters += 1
         if on_step is not None:
             on_step(k, iters, float(step.distances(peers).sum()))
-    z = step.z
+    z, support = step.z, step.support.data
     del step
     image = warp_image(img, points, moved, cfg.tps_lambda)
-    image.data  # warp every pixel now, inside the branch
+    # the last step warped the support at these control points
+    image._complete(st.rows, st.cols, support)
     face = ManipulatedFace(
         image=image,
         control_source=points.copy(),

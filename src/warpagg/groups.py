@@ -254,10 +254,12 @@ def _group_means(groups: SemanticGroups, pts: np.ndarray) -> np.ndarray:
 def apply_groups(points: np.ndarray, groups: SemanticGroups,
                  sims: list[GroupSimilarity]) -> np.ndarray:
     """Apply ``sims[gid]`` to every group's landmarks. ``sims`` must hold one
-    transform per group and ``points`` one finite row per membership entry,
-    or ``ValueError`` is raised."""
+    :class:`GroupSimilarity` per group and ``points`` one finite row per
+    membership entry, or ``ValueError`` is raised."""
     if len(sims) != groups.count:
         raise ValueError(f"need {groups.count} group transforms, got {len(sims)}")
+    if not all(isinstance(sim, GroupSimilarity) for sim in sims):
+        raise ValueError("every group transform must be a GroupSimilarity")
     pts = _landmarks(groups, points)
     mem = groups.membership
     scale = np.array([sim.scale for sim in sims])

@@ -386,9 +386,15 @@ def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
     """Sample the 2-D raster ``data`` at normalized points (..., 2).
 
     Returns (values, grads): values has the points' leading shape, and grads
-    is (..., 2) in normalized units, or None. A NaN point raises
-    ``ValueError``; an infinite one is clamped to the edge.
+    is (..., 2) in normalized units, or None. The raster is read as float64
+    (a float64 one without a copy); one that does not hold real numbers
+    (integers or floats, not bools) raises ``ValueError``. A NaN point
+    raises ``ValueError``; an infinite one is clamped to the edge.
     """
+    data = np.asarray(data)
+    if data.dtype.kind not in "iuf":
+        raise ValueError(f"raster must hold real numbers, got dtype {data.dtype}")
+    data = data.astype(np.float64, copy=False)
     if data.ndim != 2:
         raise ValueError(f"data must be a 2-D raster, got shape {data.shape}")
     pts = _points(pts)

@@ -45,13 +45,18 @@ they are read: reading ``.data`` warps every pixel, and
 :meth:`~warpagg.imaging.Image.pixels` warps just the chosen rows and
 columns, which is how :func:`~warpagg.imaging.resize_bilinear` reads it.
 The image holds a copy of the source raster and the fit until ``.data`` is
-read; then it holds the warped raster alone. Both reads run one band loop
-(:func:`_warp_pixels`) in which every temporary is band or block sized:
-the grid kernel is built one band of whole rows at a time into one pair of
-cache-line-aligned buffers, and the mapped coordinates are sampled one
-block of bands at a time. Every kernel entry, mapped coordinate and sample
-is computed on its own, and the band GEMMs give the same bits as the
-full-range one, so a pixel is bitwise the same whichever call warps it.
+read; then it holds the warped raster alone. A caller that already holds
+the warped pixels of some rows and columns completes the image from them
+instead (``_PendingWarp._complete``): only the other pixels are warped, and
+the image then holds the raster alone as after a read. The attack completes
+each branch's face from the support its last step warped. Every read and
+every completion runs one band loop (:func:`_warp_pixels`) in which every
+temporary is band or block sized: the grid kernel is built one band of
+whole rows at a time into one pair of cache-line-aligned buffers, and the
+mapped coordinates are sampled one block of bands at a time. Every kernel
+entry, mapped coordinate and sample is computed on its own, and the band
+GEMMs give the same bits as the full-range one, so a pixel is bitwise the
+same whichever call warps it.
 
 A branch is warped and then mapped back through the inverse of the same
 spline, so :func:`warp_image` records its last fit at module level: one
@@ -370,7 +375,8 @@ class _PendingWarp(Image):
 
     It holds a copy of the source raster and the fit. Reading ``.data``
     warps every pixel once, validates the raster as ``Image`` does, keeps it
-    and drops the copy and the fit, so a read warp holds one raster.
+    and drops the copy and the fit, so a read warp holds one raster;
+    :meth:`_complete` does the same from pixels already warped.
     :meth:`pixels` before that warps only the chosen rows and columns, and
     after it slices the raster."""
 
@@ -382,10 +388,34 @@ class _PendingWarp(Image):
     @property
     def data(self) -> np.ndarray:
         if self._pending is not None:
-            raster = Image(_warp_pixels(*self._pending, slice(None), slice(None))).data
-            object.__setattr__(self, "_raster", raster)
-            object.__setattr__(self, "_pending", None)
+            self._keep(_warp_pixels(*self._pending, slice(None), slice(None)))
         return self._raster
+
+    def _keep(self, raster: np.ndarray) -> None:
+        """Validate the warped ``raster`` as ``Image`` does, keep it and drop
+        the copy and the fit."""
+        object.__setattr__(self, "_raster", Image(raster).data)
+        object.__setattr__(self, "_pending", None)
+
+    def _complete(self, rows, cols, support: np.ndarray) -> None:
+        """Make the raster from ``support``, the warped pixels of the output
+        ``rows`` and ``cols`` (index arrays or slices), warping only the
+        others: the other rows over every column, then the chosen rows over
+        the other columns. The raster is kept as a read of ``.data`` keeps
+        it; it is the warp's only if ``support`` is, bitwise, as
+        :func:`warp_with_vjp` returns it. Call it before any read."""
+        height, width = self._shape
+        rows, cols = np.arange(height)[rows], np.arange(width)[cols]
+        other_rows, other_cols = np.ones(height, dtype=bool), np.ones(width, dtype=bool)
+        other_rows[rows] = other_cols[cols] = False
+        other_rows, other_cols = np.flatnonzero(other_rows), np.flatnonzero(other_cols)
+        raster = np.empty(self._shape)
+        if other_rows.size:
+            raster[other_rows] = _warp_pixels(*self._pending, other_rows, slice(None))
+        if other_cols.size:
+            raster[np.ix_(rows, other_cols)] = _warp_pixels(*self._pending, rows, other_cols)
+        raster[np.ix_(rows, cols)] = support
+        self._keep(raster)
 
     @property
     def width(self) -> int:

@@ -18,7 +18,7 @@ from warpagg.attack import (
 )
 from warpagg.embedder import ToyEmbedder, embed
 from warpagg.groups import assign_groups, generate_grouped_adversarial_set
-from warpagg.imaging import Image, resize_bilinear
+from warpagg.imaging import Image, resize_bilinear, resize_stencil
 from warpagg.tps import warp_image
 
 # cost_grad on the seeded case of TestCostGrad.test_golden_values, as computed
@@ -124,7 +124,7 @@ class TestAttackStep:
     def test_image_and_embedding_match_the_plain_path(self, emb, pts, size):
         # a face into a 32 px embedder: the step warps only the pixels the
         # resize reads (every pixel at 32 px) and holds no face; the
-        # branch's face comes from one final warp at its last control points
+        # branch's face is completed from its last step
         img = blob_image(size, seed=18)
         moved = pts + np.random.default_rng(5).uniform(-0.04, 0.04, pts.shape)
         step = attack_step(emb, img, pts, moved)
@@ -138,7 +138,7 @@ class TestAttackStep:
 
     def test_the_face_raster_is_warped_inside_the_branch(self, emb, pts):
         # a 48 px face into a 32 px embedder comes from warp_image; the branch
-        # reads its raster, so reading it afterwards warps and allocates
+        # completes its raster, so reading it afterwards warps and allocates
         # nothing (the 48 px raster alone is 18 KB)
         img = blob_image(48, seed=19)
         cfg = AttackConfig(branches=1, distance_threshold=2.0, max_iters=2)
@@ -237,6 +237,44 @@ class TestWorkPerIteration:
         # branch's final warp, and one forward for the original
         assert counts == {"fit": cfg.branches * (cfg.max_iters + 2),
                           "forward": 1 + cfg.branches * (cfg.max_iters + 1)}
+
+    # an 80 px face into the 32 px embedder: the resize reads 64 of its 80
+    # rows and columns
+    @pytest.mark.parametrize("size", [32, 80], ids=["identity", "80-to-32"])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["raw", "grouped"])
+    def test_a_branch_end_warps_only_the_pixels_outside_the_support(self, emb, pts, grouped, size,
+                                                                     monkeypatch):
+        img = blob_image(size, seed=22)
+        warped, real = [], tps_mod._warp_pixels
+
+        def counting(*args):
+            raster = real(*args)
+            warped.append(raster.size)
+            return raster
+
+        monkeypatch.setattr(tps_mod, "_warp_pixels", counting)
+        marks = []
+
+        def on_step(branch, _iteration, _cost):
+            marks.append(sum(warped))
+
+        # tau = 2 is out of reach, so each branch runs all its iterations
+        cfg = AttackConfig(branches=2, distance_threshold=2.0, max_iters=3)
+        if grouped:
+            groups = assign_groups(12, "synthetic")
+            faces = generate_grouped_adversarial_set(emb, img, base_shape_12(), groups, cfg, on_step)
+        else:
+            faces = generate_adversarial_set(emb, img, pts, cfg, on_step)
+        marks.append(sum(warped))
+        rows, cols = resize_stencil(size, size, 32, 32).support_shape
+        per_end = size * size - rows * cols
+        assert per_end == (0 if size == 32 else 80 * 80 - 64 * 64)
+        # nothing is warped during a branch's steps, and each branch end
+        # warps the pixels outside the support
+        assert marks == [k * per_end for k in range(cfg.branches) for _ in range(cfg.max_iters)] \
+            + [cfg.branches * per_end]
+        for f in faces:
+            assert np.array_equal(f.image.data, warp_image(img, f.control_source, f.control_target).data)
 
 
 class TestKernelReuse:

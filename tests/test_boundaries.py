@@ -9,6 +9,7 @@ tests the same cases.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from warpagg.attack import AttackConfig
 from warpagg.detector import DegenerateHeatmapError, ToyDetector, predict_heatmaps, soft_argmax
 from warpagg.embedder import ToyEmbedder, embed
-from warpagg.groups import SemanticGroups
+from warpagg.groups import GroupSimilarity, SemanticGroups, apply_groups
 from warpagg.imaging import (
     Image,
     from_pixel,
@@ -142,6 +143,35 @@ def test_resize_and_sampler(src_w, src_h, width, height, raster, pts, with_grad,
         assert grads is None if not with_grad else grads.shape == pts.shape and np.all(np.isfinite(grads))
 
 
+# raster dtypes: the real ones, integer and float, and ones that hold no
+# real number (bool, complex, object, text)
+RASTER_DTYPES = st.one_of(
+    st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int32, np.uint8]),
+    st.sampled_from([np.bool_, np.complex128, object, np.str_]))
+
+
+@BOUNDARY
+@given(RASTER_DTYPES, st.sampled_from([(1, 1), (2, 3), (4, 4)]), POINTS, st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_sampler_raster_dtypes(dtype, raster, pts, with_grad, seed):
+    # integers 0..255, or eighths of them in a float dtype: exact in every
+    # dtype drawn
+    ints = np.random.default_rng(seed).integers(0, 256, raster)
+    real = np.issubdtype(dtype, np.integer) or np.issubdtype(dtype, np.floating)
+    data = (ints / 8 if np.issubdtype(dtype, np.floating) else ints).astype(dtype)
+    out = _call(sample_grid, data, pts, with_grad)
+    if not real:
+        assert _rejected(out, "raster must hold real numbers")
+    elif not _are_pairs(pts) or np.isnan(pts).any():
+        assert isinstance(out, ValueError)
+        assert any(m in str(out) for m in ("points must have shape (..., 2)", "must not be NaN"))
+    else:
+        # the samples of the raster in float64, bitwise
+        want = sample_grid(data.astype(np.float64), pts, with_grad)
+        assert out[0].dtype == np.float64 and np.array_equal(out[0], want[0])
+        assert out[1] is None if not with_grad else np.array_equal(out[1], want[1])
+
+
 # heatmap values: zeros (so that whole maps can be empty), subnormals,
 # ordinary magnitudes, and magnitudes up to 1e308, whose sums overflow
 HEAT = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
@@ -238,6 +268,27 @@ def test_group_pairs(mirror, vertical):
         # the message names a field that is wrong
         named = [name for name, ok in (("mirror_pairs", mirror_ok), ("vertical_pairs", vertical_ok)) if not ok]
         assert isinstance(out, ValueError) and any(name in str(out) for name in named)
+
+
+# a group transform, or an entry that is none: nothing, a number, its two
+# fields as a tuple or under their names
+SIM_ENTRIES = st.one_of(
+    st.builds(GroupSimilarity, st.sampled_from([0.5, 1.0, 2]), st.sampled_from([(0.0, 0.0), (0.1, -0.2)])),
+    st.sampled_from([None, 1.0, (1.0, (0.0, 0.0)), SimpleNamespace(scale=1.0, center=np.zeros(2))]))
+
+
+@BOUNDARY
+@given(st.one_of(st.lists(SIM_ENTRIES, max_size=5), st.lists(SIM_ENTRIES, max_size=5).map(tuple)))
+def test_apply_groups(sims):
+    g = SemanticGroups(4, np.repeat(np.arange(4), 2))
+    points = np.linspace(-0.5, 0.5, 16).reshape(8, 2)
+    out = _call(apply_groups, points, g, sims)
+    if len(sims) != 4:
+        assert _rejected(out, "need 4 group transforms")
+    elif not all(isinstance(sim, GroupSimilarity) for sim in sims):
+        assert _rejected(out, "must be a GroupSimilarity")
+    else:
+        assert out.shape == (8, 2) and np.all(np.isfinite(out))
 
 
 # a spline's point set: unit-scale coordinates, scaled as a whole down to

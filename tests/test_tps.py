@@ -437,10 +437,37 @@ class TestGridKernelOracle:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def _assert_completes_the_warp(img, pts, moved, rows, cols, monkeypatch):
+    """A warp_image result completed from warp_with_vjp's pixels on ``rows``
+    x ``cols`` is the full warp bitwise, warps only the other pixels, and
+    afterwards holds one raster: no source copy, no fit."""
+    support, _ = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
+    want = warp_image(img, pts, moved).data
+    out = warp_image(img, pts, moved)
+    warped, real = [], tps_mod._warp_pixels
+
+    def counting(*args):
+        raster = real(*args)
+        warped.append(raster.size)
+        return raster
+
+    monkeypatch.setattr(tps_mod, "_warp_pixels", counting)
+    out._complete(rows, cols, support.data)
+    assert sum(warped) == want.size - support.data.size
+    assert out._pending is None
+    raster = out.data
+    assert raster is out._raster and np.array_equal(raster, want)
+    assert not np.shares_memory(raster, support.data)
+    # nothing is left to warp
+    count = len(warped)
+    assert np.array_equal(out.pixels(rows, cols).data, support.data)
+    assert len(warped) == count
+
+
 class TestSubGridKernel:
     """The warp on the rows and columns a resize reads (the attack step's
-    warp) against the point-major oracle on the same pixels, and its
-    gradient against the full warp's."""
+    warp) against the point-major oracle on the same pixels, its gradient
+    against the full warp's, and a face completed from it."""
 
     # (width, height, L, resize width, resize height)
     @pytest.fixture(scope="class", params=[(256, 256, 68, 64, 64), (64, 64, 9, 32, 32),
@@ -493,6 +520,19 @@ class TestSubGridKernel:
         full = warp_vjp(img, pts, moved, resize_bilinear_vjp(img, st.width, st.height, cot))
         assert np.all(full != 0.0)
         assert np.array_equal(np.sign(got), np.sign(full))
+
+    def test_a_face_completed_from_the_support_is_the_full_warp(self, case, monkeypatch):
+        img, pts, moved, st, _, _, _ = case
+        _assert_completes_the_warp(img, pts, moved, st.rows, st.cols, monkeypatch)
+
+    def test_an_identity_support_completes_the_face_without_a_warp(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        img = blob_image(32, seed=32)
+        pts = rng.uniform(-0.7, 0.7, (8, 2))
+        moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        st = resize_stencil(32, 32, 32, 32)
+        assert st.identity and st.rows == st.cols == slice(None)
+        _assert_completes_the_warp(img, pts, moved, st.rows, st.cols, monkeypatch)
 
 
 class TestWarpImage:
