@@ -19,9 +19,10 @@ connections give them in a decoder layer's buffer, and each decoder
 activation is up-sampled by one broadcast assignment into the interior of
 the next buffer. No concatenated, up-sampled or padded copy is made. Every
 buffer but the output layer's input is freed before that layer runs, and
-the softplus is applied in place on its output (``np.logaddexp(0.0, pre,
-out=pre)``: the same bits and strides as a fresh array), so a 64 px, L=68
-pass peaks at its output, one GEMM band and the output layer's input.
+the softplus is applied in place on its output, band by band on the thread
+that computed the band (``np.logaddexp(0.0, part, out=part)``: elementwise,
+so the same bits as on a fresh array), so a 64 px, L=68 pass peaks at its
+output, one GEMM band per worker and the output layer's input.
 """
 
 from __future__ import annotations
@@ -167,8 +168,12 @@ def predict_heatmaps(det: ToyDetector, img: Image) -> np.ndarray:
     """Nonnegative response maps, shape (L, H, W), same spatial size as input."""
     _check_input_image(img, det.input_size, "detector")
     p = det._weights
-    pre = conv3(_output_layer_input(det, img), p["out.w"], p["out.b"])
-    return np.logaddexp(0.0, pre, out=pre)
+    return conv3(_output_layer_input(det, img), p["out.w"], p["out.b"], _softplus)
+
+
+def _softplus(part: np.ndarray) -> None:
+    """log(1 + exp(x)), in place."""
+    np.logaddexp(0.0, part, out=part)
 
 
 def _output_layer_input(det: ToyDetector, img: Image) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The conv/pool toolkit shared by the embedder and the detector.
+"""The conv/pool toolkit shared by the embedder and the detector, and the
+band-loop helper that it shares with the TPS warp.
 
 All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
 convolution as GEMMs over the (H*W, Cin*9) im2col matrix, with the bias
@@ -13,21 +14,30 @@ rows, the same for every band and cached per input shape
 Band rule (:func:`_gemm_rows`): a matrix of up to :data:`_GEMM_ENTRIES`
 entries (1 MB), such as every embedder layer and every layer of a 32 px
 detector, is one GEMM. A larger one is cut into equal bands of whole rows
-of about 512 KB; :func:`conv3` gathers each into one reused band buffer and
-multiplies it into its rows of one (H*W, Cout) output.
+of about 512 KB; each band is gathered into a band buffer and multiplied
+into its rows of one (H*W, Cout) output.
 
 - Why 512 KB: glibc trims the heap when its free top exceeds twice the
-  largest block it has unmapped so far. A 64 px, L=68 forward in 512 KB bands stays
-  under that on every pipeline image; in 1 MB bands some images still
-  trimmed and regrew the heap. Smaller networks keep their one GEMM, and so
-  the largest block they free: cut smaller, it set a lower threshold, and
-  the heap was trimmed on about a third of the 32 px pipeline images.
-- Why equal: OpenBLAS multiplies a GEMM with a small output (at most 1200
-  entries on an AVX-512 host) by another kernel, which sums in another
-  order. A greedy 1 MB cut of 64 px dec1 would leave a short last band of
-  128 x 8 outputs with other bits. Equal bands keep every band as large as
-  the cut allows, and the product bitwise that of one GEMM on every network
-  layer (tests/test_layers.py).
+  largest block it has unmapped so far. Bands of about 512 KB keep a 64 px,
+  L=68 forward under that threshold, while smaller networks keep their one
+  GEMM, and so the largest block they free.
+- Why equal: OpenBLAS multiplies a GEMM with a small output by another
+  kernel, which sums in another order. Equal bands keep every band as large
+  as the cut allows, and the product bitwise that of one GEMM on every
+  network layer (tests/test_layers.py).
+
+Worker rule (:func:`_spread`): a loop of several bands runs them in
+contiguous shares on min(bands, CPUs this process may use) threads, the
+calling thread doing the first share; a loop of one band runs inline and
+starts no thread. Two loops are split this way: :func:`conv3`'s GEMM bands,
+each worker gathering into its own band buffer and applying the caller's
+per-band step (the detector's softplus) to its own output rows, and the
+grid kernel bands of :func:`warpagg.tps._warp_pixels`, each worker building
+into its own kernel pair. Workers write only into buffers the calling
+thread allocated, apart from small per-band temporaries. Every band is
+computed the same way on whichever thread runs it, so no output bit depends
+on the thread or on the worker count. The pool's threads start at the first
+loop of several bands, and a forked child starts its own.
 
 The networks fill both caches for their own layers when they are built
 (:func:`_cache_conv`), so a forward pass allocates nothing that outlives it.
@@ -39,7 +49,11 @@ non-overlapping k x k mean pool and its adjoint.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -48,6 +62,62 @@ _BAND_ENTRIES = 8192
 # an im2col matrix of at most this many entries (1 MB of float64) is one
 # GEMM; a larger one is cut into equal bands of about half as many
 _GEMM_ENTRIES = 131072
+
+# the band-loop pool as (threads, executor), from the first loop of several
+# bands on; one slot, so the module attribute is never rebound. A forked
+# child has none of the pool's threads and builds its own.
+_pool: list[tuple[int, ThreadPoolExecutor] | None] = [None]
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _pool.__setitem__(0, None))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(bands: int) -> int:
+    """Threads a loop of ``bands`` bands runs on: one per CPU this process
+    may use, at most one per band; one band runs inline."""
+    return 1 if bands < 2 else min(bands, _cpus())
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The band-loop pool, with at least ``threads`` threads."""
+    held = _pool[0]
+    if held is None or held[0] < threads:
+        if held is not None:
+            held[1].shutdown(wait=False)
+        held = _pool[0] = threads, ThreadPoolExecutor(threads, thread_name_prefix="warpagg-bands")
+    return held[1]
+
+
+def _spread(fn: Callable, bands: int, buffers: Sequence) -> None:
+    """Call ``fn(buffer, lo, hi)`` for contiguous shares lo..hi of the bands
+    0..bands, one share per buffer, at most one per band (size ``buffers``
+    with :func:`_workers`). The first share runs on this thread, each other
+    on a pool thread in a copy of this thread's context (numpy's error
+    state with it). Returns only once every share has finished, and then
+    raises the first error a share raised, if any."""
+    k = min(bands, len(buffers))
+    if k < 2:
+        fn(buffers[0], 0, bands)
+        return
+    cuts = [i * bands // k for i in range(k + 1)]
+    pool = _executor(k - 1)
+    futures = []
+    try:
+        for i in range(1, k):
+            futures.append(pool.submit(contextvars.copy_context().run, fn, buffers[i], cuts[i], cuts[i + 1]))
+        fn(buffers[0], 0, cuts[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _pad1(x: np.ndarray) -> np.ndarray:
@@ -128,13 +198,17 @@ def im2col(xp: np.ndarray) -> np.ndarray:
     return _gather(xp.reshape(-1), _patch_index(cin, h, wd), wd, 0, h, a)
 
 
-def conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
+          then: Callable[[np.ndarray], object] | None = None) -> np.ndarray:
     """3x3 same-pad convolution of the input x (Cin,H,W), given zero-padded
     as xp (Cin,H+2,W+2); w (Cout,Cin,3,3), b (Cout,) -> (Cout,H,W).
 
     The im2col matrix is gathered and multiplied one GEMM band
-    (:func:`_gemm_rows`) at a time, into one reused band buffer, and each
-    GEMM writes its rows of one (H*W, Cout) output; the result is the
+    (:func:`_gemm_rows`) at a time, and each GEMM writes its rows of one
+    (H*W, Cout) output; the bands are split over workers (:func:`_spread`),
+    each with its own band buffer. ``then``, when given, is called on each
+    band's (rows, Cout) output rows once they hold the biased product, on the
+    band's thread, and must work on them in place. The result is the
     transposed view of that output, so its channel axis has unit stride.
     A C-contiguous ``xp`` is read in place."""
     cin, h, wd = _dims(xp)
@@ -143,12 +217,18 @@ def conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     idx = _patch_index(cin, h, wd)
     flat = xp.reshape(-1)
     rows = _gemm_rows(cin, h, wd)
-    band = np.empty((rows * wd, cin * 9), dtype=flat.dtype)
+    buffers = [np.empty((rows * wd, cin * 9), dtype=flat.dtype) for _ in range(_workers(h // rows))]
     out = np.empty((h * wd, cout), dtype=np.result_type(flat, wt))
-    for r0 in range(0, h, rows):
-        part = out[r0 * wd : (r0 + rows) * wd]
-        np.matmul(_gather(flat, idx, wd, r0, r0 + rows, band), wt, out=part)
-        part += b
+
+    def run(band: np.ndarray, lo: int, hi: int) -> None:
+        for r0 in range(lo * rows, hi * rows, rows):
+            part = out[r0 * wd : (r0 + rows) * wd]
+            np.matmul(_gather(flat, idx, wd, r0, r0 + rows, band), wt, out=part)
+            part += b
+            if then is not None:
+                then(part)
+
+    _spread(run, h // rows, buffers)
     return out.T.reshape(cout, h, wd)
 
 
@@ -171,10 +251,8 @@ def avgpool(x: np.ndarray, k: int) -> np.ndarray:
     A 2 x 2 window is summed from four strided slices in the fixed order
     ((x00 + x01) + x10) + x11 and divided by 4. That is the order the
     reshape mean takes on the layout :func:`conv3` returns, so the two are
-    bitwise equal there, and the slices are 2 to 4 times faster; being
-    elementwise, the sum gives the same bits on any layout. Larger windows
-    keep the reshape mean: on the embedder's 4 x 4 pools sixteen slices
-    are slower."""
+    bitwise equal there; being elementwise, the sum gives the same bits on
+    any layout. Larger windows keep the reshape mean."""
     if k == 2:
         s = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
         s += x[:, 1::2, 0::2]

@@ -52,11 +52,18 @@ the image then holds the raster alone as after a read. The attack completes
 each branch's face from the support its last step warped. Every read and
 every completion runs one band loop (:func:`_warp_pixels`) in which every
 temporary is band or block sized: the grid kernel is built one band of
-whole rows at a time into one pair of cache-line-aligned buffers, and the
-mapped coordinates are sampled one block of bands at a time. Every kernel
-entry, mapped coordinate and sample is computed on its own, and the band
-GEMMs give the same bits as the full-range one, so a pixel is bitwise the
-same whichever call warps it.
+whole rows at a time, and the mapped coordinates are sampled one block of
+bands at a time. Every kernel entry, mapped coordinate and sample is
+computed on its own, and the band GEMMs give the same bits as the
+full-range one, so a pixel is bitwise the same whichever call warps it.
+
+Workers (the worker rule of :mod:`warpagg.layers`): the kernel bands of
+each block are split over min(bands, CPUs this process may use) threads,
+each building into its own pair of cache-line-aligned buffers, which the
+calling thread allocates, and mapping its bands into their columns of the
+block; a block of one band runs inline. Each block is sampled on the
+calling thread. A band is computed the same way on any thread, so no pixel
+depends on the thread or on the worker count.
 
 A branch is warped and then mapped back through the inverse of the same
 spline, so :func:`warp_image` records its last fit at module level: one
@@ -78,6 +85,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import Image, _is_real, grid_axes, sample_grid
+from .layers import _spread, _workers
 
 DEFAULT_LAMBDA = 1e-6
 _COND_LIMIT = 1e12
@@ -227,9 +235,8 @@ def _params(t: TpsTransform) -> np.ndarray:
 
 def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
     """Mapped points (N, 2) from the parameters (L+3, 2) and the transposed
-    features (L+3, N). The product is formed as (2, N) and returned as its
-    transposed view; at 256 px with L=68 the (N, 2) product
-    ``phi_t.T @ params`` takes about three times as long."""
+    features (L+3, N). The product is formed as (2, N), the faster layout,
+    and returned as its transposed view."""
     return (params.T @ phi_t).T
 
 
@@ -332,12 +339,15 @@ def _warp_pixels(data: np.ndarray, t: TpsTransform, rows, cols) -> np.ndarray:
     ``t``, as a clamped (len(rows), len(cols)) raster.
 
     The grid kernel is built in row bands of ``max(1, _BAND_PIXELS //
-    len(cols))`` chosen rows into one pair of cache-line-aligned buffers:
-    the column factor dx^2 is built once per call and each band adds its own
-    rows of dy^2, and the factor minima decide whether the band needs the
-    near-zero mask. The mapped coordinates are formed in blocks of
-    ``_SAMPLE_BANDS`` bands, each sampled and clipped into its rows of the
-    output before the next block is mapped; only the output is full size.
+    len(cols))`` chosen rows: the column factor dx^2 is built once per call
+    and each band adds its own rows of dy^2, and the factor minima decide
+    whether the band needs the near-zero mask. The mapped coordinates are
+    formed in blocks of ``_SAMPLE_BANDS`` bands. The bands of a block are
+    split over workers (:func:`~warpagg.layers._spread`), each building
+    into its own pair of cache-line-aligned buffers and mapping into its
+    columns of the block; then the calling thread samples the block and
+    clips it into its rows of the output before the next block is mapped.
+    Only the output is full size.
     """
     cpts, params = t.control_points, _params(t)
     m = cpts.shape[0]
@@ -347,23 +357,30 @@ def _warp_pixels(data: np.ndarray, t: TpsTransform, rows, cols) -> np.ndarray:
     band_rows = max(1, _BAND_PIXELS // max(width, 1))
     block_rows = band_rows * _SAMPLE_BANDS
     band = min(band_rows, height) * width
-    # one kernel pair for every band (the last, shorter band uses its front)
-    # and one mapped block for every block
-    phi_buf, log_buf = _aligned_empty((m + 3) * band), _aligned_empty(m * band)
+    # one kernel pair per worker for every band it builds (a shorter last
+    # band uses its front) and one mapped block for every block
+    pairs = [(_aligned_empty((m + 3) * band), _aligned_empty(m * band))
+             for _ in range(_workers(min(-(-height // band_rows), _SAMPLE_BANDS)))]
     mapped = np.empty((2, min(block_rows, height) * width))
     out = np.empty((height, width))
     # the column factor once per call, (L, 1, W); each band adds its own rows
     # of dy^2, (L, rows, 1), which no other band uses
     dx2 = _with_min(_axis_sq(cpts[:, 0], x))
-    for b0 in range(0, height, block_rows):
-        b1 = min(b0 + block_rows, height)
-        for r0 in range(b0, b1, band_rows):
+
+    def build(pair: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> None:
+        """Map the bands lo..hi of the block of rows b0..b1."""
+        phi_buf, log_buf = pair
+        for r0 in range(b0 + lo * band_rows, min(b0 + hi * band_rows, b1), band_rows):
             y = ys[r0 : min(r0 + band_rows, b1), None]
             n, at = y.size * width, (r0 - b0) * width
             phi_t = phi_buf[: (m + 3) * n].reshape(m + 3, n)
             _fill_features(phi_t, log_buf[: m * n].reshape(m, n), x, y,
                            dx2, _with_min(_axis_sq(cpts[:, 1], y)))
             np.matmul(params.T, phi_t, out=mapped[:, at : at + n])
+
+    for b0 in range(0, height, block_rows):
+        b1 = min(b0 + block_rows, height)
+        _spread(build, -(-(b1 - b0) // band_rows), pairs)
         vals, _ = sample_grid(data, mapped[:, : (b1 - b0) * width].T)
         vals.reshape(b1 - b0, width).clip(0.0, 1.0, out=out[b0:b1])
     return out

@@ -1,6 +1,16 @@
 import numpy as np
 
+from warpagg import layers as layers_module
 from warpagg.imaging import Image, grid_axes
+
+# worker counts the band-loop bits are compared at: inline, two threads,
+# and three, which splits a loop of 8 bands into uneven shares of 2, 3 and 3
+WORKER_COUNTS = (1, 2, 3)
+
+
+def force_workers(monkeypatch, count: int) -> None:
+    """Run every band loop as if the process could use ``count`` CPUs."""
+    monkeypatch.setattr(layers_module, "_cpus", lambda: count)
 
 
 def blob_image(size: int = 32, seed: int = 0, n_blobs: int = 4) -> Image:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_image
+from conftest import WORKER_COUNTS, blob_image, force_workers
 from warpagg import detector as detector_module
 from warpagg.detector import (
     CheckpointFormatError,
@@ -123,20 +123,26 @@ class TestForwardOracle:
     bit for bit, in the same memory layout: soft_argmax's sums follow the
     layout, so a copy with other strides decodes other landmark bits."""
 
+    # at every worker count: the output layer's softplus runs band by band
+    # on the band's thread, the oracle's on the whole stack
     @pytest.mark.parametrize("num_landmarks,size", [(3, 16), (12, 32), (68, 64)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_bitwise_with_strides(self, num_landmarks, size, seed):
+    def test_bitwise_with_strides(self, num_landmarks, size, seed, monkeypatch):
         det = ToyDetector(num_landmarks, (size, size), seed=seed)
         img = blob_image(size, seed=seed + 20)
-        got, want = predict_heatmaps(det, img), concat_forward(det, img)
-        assert got.strides == want.strides
-        assert np.array_equal(got, want)
-        assert np.array_equal(soft_argmax(got)[0], soft_argmax(want)[0])
+        force_workers(monkeypatch, 1)
+        want = concat_forward(det, img)
+        for workers in WORKER_COUNTS:
+            force_workers(monkeypatch, workers)
+            got = predict_heatmaps(det, img)
+            assert got.strides == want.strides
+            assert np.array_equal(got, want)
+            assert np.array_equal(soft_argmax(got)[0], soft_argmax(want)[0])
 
 
 class TestForwardMemory:
     """At 64 px with 68 maps a forward pass holds at most its output, one
-    GEMM band of an im2col matrix and the padded conv inputs."""
+    GEMM band of an im2col matrix per worker and the padded conv inputs."""
 
     @pytest.fixture(scope="class")
     def det64(self):
@@ -153,12 +159,12 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_peak_is_the_output_one_band_and_the_padded_inputs(self, det64):
+    @staticmethod
+    def _assert_peak(det64, workers):
         # 2.2 MB of output, a 0.4 MB band of the output layer's (4096, 108)
-        # matrix and 0.7 MB of padded inputs; one GEMM over the whole matrix
-        # and a second heat stack for the softplus peaked at 6.6 MB
+        # matrix per worker and 0.7 MB of padded inputs
         img = blob_image(64, seed=5)
-        band = 8 * _gemm_rows(12, 64, 64) * 64 * 12 * 9
+        bands = workers * 8 * _gemm_rows(12, 64, 64) * 64 * 12 * 9
         padded = 8 * (66 * 66 * (1 + 12) + 34 * 34 * (4 + 16) + 18 * 18 * 8)
         heat = predict_heatmaps(det64, img)
         tracemalloc.start()
@@ -167,14 +173,24 @@ class TestForwardMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert heat.nbytes + band <= peak <= heat.nbytes + band + padded
+        assert heat.nbytes + bands <= peak <= heat.nbytes + bands + padded
+
+    def test_peak_is_the_output_one_band_and_the_padded_inputs(self, det64, monkeypatch):
+        # one GEMM over the whole matrix and a second heat stack for the
+        # softplus peaked at 6.6 MB
+        force_workers(monkeypatch, 1)
+        self._assert_peak(det64, 1)
+
+    def test_each_extra_worker_adds_one_band(self, det64, monkeypatch):
+        force_workers(monkeypatch, 2)
+        self._assert_peak(det64, 2)
 
     def test_softplus_is_applied_in_place(self, det64, monkeypatch):
         # the heat stack is the output layer's GEMM result itself
         outputs = []
 
-        def recording_conv3(xp, w, b):
-            outputs.append(conv3(xp, w, b))
+        def recording_conv3(xp, w, b, then=None):
+            outputs.append(conv3(xp, w, b, then))
             return outputs[-1]
 
         monkeypatch.setattr(detector_module, "conv3", recording_conv3)

@@ -1,11 +1,21 @@
+import hashlib
+import multiprocessing
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import blob_image
+from conftest import WORKER_COUNTS, base_shape_12, blob_image, force_workers
 from warpagg import detector as detector_module
 from warpagg import embedder as embedder_module
-from warpagg.detector import _CHANNELS, ToyDetector, predict_heatmaps
+from warpagg import layers as layers_module
+from warpagg import tps
+from warpagg.detector import _CHANNELS, ToyDetector, predict_heatmaps, soft_argmax
 from warpagg.embedder import ToyEmbedder, embed_with_vjp
+from warpagg.groups import apply_groups, assign_groups, sample_known_transforms
+from warpagg.imaging import resize_bilinear
 from warpagg.layers import (
     _GEMM_ENTRIES,
     _gemm_rows,
@@ -121,9 +131,9 @@ class TestIm2colGather:
     def test_every_detector_layer(self, num_landmarks, size, monkeypatch):
         inputs = []  # the padded input of every conv layer of one forward pass
 
-        def recording_conv3(xp, w, b):
+        def recording_conv3(xp, w, b, then=None):
             inputs.append((xp.copy(), xp.flags.c_contiguous))
-            return conv3(xp, w, b)
+            return conv3(xp, w, b, then)
 
         det = ToyDetector(num_landmarks, (size, size), seed=0)
         monkeypatch.setattr(detector_module, "conv3", recording_conv3)
@@ -185,9 +195,9 @@ def _layer_calls(module, monkeypatch, run):
     through ``module``."""
     calls = []
 
-    def recording_conv3(xp, w, b):
+    def recording_conv3(xp, w, b, then=None):
         calls.append((xp.copy(), w, b))
-        return conv3(xp, w, b)
+        return conv3(xp, w, b, then)
 
     monkeypatch.setattr(module, "conv3", recording_conv3)
     run()
@@ -196,7 +206,8 @@ def _layer_calls(module, monkeypatch, run):
 
 class TestGemmBands:
     """conv3 multiplies its im2col matrix in equal bands and gives the bits
-    of one GEMM over the whole matrix."""
+    of one GEMM over the whole matrix, inline and with its bands split over
+    two or three workers."""
 
     # (68, 68): the 34-row dec1 input, whose only cuts into more than two
     # bands are rows of 2 or 1, at most 68 x 8 outputs (BLAS's small-matrix
@@ -207,8 +218,10 @@ class TestGemmBands:
         calls = _layer_calls(detector_module, monkeypatch,
                              lambda: predict_heatmaps(det, blob_image(size, seed=3)))
         assert len(calls) == 5
-        for xp, w, b in calls:
-            _assert_one_gemm_bits(xp, w, b)
+        for workers in WORKER_COUNTS:
+            force_workers(monkeypatch, workers)
+            for xp, w, b in calls:
+                _assert_one_gemm_bits(xp, w, b)
 
     @pytest.mark.parametrize("size", [32, 64])
     def test_every_embedder_layer(self, size, monkeypatch):
@@ -216,16 +229,20 @@ class TestGemmBands:
         calls = _layer_calls(embedder_module, monkeypatch,
                              lambda: embed_with_vjp(emb, blob_image(size, seed=4)))
         assert len(calls) == 2
-        for xp, w, b in calls:
-            cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
-            assert _gemm_rows(cin, h, wd) == h  # one band
-            _assert_one_gemm_bits(xp, w, b)
+        for workers in WORKER_COUNTS:
+            force_workers(monkeypatch, workers)
+            for xp, w, b in calls:
+                cin, h, wd = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
+                assert _gemm_rows(cin, h, wd) == h  # one band
+                _assert_one_gemm_bits(xp, w, b)
 
-    def test_many_bands(self):
+    def test_many_bands(self, monkeypatch):
         # the output layer of a 128 px detector with 68 maps: 32 bands
         x, w, b, _ = _layer(12, 68, 128, seed=11)
         assert 128 // _gemm_rows(12, 128, 128) == 32
-        _assert_one_gemm_bits(_pad1(x), w, b)
+        for workers in WORKER_COUNTS:
+            force_workers(monkeypatch, workers)
+            _assert_one_gemm_bits(_pad1(x), w, b)
 
     @pytest.mark.parametrize("build,run", [
         (lambda: ToyDetector(68, (64, 64), seed=0), predict_heatmaps),
@@ -323,3 +340,109 @@ class TestIndexCacheFilledAtBuild:
         _, vjp = embed_with_vjp(emb, img)
         vjp(np.ones(emb.n_z))
         assert _patch_index.cache_info().misses == misses
+
+
+def _forward_digest(det, img, send):
+    """Send whether this process starts without a band pool, then the
+    SHA-256 of the detector's heatmaps on ``img``."""
+    send.send(layers_module._pool[0] is None)
+    send.send(hashlib.sha256(predict_heatmaps(det, img).tobytes()).digest())
+
+
+class TestSpread:
+    """The band-loop helper: contiguous shares, the first on the calling
+    thread; every share finished before it returns or raises; no thread for
+    a loop of one band; a fresh pool in a forked child."""
+
+    def test_uneven_shares_the_first_on_the_calling_thread(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        ran = []
+        # every share waits for the other two, so each must have a thread
+        met = threading.Barrier(3, timeout=30)
+
+        def share(buf, lo, hi):
+            ran.append((buf, lo, hi, threading.get_ident()))
+            met.wait()
+
+        layers_module._spread(share, 8, ["a", "b", "c"][: layers_module._workers(8)])
+        assert sorted(r[:3] for r in ran) == [("a", 0, 2), ("b", 2, 5), ("c", 5, 8)]
+        threads = {buf: ident for buf, _, _, ident in ran}
+        assert threads["a"] == threading.get_ident()
+        assert len(set(threads.values())) == 3
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "pool-thread"])
+    def test_an_error_waits_for_every_share_and_the_next_loop_runs(self, failing, monkeypatch):
+        force_workers(monkeypatch, 2)
+        finished = []
+
+        def share(buf, lo, hi):
+            if lo == failing:
+                raise KeyError(lo)
+            time.sleep(0.2)
+            finished.append(lo)
+
+        with pytest.raises(KeyError) as err:
+            layers_module._spread(share, 2, [None, None])
+        assert err.value.args == (failing,)
+        assert finished == [1 - failing]
+        ran = []
+        layers_module._spread(lambda buf, lo, hi: ran.append((lo, hi)), 2, [None, None])
+        assert sorted(ran) == [(0, 1), (1, 2)]
+
+    def test_a_pool_share_runs_in_the_callers_error_state(self, monkeypatch):
+        # only the pool share overflows; in a fresh context numpy would warn
+        force_workers(monkeypatch, 2)
+        ran = []
+
+        def share(buf, lo, hi):
+            ran.append(threading.get_ident())
+            if lo == 1:
+                np.exp(np.full(1, 1e3))
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            layers_module._spread(share, 2, [None, None])
+        assert len(set(ran)) == 2
+
+    def test_a_forked_child_runs_a_forward_to_the_parents_bits(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        det = ToyDetector(68, (64, 64), seed=0)
+        img = blob_image(64, seed=5)
+        want = hashlib.sha256(predict_heatmaps(det, img).tobytes()).digest()
+        assert layers_module._pool[0] is not None
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_forward_digest, args=(det, img, send))
+        with warnings.catch_warnings():
+            # Python 3.12 on warns when a process with threads forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            assert recv.poll(60) and recv.recv() is True
+            assert recv.poll(60) and recv.recv() == want
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    def test_a_32px_pipeline_operation_starts_no_thread(self, monkeypatch):
+        # every loop of the 32 px pipeline has one band, whatever the CPUs
+        force_workers(monkeypatch, 2)
+        det = ToyDetector(12, (32, 32), seed=0)
+        groups = assign_groups(12, "synthetic")
+        img, base = blob_image(32, seed=6), base_shape_12()
+        rng = np.random.default_rng(6)
+        held, layers_module._pool[0] = layers_module._pool[0], None
+        try:
+            before = threading.active_count()
+            preds = [soft_argmax(predict_heatmaps(det, img))[0]]
+            for _ in range(8):
+                moved = apply_groups(base, groups, sample_known_transforms(groups, base, rng))
+                warped = resize_bilinear(tps.warp_image(img, base, moved), 32, 32)
+                preds.append(tps.invert_landmarks(base, moved, soft_argmax(predict_heatmaps(det, warped))[0]))
+            assert np.all(np.isfinite(np.mean(preds, axis=0)))
+            assert threading.active_count() == before
+            assert layers_module._pool[0] is None
+        finally:
+            layers_module._pool[0] = held

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import warpagg.tps as tps_mod
-from conftest import blob_image, normalized_grid, ring_landmarks
+from conftest import WORKER_COUNTS, blob_image, force_workers, normalized_grid, ring_landmarks
 from warpagg.attack import attack_step
 from warpagg.embedder import ToyEmbedder
 from warpagg.imaging import (
@@ -440,7 +440,8 @@ class TestGridKernelOracle:
 def _assert_completes_the_warp(img, pts, moved, rows, cols, monkeypatch):
     """A warp_image result completed from warp_with_vjp's pixels on ``rows``
     x ``cols`` is the full warp bitwise, warps only the other pixels, and
-    afterwards holds one raster: no source copy, no fit."""
+    afterwards holds one raster: no source copy, no fit. Returns the full
+    warp."""
     support, _ = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
     want = warp_image(img, pts, moved).data
     out = warp_image(img, pts, moved)
@@ -451,17 +452,19 @@ def _assert_completes_the_warp(img, pts, moved, rows, cols, monkeypatch):
         warped.append(raster.size)
         return raster
 
-    monkeypatch.setattr(tps_mod, "_warp_pixels", counting)
-    out._complete(rows, cols, support.data)
-    assert sum(warped) == want.size - support.data.size
-    assert out._pending is None
-    raster = out.data
-    assert raster is out._raster and np.array_equal(raster, want)
-    assert not np.shares_memory(raster, support.data)
-    # nothing is left to warp
-    count = len(warped)
-    assert np.array_equal(out.pixels(rows, cols).data, support.data)
-    assert len(warped) == count
+    with monkeypatch.context() as mp:
+        mp.setattr(tps_mod, "_warp_pixels", counting)
+        out._complete(rows, cols, support.data)
+        assert sum(warped) == want.size - support.data.size
+        assert out._pending is None
+        raster = out.data
+        assert raster is out._raster and np.array_equal(raster, want)
+        assert not np.shares_memory(raster, support.data)
+        # nothing is left to warp
+        count = len(warped)
+        assert np.array_equal(out.pixels(rows, cols).data, support.data)
+        assert len(warped) == count
+    return want
 
 
 class TestSubGridKernel:
@@ -500,10 +503,15 @@ class TestSubGridKernel:
         assert np.array_equal(log_s_t, log_s.T)
         assert phi_t[0, node] == 0.0 and log_s_t[0, node] == -1.0
 
-    def test_image_is_the_full_warp_at_those_pixels(self, case):
+    # warp_image's band loop at every worker count: a full read and a read
+    # of those pixels
+    def test_image_is_the_full_warp_at_those_pixels(self, case, monkeypatch):
         img, pts, moved, st, _, _, _ = case
         sub, _ = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)
-        assert np.array_equal(sub.data, warp_image(img, pts, moved).data[np.ix_(st.rows, st.cols)])
+        for workers in WORKER_COUNTS:
+            force_workers(monkeypatch, workers)
+            assert np.array_equal(sub.data, warp_image(img, pts, moved).data[np.ix_(st.rows, st.cols)])
+            assert np.array_equal(sub.data, warp_image(img, pts, moved).pixels(st.rows, st.cols).data)
 
     def test_vjp_within_1e12(self, case):
         img, pts, moved, st, cot, _, (_, _, _, oracle_vjp) = case
@@ -523,7 +531,11 @@ class TestSubGridKernel:
 
     def test_a_face_completed_from_the_support_is_the_full_warp(self, case, monkeypatch):
         img, pts, moved, st, _, _, _ = case
-        _assert_completes_the_warp(img, pts, moved, st.rows, st.cols, monkeypatch)
+        faces = []
+        for workers in WORKER_COUNTS:
+            force_workers(monkeypatch, workers)
+            faces.append(_assert_completes_the_warp(img, pts, moved, st.rows, st.cols, monkeypatch))
+        assert all(np.array_equal(face, faces[0]) for face in faces)
 
     def test_an_identity_support_completes_the_face_without_a_warp(self, monkeypatch):
         rng = np.random.default_rng(32)
@@ -564,13 +576,16 @@ class TestWarpImage:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_peak_memory_is_the_output_and_one_band(self):
+    @staticmethod
+    def _assert_peak(workers):
         # the 256 px output and the source copy are 0.5 MB each and one
-        # band's kernel pair about 1.1 MB
+        # band's kernel pair about 1.1 MB; each extra worker has its own pair
         rng = np.random.default_rng(71)
         img = blob_image(256, seed=71)
         pts = rng.uniform(-0.7, 0.7, (68, 2))
         moved = pts + rng.uniform(-0.04, 0.04, pts.shape)
+        band = tps_mod._BAND_PIXELS
+        pair = 8 * ((68 + 3) * band + 8 + 68 * band + 8)  # as _aligned_empty allocates them
         warp_image(img, pts, moved).data
         tracemalloc.start()
         try:
@@ -579,7 +594,15 @@ class TestWarpImage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 4e6 + (workers - 1) * pair
+
+    def test_peak_memory_is_the_output_and_one_band(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        self._assert_peak(1)
+
+    def test_each_extra_worker_adds_one_kernel_pair(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        self._assert_peak(2)
 
     # (width, height): rows per band and per sampled block follow from the
     # width, and the height picks where the last block ends
