@@ -28,13 +28,13 @@ warped, none when the support is the whole face, and the support is
 written in. The face is bitwise the full warp and holds the raster alone,
 neither the support nor the fit.
 
-Each branch allocates one grid-kernel pair, (L+3, N) and (L, N) over the N
-pixels a step warps, and every step of the branch builds its kernel into
-it, so a branch does not allocate and free a grid kernel per iteration. A
-step built into the pair is valid until the next step is built into it;
-the loop drops each step before building the next. The pair is released
-when the branch returns, after its face is completed: released earlier,
-the next branch faults its pair in again.
+Each :func:`generate_adversarial_set` call builds the resize stencil to the
+embedder's input once, and allocates one grid-kernel pair, (L+3, N) and
+(L, N) over the N pixels a step warps; every step of every branch builds
+its kernel into that pair, so no step allocates and frees a grid kernel.
+A step built into the pair is valid until the next step is built into it;
+the loop drops each step before building the next. Both are private: the
+public :func:`attack_step` builds its own stencil and a fresh kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
 from .imaging import Image, ResizeStencil, _is_int, _is_real, resize_bilinear, resize_stencil
-from .tps import DEFAULT_LAMBDA, warp_image, warp_with_vjp
+from .tps import DEFAULT_LAMBDA, _warp_with_vjp, warp_image
 
 logger = logging.getLogger(__name__)
 
@@ -134,21 +134,25 @@ def _stencil(emb: ToyEmbedder, img: Image) -> ResizeStencil:
 
 
 def attack_step(emb: ToyEmbedder, img: Image, points: np.ndarray,
-                points_moved: np.ndarray, lam: float = DEFAULT_LAMBDA,
-                kernel: tuple[np.ndarray, np.ndarray] | None = None) -> AttackStep:
+                points_moved: np.ndarray, lam: float = DEFAULT_LAMBDA) -> AttackStep:
     """Warp ``img`` so ``points`` move to ``points_moved`` and embed it: one
     TPS fit, one grid kernel and one embedder forward, kept for the backward.
 
     Only the source rows and columns that the resize to the embedder's input
     reads are warped; the embedding is bitwise the one of the resized full
-    warp, and the backward runs over those pixels alone. ``kernel``, a
-    C-contiguous float64 pair (L+3, N) and (L, N) over the N pixels the step
-    warps, receives the grid kernel instead of fresh arrays (any other pair
-    raises ``ValueError``, see :func:`~warpagg.tps.warp_with_vjp`); the
-    step's backward reads it, so the step is valid only until the next step
-    is built into the same pair."""
-    st = _stencil(emb, img)
-    warped, warp_back = warp_with_vjp(img, points, points_moved, lam, st.rows, st.cols, kernel)
+    warp, and the backward runs over those pixels alone."""
+    return _step(emb, img, points, points_moved, lam, _stencil(emb, img), None)
+
+
+def _step(emb: ToyEmbedder, img: Image, points: np.ndarray, points_moved: np.ndarray,
+          lam: float, st: ResizeStencil, kernel: tuple[np.ndarray, np.ndarray] | None) -> AttackStep:
+    """:func:`attack_step` through the resize ``st`` from ``img`` to the
+    embedder's input. ``kernel``, unless None, is the C-contiguous float64
+    pair (L+3, N) and (L, N) over the N pixels the step warps that receives
+    the grid kernel (see :func:`~warpagg.tps._warp_with_vjp`); the step's
+    backward reads it, so the step is valid only until the next step is
+    built into the same pair."""
+    warped, warp_back = _warp_with_vjp(img, points, points_moved, lam, st.rows, st.cols, kernel)
     z, embed_back = embed_with_vjp(emb, st.resize(warped))
 
     def backward(cot_z: np.ndarray) -> np.ndarray:
@@ -164,11 +168,15 @@ def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
     every peer w.r.t. the moved landmarks, (L,2).
 
     Chains the embedding input gradient through the warp VJP; distances of
-    exactly zero contribute a zero subgradient.
+    exactly zero contribute a zero subgradient. ``peer_embeddings`` must be
+    a finite (K, n_z) array with K >= 1, or ``ValueError`` is raised before
+    any warp.
     """
-    peers = np.atleast_2d(np.asarray(peer_embeddings, dtype=np.float64))
-    if peers.shape[0] == 0:
-        raise ValueError("peer set must be nonempty")
+    peers = np.asarray(peer_embeddings, dtype=np.float64)
+    if peers.ndim != 2 or peers.shape[0] == 0 or peers.shape[1] != emb.n_z:
+        raise ValueError(f"peer set must have shape (K, {emb.n_z}) with K >= 1, got {peers.shape}")
+    if not np.isfinite(peers).all():
+        raise ValueError("peer embeddings must be finite")
     return attack_step(emb, img, points, points_moved, lam).grad(peers)
 
 
@@ -201,22 +209,23 @@ def generate_adversarial_set(emb: ToyEmbedder, img: Image, points: np.ndarray,
 
     points = np.asarray(points, dtype=np.float64)
     peer_z = [embed(emb, resize_bilinear(img, *emb.input_size[::-1]))]
+    # every step of every branch builds its grid kernel into this one pair
+    st = _stencil(emb, img)
+    npix = math.prod(st.support_shape)
+    kernel = np.empty((len(points) + 3, npix)), np.empty((len(points), npix))
     faces: list[ManipulatedFace] = []
     for k in range(cfg.branches):
-        face, z = _run_branch(emb, img, points, np.stack(peer_z), cfg, project, on_step, k)
+        face, z = _run_branch(emb, img, points, np.stack(peer_z), cfg, project, on_step, k, st, kernel)
         faces.append(face)
         peer_z.append(z)
     return faces
 
 
 def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndarray,
-                cfg: AttackConfig, project, on_step, k: int) -> tuple[ManipulatedFace, np.ndarray]:
+                cfg: AttackConfig, project, on_step, k: int, st: ResizeStencil,
+                kernel: tuple[np.ndarray, np.ndarray]) -> tuple[ManipulatedFace, np.ndarray]:
     moved = points.copy()
-    # every step of the branch builds its grid kernel into this one pair
-    st = _stencil(emb, img)
-    n, npix = len(points), math.prod(st.support_shape)
-    kernel = np.empty((n + 3, npix)), np.empty((n, npix))
-    step = attack_step(emb, img, points, moved, cfg.tps_lambda, kernel)
+    step = _step(emb, img, points, moved, cfg.tps_lambda, st, kernel)
     iters = 0
     flagged = False
     while float(step.distances(peers).min()) < cfg.distance_threshold:
@@ -227,7 +236,7 @@ def _run_branch(emb: ToyEmbedder, img: Image, points: np.ndarray, peers: np.ndar
         g = step.grad(peers)
         del step  # the next step overwrites its grid kernel
         moved = project(points, fgsm_step(moved, g, cfg.step_size))
-        step = attack_step(emb, img, points, moved, cfg.tps_lambda, kernel)
+        step = _step(emb, img, points, moved, cfg.tps_lambda, st, kernel)
         iters += 1
         if on_step is not None:
             on_step(k, iters, float(step.distances(peers).sum()))

@@ -21,8 +21,8 @@ the next buffer. No concatenated, up-sampled or padded copy is made. Every
 buffer but the output layer's input is freed before that layer runs, and
 the softplus is applied in place on its output, band by band on the thread
 that computed the band (``np.logaddexp(0.0, part, out=part)``: elementwise,
-so the same bits as on a fresh array), so a 64 px, L=68 pass peaks at its
-output, one GEMM band per worker and the output layer's input.
+so the same bits as on a fresh array), so a pass peaks at its output, one
+GEMM band per worker and the output layer's input.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class ToyDetector:
     ``params`` maps every tensor name of the architecture to an array of
     its shape, or is None for the seeded weights. The detector keeps a
     copy, exposed as a read-only mapping of read-only arrays, and converts
-    it to float64 once, here; a missing, extra or wrongly shaped tensor
-    raises ``ValueError``."""
+    it to float64 once, here; a missing, extra, wrongly shaped or
+    non-finite tensor raises ``ValueError``."""
 
     num_landmarks: int
     input_size: tuple[int, int] = (64, 64)  # (height, width)
@@ -133,8 +133,10 @@ def _init_params(num_landmarks: int, seed: int) -> dict:
 
 def _checked_params(params, shapes: dict[str, tuple[int, ...]]) -> dict:
     """Copies of the given tensors, in the dtypes given; anything but
-    exactly the architecture's tensors, each a real array of its shape,
-    raises ``ValueError``."""
+    exactly the architecture's tensors, each a finite real array of its
+    shape, raises ``ValueError``. Finiteness is checked in the given dtype:
+    a signalling NaN would raise numpy's invalid-cast warning in the
+    float64 conversion."""
     if not isinstance(params, Mapping):
         raise ValueError(f"params must be a mapping of tensor names to arrays, got {type(params).__name__}")
     if params.keys() != shapes.keys():
@@ -146,6 +148,9 @@ def _checked_params(params, shapes: dict[str, tuple[int, ...]]) -> dict:
         a = np.array(params[name])
         if a.dtype.kind not in "fiu" or a.shape != shape:
             raise ValueError(f"params[{name!r}] must be a real array of shape {shape}, got {a.dtype} {a.shape}")
+        # count_nonzero costs less than the .all() reduction on arrays this small
+        if np.count_nonzero(np.isfinite(a)) != a.size:
+            raise ValueError(f"params[{name!r}] must be finite")
         out[name] = a
     return out
 
@@ -263,8 +268,8 @@ def parse_checkpoint(blob: bytes) -> tuple[ToyDetector, dict]:
 
     Bytes that are not exactly such a checkpoint (short or wrong header,
     unreadable or incomplete manifest, tensors that do not fit the detector
-    architecture, a payload of the wrong length) raise
-    :class:`CheckpointFormatError`.
+    architecture, a payload of the wrong length or with a NaN or infinite
+    word) raise :class:`CheckpointFormatError`.
     """
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad magic; not a detector checkpoint")

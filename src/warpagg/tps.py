@@ -32,12 +32,13 @@ the adjoint term is phi^T @ q^T, solved against the fit's stored system
 matrix. Neither allocates an (L, Npix) temporary. Both GEMMs run over the
 whole grid: accumulated band by band they would sum in another order.
 
-:func:`warp_with_vjp` warps a sub-grid: the pixels of chosen output rows and
-columns, by default every row and column, with the separable build over the
-chosen axes. The attack step warps just the rows and columns its resize to
-the embedder reads, and writes every step of a branch into one kernel pair
-(``out``); a warp's ``vjp`` is valid only until the next kernel is written
-there.
+:func:`warp_with_vjp` warps the whole raster into a fresh grid kernel. Its
+private form :func:`_warp_with_vjp` warps a sub-grid, the pixels of chosen
+output rows and columns, with the separable build over the chosen axes,
+into a kernel pair the caller may pass. The attack warps just the rows and
+columns its resize to the embedder reads, and writes every step of an
+attack set into one pair; a warp's ``vjp`` is valid only until the next
+kernel is written there.
 
 The plain path is :func:`warp_image`. It fits the spline and records the
 fit when it is called, and returns an image whose pixels are warped when
@@ -72,7 +73,7 @@ what the fit depends on (see :func:`_fit_key`). :func:`invert_landmarks`
 evaluates the recorded fit when its key matches and fits afresh otherwise;
 a fit is deterministic, so either way its landmarks are the same bits. The
 fit's arrays are read-only because the record shares them.
-:func:`fit_tps` itself stays uncached, and :func:`warp_with_vjp` neither
+:func:`fit_tps` itself stays uncached, and :func:`_warp_with_vjp` neither
 writes nor reads the record: the attack fits once per step at landmarks
 that change every step, so a cache there would only hit on steps that do
 not move the landmarks and would hide what a step costs.
@@ -120,10 +121,10 @@ class TpsTransform:
     kernel_weights: np.ndarray
     regularization: float
     # the (L+3, L+3) matrix the fit solved; the warp's adjoint solve reuses it
-    system: np.ndarray | None = field(default=None, repr=False, compare=False)
+    system: np.ndarray = field(repr=False, compare=False)
     # log s (L, L) of the control points against each other, -1 where s is
     # (numerically) zero; the warp's backward reads it for the kernel block
-    log_s: np.ndarray | None = field(default=None, repr=False, compare=False)
+    log_s: np.ndarray = field(repr=False, compare=False)
 
 
 # warp_image's last fit as the one item (key, fit), see _fit_key. The item is
@@ -212,20 +213,6 @@ def _aligned_empty(n: int) -> np.ndarray:
     raw = np.empty(n + 8)
     k = (-raw.ctypes.data % 64) // raw.itemsize
     return raw[k : k + n]
-
-
-def _check_kernel_pair(out, m: int, n: int) -> None:
-    """Raise ``ValueError`` unless ``out`` is a tuple of two writeable
-    C-contiguous float64 arrays of shapes (m+3, n) and (m, n) in separate
-    memory: the kernel pair :func:`_features` writes the features and log s
-    of ``n`` points against ``m`` control points into."""
-    shapes = (m + 3, n), (m, n)
-    if not (isinstance(out, tuple) and len(out) == 2 and all(
-            isinstance(b, np.ndarray) and b.dtype == np.float64 and b.shape == shape
-            and b.flags.c_contiguous and b.flags.writeable for b, shape in zip(out, shapes))
-            and not np.may_share_memory(*out)):
-        raise ValueError(f"kernel pair must be writeable C-contiguous float64 arrays of shapes "
-                         f"{shapes[0]} and {shapes[1]} in separate memory")
 
 
 def _params(t: TpsTransform) -> np.ndarray:
@@ -420,7 +407,7 @@ class _PendingWarp(Image):
         others: the other rows over every column, then the chosen rows over
         the other columns. The raster is kept as a read of ``.data`` keeps
         it; it is the warp's only if ``support`` is, bitwise, as
-        :func:`warp_with_vjp` returns it. Call it before any read."""
+        :func:`_warp_with_vjp` returns it. Call it before any read."""
         height, width = self._shape
         rows, cols = np.arange(height)[rows], np.arange(width)[cols]
         other_rows, other_cols = np.ones(height, dtype=bool), np.ones(width, dtype=bool)
@@ -480,28 +467,32 @@ def invert_landmarks(points: np.ndarray, points_moved: np.ndarray,
 
 
 def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
-                  lam: float = DEFAULT_LAMBDA, rows=slice(None), cols=slice(None),
-                  out: tuple[np.ndarray, np.ndarray] | None = None):
-    """:func:`warp_image` together with its backward w.r.t. ``points_moved``,
-    on the pixels of the given output ``rows`` and ``cols``.
+                  lam: float = DEFAULT_LAMBDA):
+    """:func:`warp_image` together with its backward w.r.t. ``points_moved``.
 
-    Returns ``(warped, vjp)``. ``warped`` is the (len(rows), len(cols))
-    raster of those pixels of :func:`warp_image`'s output, bitwise; by
-    default every row and column, so the whole warped image. ``vjp(cotangent)``
-    maps a cotangent on ``warped`` to the gradient of <cotangent, warped>
-    w.r.t. the moved landmarks, shape (L, 2). It chains the bilinear sampling
-    slopes with both dependencies of the spline on the moved landmarks: the
-    feature kernels at the evaluated pixels, and the interpolation system
-    itself (adjoint solve of the same symmetric matrix; the right-hand side
-    does not depend on the moved points). The warp's one fit and one grid
-    kernel are held until ``vjp`` is dropped.
+    Returns ``(warped, vjp)``. ``warped`` is the whole warped image, bitwise
+    :func:`warp_image`'s output. ``vjp(cotangent)`` maps a cotangent on
+    ``warped`` to the gradient of <cotangent, warped> w.r.t. the moved
+    landmarks, shape (L, 2). It chains the bilinear sampling slopes with
+    both dependencies of the spline on the moved landmarks: the feature
+    kernels at the evaluated pixels, and the interpolation system itself
+    (adjoint solve of the same symmetric matrix; the right-hand side does
+    not depend on the moved points). The warp's one fit and one grid kernel
+    are held until ``vjp`` is dropped.
+    """
+    return _warp_with_vjp(img, points, points_moved, lam, slice(None), slice(None), None)
 
-    ``out``, when given, is the pair of buffers, (L+3, N) and (L, N) for
-    the N warped pixels, that the grid kernel is written into instead of
-    fresh arrays; ``vjp`` reads it, so it is valid only until the next
-    kernel is written there. Anything but a tuple of two writeable
-    C-contiguous float64 arrays of those shapes in separate memory raises
-    ``ValueError``.
+
+def _warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray, lam: float,
+                   rows, cols, out: tuple[np.ndarray, np.ndarray] | None):
+    """:func:`warp_with_vjp` on the pixels of the given output ``rows`` and
+    ``cols`` (index arrays or slices): ``warped`` is their
+    (len(rows), len(cols)) raster of :func:`warp_image`'s output, bitwise.
+
+    ``out``, unless None, is the C-contiguous float64 pair (L+3, N) and
+    (L, N) for the N warped pixels that the grid kernel is written into
+    instead of fresh arrays; ``vjp`` reads it, so it is valid only until the
+    next kernel is written there.
     """
     pts = np.asarray(points, dtype=np.float64)
     t = fit_tps(points_moved, pts, lam)
@@ -509,8 +500,6 @@ def warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray,
     n = cpts.shape[0]
     xs, ys = grid_axes(img.width, img.height)
     xs, ys = xs[cols], ys[rows]
-    if out is not None:
-        _check_kernel_pair(out, n, ys.size * xs.size)
     phi_t, log_s = _features(cpts, xs[None, :], ys[:, None], out)
     params = _params(t)
     vals, grads = sample_grid(img.data, _mapped(params, phi_t), with_grad=True)

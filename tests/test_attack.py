@@ -76,6 +76,27 @@ class TestCost:
         with pytest.raises(ValueError):
             cost_grad(emb, img, pts, pts, np.empty((0, emb.n_z)))
 
+    # a wrong shape reached numpy's broadcast error after the warp and the
+    # forward, a NaN set gave a NaN gradient, an infinite one numpy's
+    # invalid-value warning
+    @pytest.mark.parametrize("make,message", [
+        (lambda n: np.empty((0, n)), "must have shape"),
+        (lambda n: np.zeros((2, 5)), "must have shape"),
+        (lambda n: np.zeros(5), "must have shape"),
+        (lambda n: np.zeros(n), "must have shape"),
+        (lambda n: np.zeros((1, 2, n)), "must have shape"),
+        (lambda n: np.where(np.eye(2, n, dtype=bool), np.nan, 0.0), "must be finite"),
+        (lambda n: np.where(np.eye(2, n, dtype=bool), np.inf, 0.0), "must be finite"),
+        (lambda n: np.where(np.eye(2, n, dtype=bool), -np.inf, 0.0), "must be finite"),
+    ], ids=["empty", "wrong-width", "short-vector", "one-vector", "three-axes", "nan", "+inf", "-inf"])
+    def test_a_bad_peer_set_raises_before_any_warp(self, emb, img, pts, make, message, monkeypatch):
+        def warp(*args):
+            raise AssertionError("the peer set is checked before the warp")
+
+        monkeypatch.setattr(attack_mod, "_warp_with_vjp", warp)
+        with pytest.raises(ValueError, match=message):
+            cost_grad(emb, img, pts, pts + 0.02, make(emb.n_z))
+
 
 class TestCostGrad:
     def test_constant_image_zero_gradient(self, emb, pts):
@@ -278,34 +299,40 @@ class TestWorkPerIteration:
 
 
 class TestKernelReuse:
-    """Every step of one branch builds its grid kernel into one pair of
-    buffers that the branch allocates once."""
+    """Every step of every branch of one attack set builds its grid kernel
+    into one pair of buffers, through one resize stencil, both of which the
+    set builds once."""
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["raw", "grouped"])
     def test_every_step_writes_into_one_kernel_pair(self, emb, pts, grouped, monkeypatch):
         # 64 px into a 32 px embedder, so the step kernel differs from the
         # final warp's band buffers
         img = blob_image(64, seed=21)
-        kernels, inside = [], []
-        real_warp, real_features = attack_mod.warp_with_vjp, tps_mod._features
+        pairs, kernels, stencils = [], [], []
+        real_warp, real_features, real_stencil = (attack_mod._warp_with_vjp, tps_mod._features,
+                                                  attack_mod.resize_stencil)
 
-        def warp(*args, **kwargs):
-            inside.append(True)
+        def warp(*args):
+            pairs.append(args[-1])
             try:
-                return real_warp(*args, **kwargs)
+                return real_warp(*args)
             finally:
-                inside.pop()
+                pairs.append(None)
 
         def features(*args, **kwargs):
             out = real_features(*args, **kwargs)
-            # only grid-kernel builds are given a pair to write into; the
-            # fit's control-point kernel is not
-            if inside and (len(args) > 3 or kwargs.get("out") is not None):
+            # the step's grid kernel, not the fit's control-point kernel
+            if pairs and pairs[-1] is not None and (len(args) > 3 or kwargs.get("out") is not None):
                 kernels.append(out)
             return out
 
-        monkeypatch.setattr(attack_mod, "warp_with_vjp", warp)
+        def stencil(*args):
+            stencils.append(args)
+            return real_stencil(*args)
+
+        monkeypatch.setattr(attack_mod, "_warp_with_vjp", warp)
         monkeypatch.setattr(tps_mod, "_features", features)
+        monkeypatch.setattr(attack_mod, "resize_stencil", stencil)
         # tau = 2 is out of reach, so each branch runs all its iterations
         cfg = AttackConfig(branches=2, distance_threshold=2.0, max_iters=3)
         if grouped:
@@ -313,12 +340,13 @@ class TestKernelReuse:
                                                      assign_groups(12, "synthetic"), cfg)
         else:
             faces = generate_adversarial_set(emb, img, pts, cfg)
-        steps = cfg.max_iters + 1
-        assert len(kernels) == cfg.branches * steps
-        for k in range(cfg.branches):
-            (phi0, log0), rest = kernels[k * steps], kernels[k * steps + 1 : (k + 1) * steps]
-            assert all(np.shares_memory(phi, phi0) and np.shares_memory(log_s, log0)
-                       for phi, log_s in rest)
+        assert stencils == [(64, 64, 32, 32)]
+        given = pairs[::2]
+        assert len(given) == len(kernels) == cfg.branches * (cfg.max_iters + 1)
+        phi0, log0 = pair = given[0]
+        assert phi0.shape[1] == log0.shape[1] == 64 * 64 and not np.shares_memory(phi0, log0)
+        assert all(g is pair for g in given)
+        assert all(np.shares_memory(phi, phi0) and np.shares_memory(log_s, log0) for phi, log_s in kernels)
         # the branches' faces are still the plain warps at their control points
         for f in faces:
             assert np.array_equal(f.image.data, warp_image(img, f.control_source, f.control_target).data)

@@ -35,8 +35,8 @@ from warpagg.tps import (
     eval_tps,
     fit_tps,
     invert_landmarks,
+    _warp_with_vjp,
     warp_image,
-    warp_with_vjp,
 )
 
 BOUNDARY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -395,7 +395,7 @@ def test_warp_image_and_warp_with_vjp(width, height, seed, points, data, lam):
     img = Image(np.random.default_rng(seed).uniform(0.0, 1.0, (height, width)))
     ok = _fit_ok(moved, points, lam)
     warped = _call(warp_image, img, points, moved, lam)
-    both = _call(warp_with_vjp, img, points, moved, lam, rows, cols)
+    both = _call(_warp_with_vjp, img, points, moved, lam, rows, cols, None)
     if isinstance(warped, ValueError):
         # the fit is made when warp_image is called, and fails as fit_tps does
         _check_fit(warped, ok)

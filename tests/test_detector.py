@@ -26,6 +26,20 @@ from warpagg.imaging import to_pixel
 from warpagg.layers import _gemm_rows, _pad1, conv3
 
 
+# float32 words, little-endian, that are not finite: a signalling NaN, whose
+# float64 conversion raises numpy's invalid-cast warning, a quiet NaN and both
+# infinities
+NON_FINITE_WORDS = {"snan": "4ee8b3ff", "qnan": "0000c07f", "+inf": "0000807f", "-inf": "000080ff"}
+
+
+def _with_word(a: np.ndarray, at: int, word: str) -> np.ndarray:
+    """A copy of the float32 array ``a`` with its flat element ``at`` set to
+    the little-endian bytes ``word``, bit for bit."""
+    out = np.array(a, dtype="<f4")
+    out.reshape(-1).view(np.uint8)[4 * at : 4 * at + 4] = np.frombuffer(bytes.fromhex(word), np.uint8)
+    return out
+
+
 @pytest.fixture(scope="module")
 def det16():
     return ToyDetector(num_landmarks=3, input_size=(16, 16), seed=0)
@@ -214,7 +228,12 @@ class TestParams:
         (lambda p: {**p, "out.b": np.ones(3, bool)}, r"params\['out\.b'\] must be a real array"),
         (lambda p: {**p, "out.b": np.ones(3, complex)}, r"params\['out\.b'\] must be a real array"),
         (lambda p: list(p.items()), "must be a mapping"),
-    ], ids=["empty", "missing", "extra", "short", "extra-axis", "strings", "bools", "complex", "list"])
+        # these built a detector with non-finite heat maps, and a signalling
+        # NaN raised numpy's invalid-cast warning
+        *[(lambda p, word=word: {**p, "enc2.w": _with_word(p["enc2.w"], 7, word)},
+           r"params\['enc2\.w'\] must be finite") for word in NON_FINITE_WORDS.values()],
+    ], ids=["empty", "missing", "extra", "short", "extra-axis", "strings", "bools", "complex", "list",
+            *NON_FINITE_WORDS])
     def test_bad_params_rejected_at_build(self, det16, edit, message):
         with pytest.raises(ValueError, match=message):
             ToyDetector(3, (16, 16), 0, edit(dict(det16.params)))
@@ -452,6 +471,16 @@ class TestCheckpointBoundary:
         with pytest.raises(CheckpointFormatError):
             parse_checkpoint(_manifest_blob(manifest, payload))
 
+    # a signalling NaN raised numpy's invalid-cast warning, and the other
+    # words parsed into a detector with non-finite heat maps
+    @pytest.mark.parametrize("word", NON_FINITE_WORDS.values(), ids=NON_FINITE_WORDS.keys())
+    def test_a_non_finite_payload_word_is_a_format_error(self, det16, word):
+        manifest, payload = _split(checkpoint_bytes(det16))
+        at = 4 * 11
+        blob = _manifest_blob(manifest, payload[:at] + bytes.fromhex(word) + payload[at + 4 :])
+        with pytest.raises(CheckpointFormatError, match="must be finite"):
+            parse_checkpoint(blob)
+
     @given(_damaged_checkpoints())
     @settings(max_examples=300, deadline=None)
     def test_fuzz_only_format_errors_escape(self, blob):
@@ -461,4 +490,4 @@ class TestCheckpointBoundary:
             return
         # what parses is a complete detector: every tensor present, float32
         assert sorted(det.params) == sorted(ToyDetector(det.num_landmarks, seed=0).params)
-        assert all(v.dtype == np.float32 for v in det.params.values())
+        assert all(v.dtype == np.float32 and np.isfinite(v).all() for v in det.params.values())

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -437,12 +436,18 @@ class TestGridKernelOracle:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def _sub_warp(img, pts, moved, rows, cols, out=None):
+    """The private sub-grid warp with its vjp at the default ridge, on
+    ``rows`` x ``cols``, its grid kernel written into ``out`` when given."""
+    return tps_mod._warp_with_vjp(img, pts, moved, tps_mod.DEFAULT_LAMBDA, rows, cols, out)
+
+
 def _assert_completes_the_warp(img, pts, moved, rows, cols, monkeypatch):
-    """A warp_image result completed from warp_with_vjp's pixels on ``rows``
+    """A warp_image result completed from the sub-grid warp's pixels on ``rows``
     x ``cols`` is the full warp bitwise, warps only the other pixels, and
     afterwards holds one raster: no source copy, no fit. Returns the full
     warp."""
-    support, _ = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
+    support, _ = _sub_warp(img, pts, moved, rows, cols)
     want = warp_image(img, pts, moved).data
     out = warp_image(img, pts, moved)
     warped, real = [], tps_mod._warp_pixels
@@ -507,7 +512,7 @@ class TestSubGridKernel:
     # of those pixels
     def test_image_is_the_full_warp_at_those_pixels(self, case, monkeypatch):
         img, pts, moved, st, _, _, _ = case
-        sub, _ = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)
+        sub, _ = _sub_warp(img, pts, moved, st.rows, st.cols)
         for workers in WORKER_COUNTS:
             force_workers(monkeypatch, workers)
             assert np.array_equal(sub.data, warp_image(img, pts, moved).data[np.ix_(st.rows, st.cols)])
@@ -517,14 +522,14 @@ class TestSubGridKernel:
         img, pts, moved, st, cot, _, (_, _, _, oracle_vjp) = case
         g_sub = st.vjp(cot)
         expected = oracle_vjp(g_sub)
-        got = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)[1](g_sub)
+        got = _sub_warp(img, pts, moved, st.rows, st.cols)[1](g_sub)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_gradient_signs_match_the_full_warp(self, case):
         # the two paths sum the pixels in different orders, so only the
         # signs, which the attack's step reads, are compared
         img, pts, moved, st, cot, _, _ = case
-        got = warp_with_vjp(img, pts, moved, rows=st.rows, cols=st.cols)[1](st.vjp(cot))
+        got = _sub_warp(img, pts, moved, st.rows, st.cols)[1](st.vjp(cot))
         full = warp_vjp(img, pts, moved, resize_bilinear_vjp(img, st.width, st.height, cot))
         assert np.all(full != 0.0)
         assert np.array_equal(np.sign(got), np.sign(full))
@@ -700,7 +705,7 @@ class TestDeferredWarp:
         pts = rng.uniform(-0.7, 0.7, (12, 2))
         moved = pts + rng.uniform(-0.05, 0.05, pts.shape)
         got = warp_image(img, pts, moved).pixels(rows, cols).data
-        sub, _ = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
+        sub, _ = _sub_warp(img, pts, moved, rows, cols)
         full = warp_image(img, pts, moved).data
         assert got.shape == sub.data.shape == (n_rows, n_cols)
         assert np.array_equal(got, sub.data)
@@ -957,39 +962,11 @@ class TestWarpWithVjp:
         n = np.arange(48)[rows].size * np.arange(48)[cols].size
         pair = np.empty((pts.shape[0] + 3, n)), np.empty((pts.shape[0], n))
         cot = cot[rows][:, cols]
-        want_img, want_vjp = warp_with_vjp(img, pts, moved, rows=rows, cols=cols)
-        got_img, got_vjp = warp_with_vjp(img, pts, moved, rows=rows, cols=cols, out=pair)
+        # the full grid against the public warp and its fresh kernel
+        want_img, want_vjp = _sub_warp(img, pts, moved, rows, cols) if sub else warp_with_vjp(img, pts, moved)
+        got_img, got_vjp = _sub_warp(img, pts, moved, rows, cols, pair)
         assert np.array_equal(got_img.data, want_img.data)
         assert np.array_equal(got_vjp(cot), want_vjp(cot))
-
-    @pytest.mark.parametrize("make", [
-        lambda m, n: (np.empty((m + 3, n), np.float32), np.empty((m, n), np.float32)),
-        lambda m, n: (np.empty((m + 3, n + 1)), np.empty((m, n + 1))),
-        lambda m, n: (np.empty((m + 3, n)), np.empty((m + 1, n))),
-        lambda m, n: (np.empty((m, n)), np.empty((m + 3, n))),
-        lambda m, n: (np.empty((m + 3, n)), np.empty((m, n), order="F")),
-        lambda m, n: (np.empty((m + 3, 2 * n))[:, ::2], np.empty((m, n))),
-        lambda m, n: (np.empty((m + 3, n)), np.empty(m * n)),
-        lambda m, n: [np.empty((m + 3, n)), np.empty((m, n))],
-        lambda m, n: (np.empty((m + 3, n)), np.empty((m, n)), np.empty((m, n))),
-        lambda m, n: (lambda b: (b[: (m + 3) * n].reshape(m + 3, n), b[3 * n :].reshape(m, n)))(
-            np.empty((m + 3) * n)),
-        lambda m, n: (np.empty((m + 3, n)), np.broadcast_to(np.empty((m, n)), (m, n))),
-    ], ids=["float32", "one-pixel-more", "one-point-more", "swapped", "fortran", "strided",
-            "flat", "list", "three", "overlapping", "read-only"])
-    @pytest.mark.parametrize("through", ["warp_with_vjp", "attack_step"])
-    def test_a_kernel_pair_that_does_not_fit_raises(self, case, make, through):
-        img, pts, moved, _ = case
-        if through == "attack_step":
-            emb = ToyEmbedder(input_size=(16, 16))
-            st_ = resize_stencil(img.width, img.height, 16, 16)
-            pair = make(len(pts), math.prod(st_.support_shape))
-            call = lambda: attack_step(emb, img, pts, moved, kernel=pair)  # noqa: E731
-        else:
-            pair = make(len(pts), img.width * img.height)
-            call = lambda: warp_with_vjp(img, pts, moved, out=pair)  # noqa: E731
-        with pytest.raises(ValueError, match="kernel pair must be"):
-            call()
 
     def test_wrong_cotangent_size(self, case):
         img, pts, moved, _ = case
