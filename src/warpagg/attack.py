@@ -29,9 +29,11 @@ written in. The face is bitwise the full warp and holds the raster alone,
 neither the support nor the fit.
 
 Each :func:`generate_adversarial_set` call builds the resize stencil to the
-embedder's input once, and allocates one grid-kernel pair, (L+3, N) and
-(L, N) over the N pixels a step warps; every step of every branch builds
-its kernel into that pair, so no step allocates and frees a grid kernel.
+embedder's input once: it resizes the original face for the first peer
+embedding and every step of every branch. The call also allocates one
+grid-kernel pair, (L+3, N) and (L, N) over the N pixels a step warps;
+every step of every branch builds its kernel into that pair, so no step
+allocates and frees a grid kernel.
 A step built into the pair is valid until the next step is built into it;
 the loop drops each step before building the next. Both are private: the
 public :func:`attack_step` builds its own stencil and a fresh kernel.
@@ -47,12 +49,20 @@ from typing import Callable
 import numpy as np
 
 from .embedder import ToyEmbedder, embed, embed_with_vjp
-from .imaging import Image, ResizeStencil, _is_int, _is_real, resize_bilinear, resize_stencil
+from .imaging import Image, ResizeStencil, _is_int, _is_real, resize_stencil
 from .tps import DEFAULT_LAMBDA, _warp_with_vjp, warp_image
 
 logger = logging.getLogger(__name__)
 
 _ZERO_DIST = 1e-12
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number > 0
+    (see :func:`~warpagg.imaging._is_real`): NaN fails every comparison, so
+    a plain bound would let it through."""
+    if not (_is_real(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,8 @@ class AttackConfig:
         # plain bound would let it through
         if not (_is_real(self.distance_threshold) and self.distance_threshold >= 0):
             raise ValueError("distance_threshold must be finite and >= 0")
-        if not (_is_real(self.clip_radius) and self.clip_radius > 0):
-            raise ValueError("clip_radius must be finite and > 0")
-        if not (_is_real(self.step_size) and self.step_size > 0):
-            raise ValueError("step_size must be finite and > 0")
+        _check_positive("clip_radius", self.clip_radius)
+        _check_positive("step_size", self.step_size)
         if not (_is_real(self.tps_lambda) and self.tps_lambda >= 0):
             raise ValueError("tps_lambda must be finite and >= 0")
 
@@ -181,13 +189,18 @@ def cost_grad(emb: ToyEmbedder, img: Image, points: np.ndarray,
 
 
 def fgsm_step(points_moved: np.ndarray, grad: np.ndarray, step_size: float) -> np.ndarray:
-    """Move every coordinate by +-step_size following the gradient sign."""
+    """Move every coordinate by +-step_size following the gradient sign;
+    a ``step_size`` that is not a finite real > 0 raises ``ValueError``."""
+    _check_positive("step_size", step_size)
     return points_moved + step_size * np.sign(grad)
 
 
 def clip_displacement(points_moved: np.ndarray, points: np.ndarray,
                       radius: float) -> np.ndarray:
-    """Project so each coordinate of the displacement lies in [-radius, radius]."""
+    """Project so each coordinate of the displacement lies in [-radius,
+    radius]; a ``radius`` that is not a finite real > 0 raises
+    ``ValueError``."""
+    _check_positive("radius", radius)
     return points + (points_moved - points).clip(-radius, radius)
 
 
@@ -208,9 +221,10 @@ def generate_adversarial_set(emb: ToyEmbedder, img: Image, points: np.ndarray,
             return clip_displacement(stepped, base, cfg.clip_radius)
 
     points = np.asarray(points, dtype=np.float64)
-    peer_z = [embed(emb, resize_bilinear(img, *emb.input_size[::-1]))]
-    # every step of every branch builds its grid kernel into this one pair
+    # one stencil resizes the original and every step of every branch, and
+    # every step builds its grid kernel into this one pair
     st = _stencil(emb, img)
+    peer_z = [embed(emb, st.resize(img.pixels(st.rows, st.cols)))]
     npix = math.prod(st.support_shape)
     kernel = np.empty((len(points) + 3, npix)), np.empty((len(points), npix))
     faces: list[ManipulatedFace] = []

@@ -134,9 +134,11 @@ def _init_params(num_landmarks: int, seed: int) -> dict:
 def _checked_params(params, shapes: dict[str, tuple[int, ...]]) -> dict:
     """Copies of the given tensors, in the dtypes given; anything but
     exactly the architecture's tensors, each a finite real array of its
-    shape, raises ``ValueError``. Finiteness is checked in the given dtype:
-    a signalling NaN would raise numpy's invalid-cast warning in the
-    float64 conversion."""
+    shape, raises ``ValueError``. Finiteness is checked in one pass over
+    the float64 concatenation of every tensor, with numpy's invalid-cast
+    warning off: a signalling NaN raises it in the conversion, and fails
+    the check as any NaN does. Only a failed check looks for the first
+    non-finite tensor, to name it."""
     if not isinstance(params, Mapping):
         raise ValueError(f"params must be a mapping of tensor names to arrays, got {type(params).__name__}")
     if params.keys() != shapes.keys():
@@ -148,10 +150,11 @@ def _checked_params(params, shapes: dict[str, tuple[int, ...]]) -> dict:
         a = np.array(params[name])
         if a.dtype.kind not in "fiu" or a.shape != shape:
             raise ValueError(f"params[{name!r}] must be a real array of shape {shape}, got {a.dtype} {a.shape}")
-        # count_nonzero costs less than the .all() reduction on arrays this small
-        if np.count_nonzero(np.isfinite(a)) != a.size:
-            raise ValueError(f"params[{name!r}] must be finite")
         out[name] = a
+    with np.errstate(invalid="ignore"):
+        if not np.isfinite(np.concatenate(list(out.values()), axis=None, dtype=np.float64)).all():
+            bad = next(k for k, a in out.items() if not np.isfinite(a.astype(np.float64)).all())
+            raise ValueError(f"params[{bad!r}] must be finite")
     return out
 
 

@@ -37,7 +37,11 @@ into its own kernel pair. Workers write only into buffers the calling
 thread allocated, apart from small per-band temporaries. Every band is
 computed the same way on whichever thread runs it, so no output bit depends
 on the thread or on the worker count. The pool's threads start at the first
-loop of several bands, and a forked child starts its own.
+loop of several bands, and a forked child starts its own. A loop of more
+shares than the pool has threads replaces it with a larger pool without
+shutting the old one down, so a loop on another thread that took the old
+pool still submits to it; the old pool's threads exit once nothing holds
+it.
 
 The networks fill both caches for their own layers when they are built
 (:func:`_cache_conv`), so a forward pass allocates nothing that outlives it.
@@ -90,8 +94,8 @@ def _executor(threads: int) -> ThreadPoolExecutor:
     """The band-loop pool, with at least ``threads`` threads."""
     held = _pool[0]
     if held is None or held[0] < threads:
-        if held is not None:
-            held[1].shutdown(wait=False)
+        # no shutdown of the replaced pool: a loop on another thread may
+        # hold it and not yet have submitted
         held = _pool[0] = threads, ThreadPoolExecutor(threads, thread_name_prefix="warpagg-bands")
     return held[1]
 

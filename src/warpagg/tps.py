@@ -14,6 +14,11 @@ control-point kernel once, before its ridge retry, and keeps its log s on
 the transform (``TpsTransform.log_s``), from which the backward reads the
 kernel-block coefficient 2 (log s + 1).
 
+A fit's parameters are one (L+3, 2) block, the solve itself
+(``TpsTransform.params``): the L kernel weights, then the affine rows
+(const, x, y). Every evaluation, warp and backward multiplies by that
+block as the solve returned it.
+
 The grid kernel is laid out control-point-major: the transposed features
 [U; 1; x; y] are (L+3, Npix) and log s is (L, Npix), so every elementwise
 pass runs over long contiguous rows. On the pixel grid the squared
@@ -110,21 +115,31 @@ class DegenerateControlPointsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TpsTransform:
-    """Fitted spline: affine part (2,3) as rows (const, x, y) per output
-    coordinate, kernel weights (L,2), anchored at ``control_points`` (L,2).
+    """Fitted spline anchored at ``control_points`` (L,2).
+
+    ``params`` (L+3, 2) is the fit's solve, one column per output
+    coordinate: the first L rows are the kernel weights, one per control
+    point, and the last three the affine part, the rows (const, x, y). A
+    point with features [U_1 .. U_L, 1, x, y] maps to their product with
+    ``params``; :func:`eval_tps`, every warp and the warp's backward read
+    this one block. ``kernel_weights`` is a view of its first L rows.
 
     Its arrays are read-only; two transforms are equal only if they are the
     same object."""
 
     control_points: np.ndarray
-    affine: np.ndarray
-    kernel_weights: np.ndarray
+    params: np.ndarray
     regularization: float
     # the (L+3, L+3) matrix the fit solved; the warp's adjoint solve reuses it
     system: np.ndarray = field(repr=False, compare=False)
     # log s (L, L) of the control points against each other, -1 where s is
     # (numerically) zero; the warp's backward reads it for the kernel block
     log_s: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def kernel_weights(self) -> np.ndarray:
+        """The kernel weights (L,2), a read-only view of ``params``."""
+        return self.params[: self.control_points.shape[0]]
 
 
 # warp_image's last fit as the one item (key, fit), see _fit_key. The item is
@@ -215,11 +230,6 @@ def _aligned_empty(n: int) -> np.ndarray:
     return raw[k : k + n]
 
 
-def _params(t: TpsTransform) -> np.ndarray:
-    """Stacked spline parameters (L+3, 2): kernel weights, then the affine part."""
-    return np.concatenate((t.kernel_weights, t.affine.T))
-
-
 def _mapped(params: np.ndarray, phi_t: np.ndarray) -> np.ndarray:
     """Mapped points (N, 2) from the parameters (L+3, 2) and the transposed
     features (L+3, N). The product is formed as (2, N), the faster layout,
@@ -278,17 +288,15 @@ def fit_tps(source: np.ndarray, target: np.ndarray, lam: float = 0.0) -> TpsTran
         # zero s[-1] fails, and an overflowing ratio is inf and fails
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] > 0.0 and float(s[0]) / float(s[-1]) < _COND_LIMIT:
-            sol = np.linalg.solve(a, rhs)
             t = TpsTransform(
                 control_points=src.copy(),
-                affine=sol[n:].T.copy(),
-                kernel_weights=sol[:n].copy(),
+                params=np.linalg.solve(a, rhs),
                 regularization=attempt_lam,
                 system=a,
                 log_s=log_s,
             )
             # read-only, because warp_image's fit record shares the fit
-            for arr in (t.control_points, t.affine, t.kernel_weights, t.system, t.log_s):
+            for arr in (t.control_points, t.params, t.system, t.log_s):
                 arr.flags.writeable = False
             return t
     raise DegenerateControlPointsError(
@@ -308,7 +316,7 @@ def eval_tps(t: TpsTransform, pts: np.ndarray) -> np.ndarray:
     # order follows the operand layout. The row-major (N, L+3) operand, one
     # small copy, keeps mapped landmarks bitwise equal to the point-major
     # evaluation phi @ params.
-    return np.ascontiguousarray(phi_t.T) @ _params(t)
+    return np.ascontiguousarray(phi_t.T) @ t.params
 
 
 def _fit_key(points_moved: np.ndarray, points: np.ndarray, lam: float) -> tuple:
@@ -336,7 +344,7 @@ def _warp_pixels(data: np.ndarray, t: TpsTransform, rows, cols) -> np.ndarray:
     clips it into its rows of the output before the next block is mapped.
     Only the output is full size.
     """
-    cpts, params = t.control_points, _params(t)
+    cpts, params = t.control_points, t.params
     m = cpts.shape[0]
     xs, ys = grid_axes(data.shape[1], data.shape[0])
     x, ys = xs[cols][None, :], ys[rows]
@@ -501,8 +509,7 @@ def _warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray, lam
     xs, ys = grid_axes(img.width, img.height)
     xs, ys = xs[cols], ys[rows]
     phi_t, log_s = _features(cpts, xs[None, :], ys[:, None], out)
-    params = _params(t)
-    vals, grads = sample_grid(img.data, _mapped(params, phi_t), with_grad=True)
+    vals, grads = sample_grid(img.data, _mapped(t.params, phi_t), with_grad=True)
     shape = (ys.size, xs.size)
     warped = Image(vals.reshape(shape).clip(0.0, 1.0))
 
@@ -530,7 +537,7 @@ def _warp_with_vjp(img: Image, points: np.ndarray, points_moved: np.ndarray, lam
         # Adjoint term: parameters solve A(moved) params = rhs.
         v = phi_t @ q.T  # (L+3, 2) = d objective / d params
         lam_adj = np.linalg.solve(t.system, v)  # A is symmetric
-        m = -lam_adj @ params.T  # (L+3, L+3) = d objective / d A
+        m = -lam_adj @ t.params.T  # (L+3, L+3) = d objective / d A
 
         # Kernel block: A_ij = U(|c_i - c_j|^2); the fit's log s is -1 on
         # the diagonal and at coincident points, so the coefficient is 0 there.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import warpagg.attack as attack_mod
+import warpagg.imaging as imaging_mod
 import warpagg.tps as tps_mod
 from conftest import base_shape_12, blob_image, ring_landmarks
 from warpagg.attack import (
@@ -300,8 +301,8 @@ class TestWorkPerIteration:
 
 class TestKernelReuse:
     """Every step of every branch of one attack set builds its grid kernel
-    into one pair of buffers, through one resize stencil, both of which the
-    set builds once."""
+    into one pair of buffers, which the set allocates once, and the set
+    builds one resize stencil, for the original's embedding and every step."""
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["raw", "grouped"])
     def test_every_step_writes_into_one_kernel_pair(self, emb, pts, grouped, monkeypatch):
@@ -310,7 +311,7 @@ class TestKernelReuse:
         img = blob_image(64, seed=21)
         pairs, kernels, stencils = [], [], []
         real_warp, real_features, real_stencil = (attack_mod._warp_with_vjp, tps_mod._features,
-                                                  attack_mod.resize_stencil)
+                                                  imaging_mod.resize_stencil)
 
         def warp(*args):
             pairs.append(args[-1])
@@ -332,7 +333,9 @@ class TestKernelReuse:
 
         monkeypatch.setattr(attack_mod, "_warp_with_vjp", warp)
         monkeypatch.setattr(tps_mod, "_features", features)
+        # every stencil the set builds: the attack's own and any a resize builds
         monkeypatch.setattr(attack_mod, "resize_stencil", stencil)
+        monkeypatch.setattr(imaging_mod, "resize_stencil", stencil)
         # tau = 2 is out of reach, so each branch runs all its iterations
         cfg = AttackConfig(branches=2, distance_threshold=2.0, max_iters=3)
         if grouped:
@@ -387,6 +390,15 @@ class TestStepAndClip:
         once = clip_displacement(moved, p, radius)
         twice = clip_displacement(once, p, radius)
         assert np.array_equal(once, twice)
+
+    # numpy's clip with min > max returns max, and a NaN bound or step gives
+    # NaN landmarks; both are rejected as AttackConfig rejects them
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1, True, "0.05"], ids=repr)
+    def test_a_bad_step_or_radius_raises(self, pts, bad):
+        with pytest.raises(ValueError, match="step_size must be finite and > 0"):
+            fgsm_step(pts, np.ones_like(pts), bad)
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            clip_displacement(pts + 0.01, pts, bad)
 
 
 class TestConfig:

@@ -347,7 +347,7 @@ def _check_fit(out, ok: bool) -> None:
     if not ok:
         assert isinstance(out, ValueError) and not isinstance(out, DegenerateControlPointsError)
     elif not isinstance(out, DegenerateControlPointsError):
-        assert np.all(np.isfinite(out.affine)) and np.all(np.isfinite(out.kernel_weights))
+        assert np.all(np.isfinite(out.params))
 
 
 @BOUNDARY

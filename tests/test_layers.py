@@ -352,7 +352,8 @@ def _forward_digest(det, img, send):
 class TestSpread:
     """The band-loop helper: contiguous shares, the first on the calling
     thread; every share finished before it returns or raises; no thread for
-    a loop of one band; a fresh pool in a forked child."""
+    a loop of one band; a grown pool leaves the old one usable; a fresh pool
+    in a forked child."""
 
     def test_uneven_shares_the_first_on_the_calling_thread(self, monkeypatch):
         force_workers(monkeypatch, 3)
@@ -402,6 +403,29 @@ class TestSpread:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             layers_module._spread(share, 2, [None, None])
         assert len(set(ran)) == 2
+
+    def test_a_share_runs_on_a_pool_another_loop_has_grown(self, monkeypatch):
+        # a loop on another thread may grow the pool between this loop taking
+        # it and submitting its shares, as predict_heatmaps on two threads can
+        force_workers(monkeypatch, 2)
+        real, pools = layers_module._executor, []
+
+        def executor(threads):
+            pools.append(real(threads))
+            pools.append(real(threads + 1))
+            return pools[0]
+
+        monkeypatch.setattr(layers_module, "_executor", executor)
+        held, layers_module._pool[0] = layers_module._pool[0], None
+        try:
+            ran = []
+            layers_module._spread(lambda buf, lo, hi: ran.append((lo, hi)), 2, [None, None])
+            assert sorted(ran) == [(0, 1), (1, 2)]
+            assert layers_module._pool[0] == (2, pools[1]) and pools[1] is not pools[0]
+        finally:
+            layers_module._pool[0] = held
+            for pool in pools:
+                pool.shutdown()
 
     def test_a_forked_child_runs_a_forward_to_the_parents_bits(self, monkeypatch):
         force_workers(monkeypatch, 2)

@@ -89,6 +89,20 @@ class TestFitEval:
         assert np.max(np.abs(w.sum(axis=0))) < 1e-8
         assert np.max(np.abs(src.T @ w)) < 1e-8
 
+    def test_params_are_the_solve_and_kernel_weights_a_view(self):
+        src = ring_landmarks(68, seed=7)
+        dst = src + np.random.default_rng(7).uniform(-0.05, 0.05, src.shape)
+        t = fit_tps(src, dst, lam=1e-6)
+        rhs = np.zeros((71, 2))
+        rhs[:68] = dst
+        assert t.params.flags.c_contiguous and not t.params.flags.writeable
+        assert np.array_equal(t.params, np.linalg.solve(t.system, rhs))
+        w = t.kernel_weights
+        assert w.base is t.params and not w.flags.writeable
+        assert np.array_equal(w, t.params[:68])
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_tps(np.zeros((2, 2)), np.zeros((2, 2)))
@@ -352,7 +366,7 @@ def _oracle_warp_with_vjp(img, pts, moved, lam, rows=slice(None), cols=slice(Non
     shape = grid.shape[:2]
     grid = grid.reshape(-1, 2)
     phi, log_s = _oracle_features(grid, cpts)
-    params = np.vstack([t.kernel_weights, t.affine.T])
+    params = t.params
     vals, grads = sample_grid(img.data, phi @ params, with_grad=True)
     warped = np.clip(vals.reshape(shape), 0.0, 1.0)
 
@@ -426,7 +440,7 @@ class TestGridKernelOracle:
         t = fit_tps(moved, pts, 1e-6)
         probes = np.vstack([probe_points(40, seed=60), moved[:3]])
         phi, _ = _oracle_features(probes, t.control_points)
-        expected = phi @ np.vstack([t.kernel_weights, t.affine.T])
+        expected = phi @ t.params
         assert np.array_equal(eval_tps(t, probes), expected)
 
     def test_vjp_within_1e12(self, case):
@@ -875,7 +889,7 @@ class TestInvertLandmarks:
     def test_fit_arrays_are_read_only(self):
         pts = ring_landmarks(9, seed=82)
         t = fit_tps(pts + 0.01, pts, 1e-6)
-        for arr in (t.control_points, t.affine, t.kernel_weights, t.system, t.log_s):
+        for arr in (t.control_points, t.params, t.kernel_weights, t.system, t.log_s):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0

@@ -7,7 +7,8 @@ Runs from the root of a source checkout and imports the program from its
 
 1. the code lines of every module of ``src/warpagg`` and their total: lines
    holding a token other than a comment, less the lines of module, class
-   and function docstrings;
+   and function docstrings; then the total of ``tests/`` by the same count,
+   so that code moved from the package into the tests shows;
 2. one SHA-256 over the benchmark's outputs: every workload of
    ``perfbench/workloads.py`` on seeds 0 and 1, three operations each.
    It covers attack faces, control targets, iteration counts and flags,
@@ -42,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "warpagg"
+TESTS = ROOT / "tests"
 SEEDS = (0, 1)
 OPS = 3
 # the landmark displacement and the peer perturbation of the gradient digest
@@ -131,6 +133,7 @@ def main() -> int:
         total += n
         print(f"{path.relative_to(ROOT)}: {n}")
     print(f"code lines: {total}")
+    print(f"tests code lines: {sum(code_lines(p.read_text()) for p in sorted(TESTS.glob('*.py')))}")
     for var in _BLAS_VARS:
         os.environ[var] = "1"
     # every attack branch of the benchmark runs to its cap and says so
