@@ -13,16 +13,16 @@ embedder uses too, whose conv multiplies its im2col matrix in equal bands
 detector is built.
 
 Each conv layer's input is built once, in one zero-padded (Cin, H+2, W+2)
-buffer that :func:`~warpagg.layers.conv3` reads: the encoder activations
-are written by their ``tanh`` straight into the channels the skip
-connections give them in a decoder layer's buffer, and each decoder
-activation is up-sampled by one broadcast assignment into the interior of
-the next buffer. No concatenated, up-sampled or padded copy is made. Every
-buffer but the output layer's input is freed before that layer runs, and
-the softplus is applied in place on its output, band by band on the thread
-that computed the band (``np.logaddexp(0.0, part, out=part)``: elementwise,
-so the same bits as on a fresh array), so a pass peaks at its output, one
-GEMM band per worker and the output layer's input.
+buffer (:func:`~warpagg.layers._padded`) that :func:`~warpagg.layers.conv3`
+reads: the encoder activations are written by their ``tanh`` straight into
+the channels the skip connections give them in a decoder layer's buffer,
+and each decoder activation is up-sampled by one broadcast assignment into
+the interior of the next buffer. No concatenated, up-sampled or padded copy
+is made. Every buffer but the output layer's input is freed before that
+layer runs, and the softplus is applied in place on its output, band by
+band on the thread that computed the band (``np.logaddexp(0.0, part,
+out=part)``: elementwise, so the same bits as on a fresh array), so a pass
+peaks at its output, one GEMM band per worker and the output layer's input.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .imaging import Image, _check_input_image, _check_input_size, _is_int, from_pixel
-from .layers import _cache_conv, avgpool, conv3
+from .layers import _cache_conv, _padded, avgpool, conv3
 
 CHECKPOINT_MAGIC = b"WAGGDET1"
 FORMAT_VERSION = 1
@@ -156,12 +156,6 @@ def _checked_params(params, shapes: dict[str, tuple[int, ...]]) -> dict:
             bad = next(k for k, a in out.items() if not np.isfinite(a.astype(np.float64)).all())
             raise ValueError(f"params[{bad!r}] must be finite")
     return out
-
-
-def _padded(c: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """A zero (c, h+2, w+2) conv input buffer and its (c, h, w) interior."""
-    xp = np.zeros((c, h + 2, w + 2))
-    return xp, xp[:, 1:-1, 1:-1]
 
 
 def _up2_into(dst: np.ndarray, x: np.ndarray) -> None:

@@ -22,6 +22,8 @@ once, here:
   of such integers divisible by the network's pool factor) and
   :func:`_check_input_image` (an image of exactly that size), which the
   detector and the embedder call;
+- raster values: :func:`_real_raster` (integers or floats, not bools, read
+  as float64), for :class:`Image` and :func:`sample_grid`;
 - points: :func:`_points` (a float array of shape (..., 2)), for
   :func:`to_pixel`, :func:`from_pixel` and :func:`sample_grid`;
 - the pixel map: :func:`_pixel_scale` is the forward scale of
@@ -68,16 +70,26 @@ class PgmDataError(PgmError):
     """Pixel payload contains invalid samples."""
 
 
+def _real_raster(data) -> np.ndarray:
+    """``data`` as a float64 array (a float64 one without a copy), if it
+    holds real numbers: integers or floats, not bools; else ``ValueError``."""
+    data = np.asarray(data)
+    if data.dtype.kind not in "iuf":
+        raise ValueError(f"raster must hold real numbers, got dtype {data.dtype}")
+    return data.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Image:
-    """Single-channel raster; ``data`` is (height, width) float64 in [0,1].
+    """Single-channel raster; ``data`` is (height, width) float64 in [0,1],
+    read from real numbers (:func:`_real_raster`).
 
     Two images are equal only if they are the same object."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
+        arr = np.ascontiguousarray(_real_raster(self.data))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image data must be 2-D and non-empty, got shape {arr.shape}")
         lo, hi = arr.min(), arr.max()  # NaN propagates through both
@@ -387,14 +399,11 @@ def sample_grid(data: np.ndarray, pts: np.ndarray, with_grad: bool = False):
 
     Returns (values, grads): values has the points' leading shape, and grads
     is (..., 2) in normalized units, or None. The raster is read as float64
-    (a float64 one without a copy); one that does not hold real numbers
-    (integers or floats, not bools) raises ``ValueError``. A NaN point
-    raises ``ValueError``; an infinite one is clamped to the edge.
+    by :func:`_real_raster`, so one that does not hold real numbers raises
+    ``ValueError``. A NaN point raises ``ValueError``; an infinite one is
+    clamped to the edge.
     """
-    data = np.asarray(data)
-    if data.dtype.kind not in "iuf":
-        raise ValueError(f"raster must hold real numbers, got dtype {data.dtype}")
-    data = data.astype(np.float64, copy=False)
+    data = _real_raster(data)
     if data.ndim != 2:
         raise ValueError(f"data must be a 2-D raster, got shape {data.shape}")
     pts = _points(pts)

@@ -5,11 +5,12 @@ All arrays are float (C, H, W) stacks. :func:`conv3` is a 3x3 same-padding
 convolution as GEMMs over the (H*W, Cin*9) im2col matrix, with the bias
 added in place. It reads the input already zero-padded, a (Cin, H+2, W+2)
 buffer whose one-pixel border the caller leaves zero and whose interior it
-fills: the detector writes each layer's input straight into such a buffer,
-and the embedder pads its inputs with :func:`_pad1`. The matrix is gathered
-from the flat padded input through a read-only index of one band of output
-rows, the same for every band and cached per input shape
-(:func:`_patch_index`); :func:`im2col` builds the whole matrix that way.
+fills. This module owns that format: the detector writes each layer's
+input straight into a buffer from :func:`_padded`, and the embedder pads
+its inputs with :func:`_pad1`. The matrix is gathered from the flat padded
+input through a read-only index of one band of output rows, the same for
+every band and cached per input shape (:func:`_patch_index`);
+:func:`im2col` builds the whole matrix that way.
 
 Band rule (:func:`_gemm_rows`): a matrix of up to :data:`_GEMM_ENTRIES`
 entries (1 MB), such as every embedder layer and every layer of a 32 px
@@ -36,12 +37,11 @@ grid kernel bands of :func:`warpagg.tps._warp_pixels`, each worker building
 into its own kernel pair. Workers write only into buffers the calling
 thread allocated, apart from small per-band temporaries. Every band is
 computed the same way on whichever thread runs it, so no output bit depends
-on the thread or on the worker count. The pool's threads start at the first
-loop of several bands, and a forked child starts its own. A loop of more
-shares than the pool has threads replaces it with a larger pool without
-shutting the old one down, so a loop on another thread that took the old
-pool still submits to it; the old pool's threads exit once nothing holds
-it.
+on the thread or on the worker count. The shares run on one pool
+(:func:`_executor`), built at the first loop of several bands and never
+replaced. It starts a thread only when no idle one can take a share, up to
+one per CPU of the machine, which the affinity mask cannot exceed; a forked
+child builds its own.
 
 The networks fill both caches for their own layers when they are built
 (:func:`_cache_conv`), so a forward pass allocates nothing that outlives it.
@@ -67,13 +67,6 @@ _BAND_ENTRIES = 8192
 # GEMM; a larger one is cut into equal bands of about half as many
 _GEMM_ENTRIES = 131072
 
-# the band-loop pool as (threads, executor), from the first loop of several
-# bands on; one slot, so the module attribute is never rebound. A forked
-# child has none of the pool's threads and builds its own.
-_pool: list[tuple[int, ThreadPoolExecutor] | None] = [None]
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: _pool.__setitem__(0, None))
-
 
 def _cpus() -> int:
     """CPUs this process may run on: its affinity mask, where the platform
@@ -90,14 +83,19 @@ def _workers(bands: int) -> int:
     return 1 if bands < 2 else min(bands, _cpus())
 
 
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The band-loop pool, with at least ``threads`` threads."""
-    held = _pool[0]
-    if held is None or held[0] < threads:
-        # no shutdown of the replaced pool: a loop on another thread may
-        # hold it and not yet have submitted
-        held = _pool[0] = threads, ThreadPoolExecutor(threads, thread_name_prefix="warpagg-bands")
-    return held[1]
+@functools.cache
+def _executor() -> ThreadPoolExecutor:
+    """The band-loop pool, from the first loop of several bands on: one
+    thread per CPU of the machine at most (the executor's default where it
+    does not know), each started when a share finds no idle one. Two first
+    loops at once may each build one; the cache keeps one, and the other's
+    threads exit once its loop is done."""
+    return ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="warpagg-bands")
+
+
+# a forked child has none of the pool's threads and builds its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def _spread(fn: Callable, bands: int, buffers: Sequence) -> None:
@@ -112,7 +110,7 @@ def _spread(fn: Callable, bands: int, buffers: Sequence) -> None:
         fn(buffers[0], 0, bands)
         return
     cuts = [i * bands // k for i in range(k + 1)]
-    pool = _executor(k - 1)
+    pool = _executor()
     futures = []
     try:
         for i in range(1, k):
@@ -124,11 +122,16 @@ def _spread(fn: Callable, bands: int, buffers: Sequence) -> None:
         f.result()
 
 
+def _padded(c: int, h: int, wd: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """A zero (c, h+2, wd+2) conv input buffer and its (c, h, wd) interior."""
+    xp = np.zeros((c, h + 2, wd + 2), dtype=dtype)
+    return xp, xp[:, 1:-1, 1:-1]
+
+
 def _pad1(x: np.ndarray) -> np.ndarray:
-    """One-pixel zero border around both spatial axes."""
-    c, h, wd = x.shape
-    xp = np.zeros((c, h + 2, wd + 2), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x
+    """x (C, H, W) with a one-pixel zero border, in x's dtype."""
+    xp, inner = _padded(*x.shape, x.dtype)
+    inner[...] = x
     return xp
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,31 @@ class TestImageType:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Image(np.array([[0.0, np.nan]]))
+
+    # sample_grid's real raster dtypes, then ones that hold no real number;
+    # numpy reads every one of them as float64 without complaint but complex,
+    # which it casts with a warning
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.int64, np.int32, np.uint8,
+                                       np.bool_, "<U3", object, np.complex128],
+                             ids=lambda d: np.dtype(d).str)
+    def test_one_real_raster_rule_with_sample_grid(self, dtype):
+        # eighths in [0, 1], or 0 and 1 in an integer dtype: exact in each
+        ints = np.random.default_rng(0).integers(0, 9, (3, 4))
+        data = (ints // 8 if np.issubdtype(dtype, np.integer) else ints / 8).astype(dtype)
+        pts = ring_landmarks(5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if data.dtype.kind not in "iuf":
+                msgs = []
+                for call in (lambda: Image(data), lambda: sample_grid(data, pts)):
+                    with pytest.raises(ValueError, match="raster must hold real numbers") as err:
+                        call()
+                    msgs.append(str(err.value))
+                assert msgs[0] == msgs[1]
+            else:
+                got = Image(data).data
+                assert got.dtype == np.float64 and np.array_equal(got, data.astype(np.float64))
+                assert np.array_equal(sample_grid(data, pts)[0], sample_grid(got, pts)[0])
 
     def test_shape_properties(self):
         img = Image(np.zeros((3, 5)))

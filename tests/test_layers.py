@@ -345,15 +345,15 @@ class TestIndexCacheFilledAtBuild:
 def _forward_digest(det, img, send):
     """Send whether this process starts without a band pool, then the
     SHA-256 of the detector's heatmaps on ``img``."""
-    send.send(layers_module._pool[0] is None)
+    send.send(layers_module._executor.cache_info().currsize == 0)
     send.send(hashlib.sha256(predict_heatmaps(det, img).tobytes()).digest())
 
 
 class TestSpread:
     """The band-loop helper: contiguous shares, the first on the calling
     thread; every share finished before it returns or raises; no thread for
-    a loop of one band; a grown pool leaves the old one usable; a fresh pool
-    in a forked child."""
+    a loop of one band; one pool for loops of every worker count; a fresh
+    pool in a forked child."""
 
     def test_uneven_shares_the_first_on_the_calling_thread(self, monkeypatch):
         force_workers(monkeypatch, 3)
@@ -404,27 +404,33 @@ class TestSpread:
             layers_module._spread(share, 2, [None, None])
         assert len(set(ran)) == 2
 
-    def test_a_share_runs_on_a_pool_another_loop_has_grown(self, monkeypatch):
-        # a loop on another thread may grow the pool between this loop taking
-        # it and submitting its shares, as predict_heatmaps on two threads can
-        force_workers(monkeypatch, 2)
-        real, pools = layers_module._executor, []
+    def test_loops_of_two_and_three_workers_share_one_pool(self, monkeypatch):
+        built = []
 
-        def executor(threads):
-            pools.append(real(threads))
-            pools.append(real(threads + 1))
-            return pools[0]
+        class Counted(layers_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
 
-        monkeypatch.setattr(layers_module, "_executor", executor)
-        held, layers_module._pool[0] = layers_module._pool[0], None
+        monkeypatch.setattr(layers_module, "ThreadPoolExecutor", Counted)
+        layers_module._executor.cache_clear()
         try:
-            ran = []
-            layers_module._spread(lambda buf, lo, hi: ran.append((lo, hi)), 2, [None, None])
-            assert sorted(ran) == [(0, 1), (1, 2)]
-            assert layers_module._pool[0] == (2, pools[1]) and pools[1] is not pools[0]
+            for count in (2, 3):
+                force_workers(monkeypatch, count)
+                # every share waits for the others, so each must have a thread
+                met = threading.Barrier(count, timeout=30)
+                ran = []
+
+                def share(buf, lo, hi):
+                    ran.append(threading.get_ident())
+                    met.wait()
+
+                layers_module._spread(share, count, [None] * layers_module._workers(count))
+                assert len(set(ran)) == count
+            assert len(built) == 1
         finally:
-            layers_module._pool[0] = held
-            for pool in pools:
+            layers_module._executor.cache_clear()
+            for pool in built:
                 pool.shutdown()
 
     def test_a_forked_child_runs_a_forward_to_the_parents_bits(self, monkeypatch):
@@ -432,7 +438,7 @@ class TestSpread:
         det = ToyDetector(68, (64, 64), seed=0)
         img = blob_image(64, seed=5)
         want = hashlib.sha256(predict_heatmaps(det, img).tobytes()).digest()
-        assert layers_module._pool[0] is not None
+        assert layers_module._executor.cache_info().currsize == 1
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_forward_digest, args=(det, img, send))
@@ -457,16 +463,14 @@ class TestSpread:
         groups = assign_groups(12, "synthetic")
         img, base = blob_image(32, seed=6), base_shape_12()
         rng = np.random.default_rng(6)
-        held, layers_module._pool[0] = layers_module._pool[0], None
-        try:
-            before = threading.active_count()
-            preds = [soft_argmax(predict_heatmaps(det, img))[0]]
-            for _ in range(8):
-                moved = apply_groups(base, groups, sample_known_transforms(groups, base, rng))
-                warped = resize_bilinear(tps.warp_image(img, base, moved), 32, 32)
-                preds.append(tps.invert_landmarks(base, moved, soft_argmax(predict_heatmaps(det, warped))[0]))
-            assert np.all(np.isfinite(np.mean(preds, axis=0)))
-            assert threading.active_count() == before
-            assert layers_module._pool[0] is None
-        finally:
-            layers_module._pool[0] = held
+        # no loop asks for the pool, which may hold idle threads already
+        calls = layers_module._executor.cache_info()
+        before = set(threading.enumerate())
+        preds = [soft_argmax(predict_heatmaps(det, img))[0]]
+        for _ in range(8):
+            moved = apply_groups(base, groups, sample_known_transforms(groups, base, rng))
+            warped = resize_bilinear(tps.warp_image(img, base, moved), 32, 32)
+            preds.append(tps.invert_landmarks(base, moved, soft_argmax(predict_heatmaps(det, warped))[0]))
+        assert np.all(np.isfinite(np.mean(preds, axis=0)))
+        assert set(threading.enumerate()) <= before
+        assert layers_module._executor.cache_info() == calls
